@@ -95,4 +95,21 @@ sweep_dir="$(mktemp -d "${build_dir}/crash-sweep.XXXXXX")"
 rm -rf "${sweep_dir}"
 echo "ok: recovery is a clean prefix at every truncation offset"
 
+stage "thread sanitizer (concurrency + net suites)"
+# A second fresh tree with -DLLMDM_TSAN=ON, building only the two suites
+# that race real threads over the serve layer (including its golden pin)
+# and the net event loop. The extra cmake args are not forwarded: TSan
+# cannot be combined with -DLLMDM_SANITIZE=ON.
+tsan_dir="${build_dir}-tsan"
+rm -rf "${tsan_dir}"
+cmake -B "${tsan_dir}" -S "${repo_root}" "${generator[@]}" -DLLMDM_TSAN=ON \
+  >/dev/null
+cmake --build "${tsan_dir}" -j "$(nproc)" \
+  --target llmdm_concurrency_tests llmdm_net_tests
+TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_concurrency_tests" \
+  --gtest_brief=1
+TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_net_tests" \
+  --gtest_brief=1
+echo "ok: concurrency and net suites race-free under ThreadSanitizer"
+
 echo "VERIFY PASSED (${build_dir})"

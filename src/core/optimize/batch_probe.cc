@@ -17,9 +17,7 @@ serve::BatchCacheProbe MakeBatchCacheProbe(SemanticCache* cache,
   // list for per-call serving, the cached tier when the deployment batches
   // (an exact-duplicate prompt in a batch bills its whole input cached).
   const common::Money input_price =
-      price_at_cached_tier && spec.cached_input_price_per_1k.micros() > 0
-          ? spec.cached_input_price_per_1k
-          : spec.input_price_per_1k;
+      llm::EffectiveInputPrice(spec, price_at_cached_tier);
   return [cache, spec = std::move(spec), input_price](
              const std::vector<const serve::Request*>& batch)
              -> std::vector<serve::BatchProbeOutcome> {
@@ -34,9 +32,7 @@ serve::BatchCacheProbe MakeBatchCacheProbe(SemanticCache* cache,
       // whether a request went through the batched or the per-call path.
       size_t input_tokens =
           llm::MakePrompt(req->skill, req->input).CountInputTokens();
-      avoided.push_back(common::Money::FromMicros(
-          input_price.micros() *
-          static_cast<int64_t>(input_tokens) / 1000));
+      avoided.push_back(llm::PriceTokens(input_price, input_tokens));
     }
     std::vector<std::optional<SemanticCache::Hit>> hits =
         cache->LookupBatch(queries, avoided, spec.output_price_per_1k);

@@ -131,10 +131,6 @@ common::Result<BatchExecution> QueryBatchOptimizer::Execute(
   }
 
   const llm::ModelSpec& spec = model.spec();
-  auto price = [](common::Money per_1k, size_t tokens) {
-    return common::Money::FromMicros(per_1k.micros() *
-                                     static_cast<int64_t>(tokens) / 1000);
-  };
 
   if (options_.enable_combination && !plan.unique_units.empty()) {
     // All units share instructions+examples, so one combined prompt carries
@@ -149,8 +145,9 @@ common::Result<BatchExecution> QueryBatchOptimizer::Execute(
     for (const llm::Completion& c : completions) {
       output_tokens += c.output_tokens;
     }
-    common::Money cost = price(spec.input_price_per_1k, input_tokens) +
-                         price(spec.output_price_per_1k, output_tokens);
+    common::Money cost =
+        llm::PriceTokens(spec.input_price_per_1k, input_tokens) +
+        llm::PriceTokens(spec.output_price_per_1k, output_tokens);
     double latency = spec.latency_ms_per_1k_tokens *
                      static_cast<double>(input_tokens + output_tokens) / 1000.0;
     if (meter != nullptr) {
@@ -196,10 +193,6 @@ common::Result<BatchExecution> QueryBatchOptimizer::ExecuteBatched(
       model.CompleteBatch(prompts);
 
   const llm::ModelSpec& spec = model.spec();
-  auto price = [](common::Money per_1k, size_t tokens) {
-    return common::Money::FromMicros(per_1k.micros() *
-                                     static_cast<int64_t>(tokens) / 1000);
-  };
 
   std::map<std::string, std::string> unit_sql;
   if (meter != nullptr && !plan.unique_units.empty()) {
@@ -215,9 +208,10 @@ common::Result<BatchExecution> QueryBatchOptimizer::ExecuteBatched(
     if (c.prefix_cached_tokens > 0) {
       // Exact savings: what the cached-tier tokens would have cost at list
       // price, recovered from the discounted bill.
-      common::Money saved = price(spec.input_price_per_1k, c.input_tokens) +
-                            price(spec.output_price_per_1k, c.output_tokens) -
-                            c.cost;
+      common::Money saved =
+          llm::PriceTokens(spec.input_price_per_1k, c.input_tokens) +
+          llm::PriceTokens(spec.output_price_per_1k, c.output_tokens) -
+          c.cost;
       exec.prefix_cached_tokens += c.prefix_cached_tokens;
       exec.prefix_saved += saved;
       if (meter != nullptr) {

@@ -277,9 +277,7 @@ std::optional<SemanticCache::Hit> SemanticCache::ProbeShardLocked(
   // estimate, plus the output tokens the cached response replaces.
   common::Money saved =
       avoided_cost +
-      common::Money::FromMicros(output_price_per_1k.micros() *
-                                static_cast<int64_t>(entry.response_tokens) /
-                                1000);
+      llm::PriceTokens(output_price_per_1k, entry.response_tokens);
   shard.metrics.hits->Add(1);
   shard.metrics.saved_micros->Add(static_cast<uint64_t>(saved.micros()));
   return Hit{entry.query, entry.response, best->score, saved};
@@ -676,9 +674,8 @@ common::Result<llm::Completion> CachedLlm::Complete(const llm::Prompt& prompt) {
   // the savings ledger reflects the whole avoided bill (input + output),
   // not just the prompt side.
   size_t input_tokens = prompt.CountInputTokens();
-  common::Money avoided = common::Money::FromMicros(
-      spec().input_price_per_1k.micros() *
-      static_cast<int64_t>(input_tokens) / 1000);
+  common::Money avoided =
+      llm::PriceTokens(spec().input_price_per_1k, input_tokens);
   obs::Span* probe = nullptr;
   double probe_start = 0.0;
   if (prompt.trace != nullptr) {

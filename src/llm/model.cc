@@ -4,6 +4,17 @@
 
 namespace llmdm::llm {
 
+common::Money PriceTokens(common::Money per_1k, size_t tokens) {
+  return common::Money::FromMicros(per_1k.micros() *
+                                   static_cast<int64_t>(tokens) / 1000);
+}
+
+common::Money EffectiveInputPrice(const ModelSpec& spec, bool batching) {
+  return batching && spec.cached_input_price_per_1k.micros() > 0
+             ? spec.cached_input_price_per_1k
+             : spec.input_price_per_1k;
+}
+
 common::Result<Completion> LlmModel::CompleteMetered(const Prompt& prompt,
                                                      UsageMeter* meter) {
   // The request's budget is enforced here, at the call boundary, so every

@@ -34,6 +34,16 @@ struct ModelSpec {
   double latency_ms_per_1k_tokens = 500.0;
 };
 
+/// Bills `tokens` at a per-1k-token price, in whole micros rounded down. The
+/// one billing rule of every ledger (model, serve, cache), so spend
+/// reconciles across them to the micro.
+common::Money PriceTokens(common::Money per_1k, size_t tokens);
+
+/// The per-1k input price a call pays: the cached tier when the deployment
+/// batches and `spec` has one (an exact-duplicate prompt in a batch bills its
+/// whole input cached), list otherwise.
+common::Money EffectiveInputPrice(const ModelSpec& spec, bool batching);
+
 /// One completion returned by a model.
 struct Completion {
   std::string text;

@@ -47,12 +47,9 @@ common::Result<Completion> SimulatedLlm::Complete(const Prompt& prompt) {
   completion.model = spec_.name;
   completion.input_tokens = prompt.CountInputTokens();
   completion.output_tokens = text::CountTokens(completion.text);
-  auto price = [](common::Money per_1k, size_t tokens) {
-    return common::Money::FromMicros(per_1k.micros() *
-                                     static_cast<int64_t>(tokens) / 1000);
-  };
-  completion.cost = price(spec_.input_price_per_1k, completion.input_tokens) +
-                    price(spec_.output_price_per_1k, completion.output_tokens);
+  completion.cost =
+      PriceTokens(spec_.input_price_per_1k, completion.input_tokens) +
+      PriceTokens(spec_.output_price_per_1k, completion.output_tokens);
   completion.latency_ms =
       spec_.latency_ms_per_1k_tokens *
       static_cast<double>(completion.input_tokens + completion.output_tokens) /
@@ -62,10 +59,6 @@ common::Result<Completion> SimulatedLlm::Complete(const Prompt& prompt) {
 
 std::vector<common::Result<Completion>> SimulatedLlm::CompleteBatch(
     const std::vector<Prompt>& prompts) {
-  auto price = [](common::Money per_1k, size_t tokens) {
-    return common::Money::FromMicros(per_1k.micros() *
-                                     static_cast<int64_t>(tokens) / 1000);
-  };
   const bool discount = spec_.cached_input_price_per_1k.micros() > 0;
   PrefixTrie trie;
   std::vector<common::Result<Completion>> out;
@@ -97,10 +90,10 @@ std::vector<common::Result<Completion>> SimulatedLlm::CompleteBatch(
           completion.input_tokens);
       const size_t fresh = completion.input_tokens - cached;
       completion.prefix_cached_tokens = cached;
-      completion.cost = price(spec_.input_price_per_1k, fresh) +
-                        price(spec_.cached_input_price_per_1k, cached) +
-                        price(spec_.output_price_per_1k,
-                              completion.output_tokens);
+      completion.cost = PriceTokens(spec_.input_price_per_1k, fresh) +
+                        PriceTokens(spec_.cached_input_price_per_1k, cached) +
+                        PriceTokens(spec_.output_price_per_1k,
+                                    completion.output_tokens);
       // Prefill for the cached prefix is skipped: only fresh input + decode
       // spend time in the slot.
       completion.latency_ms =

@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <cmath>
 #include <cstring>
 
 #include "common/hash.h"
@@ -126,6 +127,15 @@ common::Result<WireRequest> DecodeRequest(std::string_view payload) {
   if (r.priority > 2) {
     return common::Status::InvalidArgument(
         common::StrFormat("request priority %u out of range", r.priority));
+  }
+  // Client-supplied virtual time: one +inf or NaN arrival would pin the
+  // server's shared arrival high-water mark, and with it every later
+  // arrival from every connection.
+  for (double v : {r.deadline_ms, r.arrival_vms}) {
+    if (!std::isfinite(v) || v < 0.0) {
+      return common::Status::InvalidArgument(common::StrFormat(
+          "request virtual time %g is not a finite non-negative value", v));
+    }
   }
   return r;
 }

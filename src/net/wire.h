@@ -71,6 +71,7 @@ struct WireRequest {
   std::string skill = "freeform";
   std::string input;
   uint8_t priority = 1;  // serve::Priority, kNormal
+  /// Both finite and >= 0; DecodeRequest rejects anything else.
   double deadline_ms = 0.0;
   double arrival_vms = 0.0;
   /// 0 = whole completion in the kResponse frame; >0 = stream the text back

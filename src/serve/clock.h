@@ -1,6 +1,7 @@
 #ifndef LLMDM_SERVE_CLOCK_H_
 #define LLMDM_SERVE_CLOCK_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 
@@ -22,8 +23,11 @@ class SimulatedClock {
   }
 
   /// Monotone CAS-max: concurrent advances never move the clock backwards.
+  /// Saturates at about 9.2e15 vms instead of overflowing the conversion to
+  /// integer micros (arrivals come from clients and can be any finite value).
   void AdvanceTo(double vms) {
-    int64_t target = static_cast<int64_t>(vms * 1000.0 + 0.5);
+    int64_t target =
+        static_cast<int64_t>(std::min(vms * 1000.0 + 0.5, 9.2e18));
     int64_t cur = now_micros_.load(std::memory_order_relaxed);
     while (cur < target && !now_micros_.compare_exchange_weak(
                                cur, target, std::memory_order_relaxed)) {

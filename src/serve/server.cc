@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
+#include <optional>
+#include <span>
 
 #include "common/hash.h"
 #include "common/string_util.h"
@@ -16,6 +17,12 @@ namespace llmdm::serve {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Extra headroom (fraction of queue_depth) reserved for Priority::kInteractive
+// requests once the nominal shared queue is full.
+constexpr double kInteractiveReserveFraction = 0.25;
+// Virtual ms a failed attempt is deemed to have occupied its slot (timeouts
+// and retry storms burn time even when nothing is returned).
+constexpr double kFailedAttemptPenaltyMs = 1000.0;
 
 double Percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
@@ -173,263 +180,245 @@ double Server::EstimateTokens(const Request& request) const {
                              options_.est_output_tokens);
 }
 
-double Server::EstimateServiceVms(const Request& request) const {
-  return model_->spec().latency_ms_per_1k_tokens * EstimateTokens(request) /
-         1000.0;
-}
-
-void Server::Submit(const Request& request) {
-  std::lock_guard<std::mutex> lock(admission_mu_);
-  if (draining_) return;  // late submissions after Drain() are dropped
-  metrics_.submitted->Add(1);
-
-  // Virtual-clock maintenance: fire once per crossed interval boundary (a
-  // long arrival gap catches up, one run per boundary), before this
-  // request's own admission — so the decision sequence is identical for
-  // every run of the same workload.
-  if (options_.maintenance_interval_vms > 0 && options_.maintenance_hook) {
-    while (request.arrival_vms >= next_maintenance_vms_) {
-      options_.maintenance_hook();
-      metrics_.maintenance_runs->Add(1);
-      next_maintenance_vms_ += options_.maintenance_interval_vms;
-    }
-  }
-
-  // Continuous batching: this arrival is the only thing that advances the
-  // virtual clock, so it is also the event that observes (and closes) an
-  // open batch whose window deadline has passed — before its own admission,
-  // so batch membership is fixed in arrival order.
-  MaybeCloseBatch(request.arrival_vms);
-
-  if (qos_scheduler_ != nullptr) {
-    SubmitQos(request);
-    return;
-  }
-
-  // Retire virtual work that has started by this arrival; what remains is
-  // the waiting queue the new request would join.
-  while (!pending_starts_.empty() &&
-         pending_starts_.top() <= request.arrival_vms) {
-    pending_starts_.pop();
-  }
-  double queue_len = static_cast<double>(pending_starts_.size());
-  metrics_.max_queue_len->SetMax(static_cast<int64_t>(queue_len));
-
-  // Single-flight: an identical call still in flight (by the virtual queue
-  // model — the leader's estimated finish is after this arrival) absorbs
-  // the request. The follower takes no slot, joins no queue, and cannot be
-  // shed: it adds no load. Decided here, in arrival order, so coalescing is
-  // deterministic across runs and worker counts.
-  uint64_t flight_key = 0;
-  if (options_.single_flight) {
-    flight_key = common::Fnv1a(request.input, common::Fnv1a(request.skill));
-    auto it = inflight_.find(flight_key);
-    if (it != inflight_.end() &&
-        request.arrival_vms < it->second->est_finish_vms) {
-      metrics_.admitted->Add(1);
-      metrics_.coalesced->Add(1);
-      Work work;
-      work.request = request;
-      work.group = it->second;
-      work.coalesced_follower = true;
-      EnqueueWork(std::move(work));
-      return;
-    }
-  }
-
-  double earliest_free = kInf;
-  size_t slot = 0;
-  for (size_t i = 0; i < slot_free_vms_.size(); ++i) {
-    if (slot_free_vms_[i] < earliest_free) {
-      earliest_free = slot_free_vms_[i];
-      slot = i;
-    }
-  }
-  double est_start = std::max(request.arrival_vms, earliest_free);
-  double est_service = EstimateServiceVms(request);
-  double queue_wait = est_start - request.arrival_vms;
-
-  bool shed = false;
-  ShedCause shed_cause = ShedCause::kNone;
-  std::string shed_reason;
-  if (options_.shed_policy != ShedPolicy::kNone) {
-    double depth = static_cast<double>(options_.queue_depth);
-    double limit = depth;
-    switch (request.priority) {
-      case Priority::kBatch:
-        limit = depth * options_.batch_queue_fraction;
-        break;
-      case Priority::kNormal:
-        break;
-      case Priority::kInteractive:
-        limit = depth * (1.0 + options_.interactive_reserve_fraction);
-        break;
-    }
-    if (queue_len >= limit) {
-      shed = true;
-      shed_cause = ShedCause::kQueue;
-      shed_reason = common::StrFormat(
-          "queue full (%zu waiting, limit %.0f)", pending_starts_.size(),
-          limit);
-    } else if (options_.shed_policy == ShedPolicy::kDeadlineAware &&
-               request.deadline_ms > 0.0 && queue_wait >= request.deadline_ms) {
-      shed = true;
-      shed_cause = ShedCause::kDeadline;
-      shed_reason = common::StrFormat(
-          "estimated wait %.0fms exceeds %.0fms deadline", queue_wait,
-          request.deadline_ms);
-    }
-  }
-
-  if (shed) {
-    metrics_.shed->Add(1);
-    Response r;
-    r.id = request.id;
-    r.tenant = request.tenant;
-    r.shed = true;
-    r.shed_cause = shed_cause;
-    r.status = common::Status::ResourceExhausted("shed: " + shed_reason);
-    r.retry_after_vms = std::max(0.0, earliest_free - request.arrival_vms);
-    PushResponse(std::move(r));
-    return;
-  }
-
-  metrics_.admitted->Add(1);
-  slot_free_vms_[slot] = est_start + est_service;
-  pending_starts_.push(est_start);
-  est_services_.insert(
-      std::upper_bound(est_services_.begin(), est_services_.end(), est_service),
-      est_service);
-
-  Work work;
-  work.request = request;
-  work.est_start_vms = est_start;
-  work.est_service_vms = est_service;
-  work.queue_wait_vms = queue_wait;
-  work.hedge_trigger_vms = Percentile(est_services_, options_.hedge_percentile);
-  if (options_.single_flight) {
-    // This request leads a new flight; later identical arrivals inside
-    // [arrival, est_finish) will ride it. Replacing any expired group for
-    // the key keeps the map at one entry per distinct (skill, input).
-    auto group = std::make_shared<FlightGroup>();
-    group->leader_id = request.id;
-    group->est_finish_vms = est_start + est_service;
-    inflight_[flight_key] = group;
-    work.group = group;
-  }
-  EnqueueWork(std::move(work));
-}
+void Server::Submit(const Request& request) { Admit(request, nullptr); }
 
 void Server::SubmitBatch(const std::vector<Request>& batch) {
-  if (batch.empty()) return;
-  if (!options_.batch_probe) {
-    for (const Request& request : batch) Submit(request);
-    return;
-  }
-
   // Probe the whole batch once, on the submitting thread, before any
   // admission decision: hit/miss outcomes are fixed in arrival order, so
   // the downstream admission sequence (and every virtual-clock decision it
   // makes) is identical across runs and worker counts. This is also where
   // the batching pays off — the probe can embed and score the whole batch
   // through the vector kernels in one pass instead of per request.
-  std::vector<const Request*> ptrs;
-  ptrs.reserve(batch.size());
-  for (const Request& request : batch) ptrs.push_back(&request);
-  const std::vector<BatchProbeOutcome> outcomes = options_.batch_probe(ptrs);
-
+  std::vector<BatchProbeOutcome> outcomes;
+  if (options_.batch_probe && !batch.empty()) {
+    std::vector<const Request*> ptrs;
+    ptrs.reserve(batch.size());
+    for (const Request& request : batch) ptrs.push_back(&request);
+    outcomes = options_.batch_probe(ptrs);
+  }
   for (size_t i = 0; i < batch.size(); ++i) {
-    const Request& request = batch[i];
-    if (i >= outcomes.size() || !outcomes[i].hit) {
-      Submit(request);
-      continue;
-    }
+    const bool hit = i < outcomes.size() && outcomes[i].hit;
+    Admit(batch[i], hit ? &outcomes[i] : nullptr);
+  }
+}
 
-    // Cache hit: answer on the spot. The request is submitted+admitted for
-    // accounting but never enters the virtual queue — it takes no slot,
-    // adds no load, and costs nothing. Maintenance boundaries still fire
-    // here (before the "admission"), exactly as in Submit(), so a workload
-    // keeps the same maintenance schedule whether its requests hit or miss.
-    TenantState* tenant_state = nullptr;
-    bool quota_shed = false;
-    double quota_retry_vms = 0.0;
-    double quota_level = 0.0;
-    double est_tokens = 0.0;
-    {
-      std::lock_guard<std::mutex> lock(admission_mu_);
-      if (draining_) continue;
-      metrics_.submitted->Add(1);
-      if (options_.maintenance_interval_vms > 0 && options_.maintenance_hook) {
-        while (request.arrival_vms >= next_maintenance_vms_) {
-          options_.maintenance_hook();
-          metrics_.maintenance_runs->Add(1);
-          next_maintenance_vms_ += options_.maintenance_interval_vms;
-        }
+void Server::Admit(const Request& request, const BatchProbeOutcome* hit) {
+  std::lock_guard<std::mutex> lock(admission_mu_);
+  if (draining_) return;  // late submissions after Drain() are dropped
+  metrics_.submitted->Add(1);
+  const double now = request.arrival_vms;
+
+  // Virtual-clock maintenance, before this request's own admission, so the
+  // decision sequence is identical for every run of the same workload. One
+  // run per submission however many boundaries the arrival crossed: the
+  // hook runs under the admission lock, and arrivals come from clients, so
+  // the work one submission can trigger must not grow with the gap.
+  const double interval = options_.maintenance_interval_vms;
+  if (interval > 0 && options_.maintenance_hook &&
+      now >= next_maintenance_vms_) {
+    options_.maintenance_hook();
+    metrics_.maintenance_runs->Add(1);
+    next_maintenance_vms_ +=
+        interval * (std::floor((now - next_maintenance_vms_) / interval) + 1);
+  }
+
+  // Continuous batching: this arrival is the only thing that advances the
+  // virtual clock, so it is also the event that observes (and closes) an
+  // open batch whose window deadline has passed — before its own admission,
+  // so batch membership is fixed in arrival order.
+  MaybeCloseBatch(now);
+
+  TenantState* ts = nullptr;
+  if (qos_scheduler_ != nullptr) {
+    // Play the fair dispatcher up to this arrival first: queue lengths and
+    // bucket levels must reflect everything that virtually started before
+    // this request showed up.
+    DispatchReadyQos(now);
+    ts = ResolveTenant(request.tenant);
+    ts->submitted->Add(1);
+  }
+
+  Work work;
+  work.request = request;
+  work.tenant_state = ts;
+  double est_tokens = 0.0;
+  size_t slot = 0;  // shared queue: the virtual slot this request takes
+  // A probe hit never enters the virtual queue: it takes no slot, adds no
+  // load and coalesces with nothing, so it skips straight to the quota.
+  if (hit == nullptr) {
+    // Retire virtual work that has started by this arrival; what remains
+    // is the waiting queue the new request would join.
+    if (ts == nullptr) {
+      while (!pending_starts_.empty() && pending_starts_.top() <= now) {
+        pending_starts_.pop();
       }
-      MaybeCloseBatch(request.arrival_vms);
-      if (qos_scheduler_ != nullptr) {
-        // The hit shares the full QoS admission contract with Submit():
-        // play the dispatcher up to this arrival (bucket refill and queue
-        // state must reflect everything that virtually started first), then
-        // charge the tenant's token bucket the same admission estimate a
-        // miss would pay. A hit is still a consumed admission — answering
-        // it free of quota would let a cache-hot tenant burst unmetered
-        // past its rate, and would make SubmitBatch and an equivalent
-        // Submit() loop disagree on every tenant ledger.
-        DispatchReadyQos(request.arrival_vms);
-        tenant_state = ResolveTenant(request.tenant);
-        tenant_state->submitted->Add(1);
-        est_tokens = EstimateTokens(request);
-        if (!tenant_state->bucket.TryTake(request.arrival_vms, est_tokens,
-                                          &quota_retry_vms)) {
-          quota_shed = true;
-          quota_level = tenant_state->bucket.level();
-          metrics_.shed->Add(1);
-          tenant_state->shed_quota->Add(1);
-        } else {
-          metrics_.admitted->Add(1);
-          metrics_.cache_probe_hits->Add(1);
-          tenant_state->admitted->Add(1);
-          tenant_state->cache_probe_hits->Add(1);
-        }
-      } else {
+    }
+    const size_t queue_len = ts == nullptr ? pending_starts_.size()
+                                           : qos_scheduler_->TotalQueued();
+    metrics_.max_queue_len->SetMax(static_cast<int64_t>(queue_len));
+
+    // Single-flight: an identical call still in flight (by the virtual
+    // queue model — the leader's estimated finish is after this arrival)
+    // absorbs the request. The follower takes no slot, joins no queue, and
+    // cannot be shed: it adds no load. Decided here, in arrival order, so
+    // coalescing is deterministic across runs and worker counts.
+    if (options_.single_flight) {
+      auto it = inflight_.find(
+          common::Fnv1a(request.input, common::Fnv1a(request.skill)));
+      if (it != inflight_.end() && now < it->second->est_finish_vms) {
         metrics_.admitted->Add(1);
-        metrics_.cache_probe_hits->Add(1);
+        metrics_.coalesced->Add(1);
+        if (ts != nullptr) {
+          ts->admitted->Add(1);
+          ts->coalesced->Add(1);
+        }
+        work.group = it->second;
+        work.coalesced_follower = true;
+        EnqueueWork(std::move(work));
+        return;
       }
     }
 
-    if (quota_shed) {
-      // Refused exactly like a Submit()-path quota shed, cached answer or
-      // not: the hint comes from this tenant's own bucket.
-      Response r;
-      r.id = request.id;
-      r.tenant = request.tenant;
-      r.shed = true;
-      r.shed_cause = ShedCause::kQuota;
-      r.status = common::Status::ResourceExhausted(common::StrFormat(
-          "shed: tenant quota exhausted (%.0f tokens needed, %.0f available)",
-          est_tokens, quota_level));
-      r.retry_after_vms = quota_retry_vms;
-      PushResponse(std::move(r));
-      continue;
+    est_tokens = EstimateTokens(request);
+    work.est_service_vms =
+        model_->spec().latency_ms_per_1k_tokens * est_tokens / 1000.0;
+    if (ts == nullptr) {
+      double earliest_free = kInf;
+      for (size_t i = 0; i < slot_free_vms_.size(); ++i) {
+        if (slot_free_vms_[i] < earliest_free) {
+          earliest_free = slot_free_vms_[i];
+          slot = i;
+        }
+      }
+      work.est_start_vms = std::max(now, earliest_free);
+      const double queue_wait = work.est_start_vms - now;
+      double limit = static_cast<double>(options_.queue_depth);
+      if (request.priority == Priority::kBatch) {
+        limit *= options_.batch_queue_fraction;
+      } else if (request.priority == Priority::kInteractive) {
+        limit *= 1.0 + kInteractiveReserveFraction;
+      }
+      const double retry = std::max(0.0, earliest_free - now);
+      if (options_.shed_policy != ShedPolicy::kNone &&
+          static_cast<double>(queue_len) >= limit) {
+        Shed(request, ts, ShedCause::kQueue, retry,
+             common::StrFormat("queue full (%zu waiting, limit %.0f)",
+                               queue_len, limit));
+        return;
+      }
+      if (options_.shed_policy == ShedPolicy::kDeadlineAware &&
+          request.deadline_ms > 0.0 && queue_wait >= request.deadline_ms) {
+        Shed(request, ts, ShedCause::kDeadline, retry,
+             common::StrFormat("estimated wait %.0fms exceeds %.0fms deadline",
+                               queue_wait, request.deadline_ms));
+        return;
+      }
+    } else if (qos_scheduler_->QueueLen(ts->index) >= ts->queue_limit) {
+      // Queue share before quota — a full tenant queue refuses before any
+      // quota is spent, so a shed request never burns rate budget it got
+      // nothing for.
+      Shed(request, ts, ShedCause::kQueue,
+           std::max(0.0, qos_scheduler_->EarliestSlotFreeVms() - now),
+           common::StrFormat("tenant queue share full (%zu waiting, limit %zu)",
+                             qos_scheduler_->QueueLen(ts->index),
+                             ts->queue_limit));
+      return;
     }
+  } else if (ts != nullptr) {
+    est_tokens = EstimateTokens(request);
+  }
 
-    Response response;
-    response.id = request.id;
-    response.tenant = request.tenant;
-    response.status = common::Status::Ok();
-    response.text = outcomes[i].response;
-    response.model = outcomes[i].model;
-    response.cost = common::Money::Zero();
-    response.queue_wait_vms = 0.0;
+  // Quota, for hits and misses alike: a hit is still a consumed admission —
+  // answering it free of quota would let a cache-hot tenant burst unmetered
+  // past its rate. The refusal hint comes from this tenant's own bucket:
+  // retrying before it has refilled is guaranteed to be refused again,
+  // regardless of how empty the global queue is.
+  double quota_retry_vms = 0.0;
+  if (ts != nullptr &&
+      !ts->bucket.TryTake(now, est_tokens, &quota_retry_vms)) {
+    Shed(request, ts, ShedCause::kQuota, quota_retry_vms,
+         common::StrFormat(
+             "tenant quota exhausted (%.0f tokens needed, %.0f available)",
+             est_tokens, ts->bucket.level()));
+    return;
+  }
+
+  metrics_.admitted->Add(1);
+  if (ts != nullptr) ts->admitted->Add(1);
+  if (hit != nullptr) {
+    metrics_.cache_probe_hits->Add(1);
+    if (ts != nullptr) ts->cache_probe_hits->Add(1);
+    Response r;
+    r.id = request.id;
+    r.tenant = request.tenant;
+    r.text = hit->response;
+    r.model = hit->model;
     // One virtual ms of service: a probe hit is near-instant next to a
     // model call but not free, and a nonzero latency keeps the response
     // inside every deadline/percentile computation downstream.
-    response.service_vms = 1.0;
-    response.latency_vms = 1.0;
-    clock_.AdvanceTo(request.arrival_vms + response.latency_vms);
-    PushResponse(std::move(response), tenant_state);
+    r.service_vms = 1.0;
+    r.latency_vms = 1.0;
+    clock_.AdvanceTo(now + r.latency_vms);
+    PushResponse(std::move(r), ts);
+    return;
   }
+  if (ts == nullptr) {
+    slot_free_vms_[slot] = work.est_start_vms + work.est_service_vms;
+    pending_starts_.push(work.est_start_vms);
+    StartWork(std::move(work));
+    return;
+  }
+  WeightedFairScheduler::Entry entry;
+  entry.id = request.id;
+  entry.arrival_vms = now;
+  entry.cost_tokens = est_tokens;
+  entry.service_vms = work.est_service_vms;
+  pending_qos_.emplace(request.id, std::move(work));
+  qos_scheduler_->Enqueue(ts->index, entry);
+  // A free slot at `now` starts the request immediately.
+  DispatchReadyQos(now);
+}
+
+void Server::Shed(const Request& request, TenantState* tenant_state,
+                  ShedCause cause, double retry_after_vms,
+                  const std::string& reason) {
+  metrics_.shed->Add(1);
+  if (tenant_state != nullptr) {
+    (cause == ShedCause::kQuota ? tenant_state->shed_quota
+                                : tenant_state->shed_queue)
+        ->Add(1);
+  }
+  Response r;
+  r.id = request.id;
+  r.tenant = request.tenant;
+  r.shed = true;
+  r.shed_cause = cause;
+  r.status = common::Status::ResourceExhausted("shed: " + reason);
+  r.retry_after_vms = retry_after_vms;
+  PushResponse(std::move(r));
+}
+
+void Server::StartWork(Work work) {
+  work.queue_wait_vms = work.est_start_vms - work.request.arrival_vms;
+  if (options_.hedging) {
+    est_services_.insert(std::upper_bound(est_services_.begin(),
+                                          est_services_.end(),
+                                          work.est_service_vms),
+                         work.est_service_vms);
+    work.hedge_trigger_vms =
+        Percentile(est_services_, options_.hedge_percentile);
+  }
+  if (options_.single_flight) {
+    // This request leads a new flight; later identical arrivals inside
+    // [arrival, est_finish) will ride it. Replacing any expired group for
+    // the key keeps the map at one entry per distinct (skill, input).
+    auto group = std::make_shared<FlightGroup>();
+    group->est_finish_vms = work.est_start_vms + work.est_service_vms;
+    inflight_[common::Fnv1a(work.request.input,
+                            common::Fnv1a(work.request.skill))] = group;
+    work.group = std::move(group);
+  }
+  EnqueueWork(std::move(work));
 }
 
 Server::TenantState* Server::ResolveTenant(const TenantId& id) {
@@ -437,187 +426,62 @@ Server::TenantState* Server::ResolveTenant(const TenantId& id) {
   return it != tenant_by_id_.end() ? it->second : default_tenant_;
 }
 
-void Server::SubmitQos(const Request& request) {
-  const double now = request.arrival_vms;
-  // Play the fair dispatcher up to this arrival first: queue lengths and
-  // bucket levels must reflect everything that virtually started before
-  // this request showed up.
-  DispatchReadyQos(now);
-
-  TenantState* ts = ResolveTenant(request.tenant);
-  ts->submitted->Add(1);
-  metrics_.max_queue_len->SetMax(
-      static_cast<int64_t>(qos_scheduler_->TotalQueued()));
-
-  // Single-flight rides are free: they add no load, so they bypass quota
-  // and queue-share checks. Flights register at dispatch time (the leader
-  // is already in the worker queue), so the FIFO no-deadlock argument from
-  // the legacy path carries over unchanged.
-  uint64_t flight_key = 0;
-  if (options_.single_flight) {
-    flight_key = common::Fnv1a(request.input, common::Fnv1a(request.skill));
-    auto it = inflight_.find(flight_key);
-    if (it != inflight_.end() && now < it->second->est_finish_vms) {
-      metrics_.admitted->Add(1);
-      metrics_.coalesced->Add(1);
-      ts->admitted->Add(1);
-      ts->coalesced->Add(1);
-      Work work;
-      work.request = request;
-      work.group = it->second;
-      work.coalesced_follower = true;
-      work.tenant_state = ts;
-      EnqueueWork(std::move(work));
-      return;
-    }
-  }
-
-  const double est_tokens = EstimateTokens(request);
-  const double est_service =
-      model_->spec().latency_ms_per_1k_tokens * est_tokens / 1000.0;
-
-  // Queue share first — a full tenant queue refuses before any quota is
-  // spent, so a shed request never burns rate budget it got nothing for.
-  if (qos_scheduler_->QueueLen(ts->index) >= ts->queue_limit) {
-    metrics_.shed->Add(1);
-    ts->shed_queue->Add(1);
-    Response r;
-    r.id = request.id;
-    r.tenant = request.tenant;
-    r.shed = true;
-    r.shed_cause = ShedCause::kQueue;
-    r.status = common::Status::ResourceExhausted(common::StrFormat(
-        "shed: tenant queue share full (%zu waiting, limit %zu)",
-        qos_scheduler_->QueueLen(ts->index), ts->queue_limit));
-    r.retry_after_vms =
-        std::max(0.0, qos_scheduler_->EarliestSlotFreeVms() - now);
-    PushResponse(std::move(r));
-    return;
-  }
-
-  // Quota: the refusal hint comes from this tenant's own bucket — retrying
-  // before it has refilled is guaranteed to be refused again, regardless of
-  // how empty the global queue is.
-  double quota_retry_vms = 0.0;
-  if (!ts->bucket.TryTake(now, est_tokens, &quota_retry_vms)) {
-    metrics_.shed->Add(1);
-    ts->shed_quota->Add(1);
-    Response r;
-    r.id = request.id;
-    r.tenant = request.tenant;
-    r.shed = true;
-    r.shed_cause = ShedCause::kQuota;
-    r.status = common::Status::ResourceExhausted(common::StrFormat(
-        "shed: tenant quota exhausted (%.0f tokens needed, %.0f available)",
-        est_tokens, ts->bucket.level()));
-    r.retry_after_vms = quota_retry_vms;
-    PushResponse(std::move(r));
-    return;
-  }
-
-  metrics_.admitted->Add(1);
-  ts->admitted->Add(1);
-  pending_qos_.emplace(request.id, PendingQos{request, est_service, ts});
-  WeightedFairScheduler::Entry entry;
-  entry.id = request.id;
-  entry.arrival_vms = now;
-  entry.cost_tokens = est_tokens;
-  entry.service_vms = est_service;
-  qos_scheduler_->Enqueue(ts->index, entry);
-  // A free slot at `now` starts the request immediately.
-  DispatchReadyQos(now);
-}
-
 void Server::DispatchReadyQos(double now_vms) {
   std::vector<WeightedFairScheduler::Dispatch> dispatched;
   qos_scheduler_->AdvanceTo(now_vms, &dispatched);
   for (const WeightedFairScheduler::Dispatch& d : dispatched) {
     auto it = pending_qos_.find(d.id);
-    PendingQos pending = std::move(it->second);
+    Work work = std::move(it->second);
     pending_qos_.erase(it);
-
-    Work work;
-    work.request = std::move(pending.request);
     work.est_start_vms = d.start_vms;
-    work.est_service_vms = pending.est_service_vms;
-    work.queue_wait_vms = d.start_vms - work.request.arrival_vms;
-    est_services_.insert(
-        std::upper_bound(est_services_.begin(), est_services_.end(),
-                         pending.est_service_vms),
-        pending.est_service_vms);
-    work.hedge_trigger_vms =
-        Percentile(est_services_, options_.hedge_percentile);
-    work.tenant_state = pending.tenant_state;
-    if (options_.single_flight) {
-      uint64_t key = common::Fnv1a(work.request.input,
-                                   common::Fnv1a(work.request.skill));
-      auto group = std::make_shared<FlightGroup>();
-      group->leader_id = work.request.id;
-      group->est_finish_vms = d.start_vms + pending.est_service_vms;
-      inflight_[key] = group;
-      work.group = group;
-    }
-    EnqueueWork(std::move(work));
+    StartWork(std::move(work));
   }
 }
 
 void Server::EnqueueWork(Work work) {
-  if (!options_.batching) {
-    {
-      std::lock_guard<std::mutex> wl(work_mu_);
-      work_queue_.push_back(std::move(work));
+  if (options_.batching && !work.coalesced_follower) {
+    if (open_batch_ == nullptr) {
+      open_batch_ = std::make_unique<OpenBatch>();
+      open_batch_->close_vms =
+          work.request.arrival_vms + options_.batch_window_vms;
     }
-    work_cv_.notify_one();
+    open_batch_->members.push_back(std::move(work));
+    if (open_batch_->members.size() >=
+        std::max<size_t>(1, options_.max_batch)) {
+      FlushOpenBatch(metrics_.batch_closed_size);
+    }
     return;
   }
-  if (work.coalesced_follower) {
+  if (open_batch_ != nullptr) {
     // A follower whose leader is parked in the open batch must not reach a
     // worker before the batch does: it would block its worker on a flight
     // nobody is executing yet (with one worker, a deadlock). Park it with
     // the batch; FlushOpenBatch releases it right after the batch entry,
     // restoring the leader-before-follower FIFO order.
-    if (open_batch_ != nullptr) {
-      for (const Work& member : open_batch_->members) {
-        if (member.group != nullptr && member.group == work.group) {
-          open_batch_->followers.push_back(std::move(work));
-          return;
-        }
+    for (const Work& member : open_batch_->members) {
+      if (member.group != nullptr && member.group == work.group) {
+        open_batch_->followers.push_back(std::move(work));
+        return;
       }
     }
-    {
-      std::lock_guard<std::mutex> wl(work_mu_);
-      work_queue_.push_back(std::move(work));
-    }
-    work_cv_.notify_one();
-    return;
   }
-  if (open_batch_ == nullptr) {
-    open_batch_ = std::make_unique<OpenBatch>();
-    open_batch_->close_vms =
-        work.request.arrival_vms + options_.batch_window_vms;
+  {
+    std::lock_guard<std::mutex> wl(work_mu_);
+    work_queue_.push_back(std::move(work));
   }
-  open_batch_->members.push_back(std::move(work));
-  if (open_batch_->members.size() >= std::max<size_t>(1, options_.max_batch)) {
-    FlushOpenBatch("size");
-  }
+  work_cv_.notify_one();
 }
 
 void Server::MaybeCloseBatch(double now_vms) {
   if (open_batch_ != nullptr && now_vms >= open_batch_->close_vms) {
-    FlushOpenBatch("window");
+    FlushOpenBatch(metrics_.batch_closed_window);
   }
 }
 
-void Server::FlushOpenBatch(const char* cause) {
+void Server::FlushOpenBatch(obs::Counter* cause) {
   if (open_batch_ == nullptr) return;
   std::unique_ptr<OpenBatch> batch = std::move(open_batch_);
-  if (std::strcmp(cause, "size") == 0) {
-    metrics_.batch_closed_size->Add(1);
-  } else if (std::strcmp(cause, "window") == 0) {
-    metrics_.batch_closed_window->Add(1);
-  } else {
-    metrics_.batch_closed_drain->Add(1);
-  }
+  cause->Add(1);
   metrics_.batch_requests->Add(batch->members.size());
   metrics_.batch_occupancy->Observe(
       static_cast<double>(batch->members.size()));
@@ -648,204 +512,27 @@ void Server::WorkerLoop() {
       work = std::move(work_queue_.front());
       work_queue_.pop_front();
     }
-    Execute(work);
+    if (work.coalesced_follower) {
+      ExecuteCoalesced(work);
+    } else {
+      Execute(work);
+    }
   }
 }
 
 void Server::Execute(const Work& work) {
-  if (work.batch != nullptr) {
-    ExecuteBatch(*work.batch);
-    return;
-  }
-  if (work.coalesced_follower) {
-    ExecuteCoalesced(work);
-    return;
-  }
-  const Request& req = work.request;
-  Response r;
-  r.id = req.id;
-  r.tenant = req.tenant;
-  r.queue_wait_vms = work.queue_wait_vms;
+  // A closed batch runs its members through one CompleteBatch call. Anything
+  // else is a batch of one that keeps CompleteMetered: CompleteBatch is
+  // unmetered, so a resilient endpoint's retry and fallback spend would
+  // leave the ledgers.
+  const bool batched = work.batch != nullptr;
+  const std::span<const Work> members =
+      batched ? std::span<const Work>(*work.batch)
+              : std::span<const Work>(&work, 1);
 
-  // Span times are anchored in the request's virtual-time frame (arrival,
-  // estimated start, estimated start + service), so the tree is as
-  // deterministic as the workload itself.
-  std::shared_ptr<obs::TraceContext> trace;
-  if (options_.tracing) {
-    trace = std::make_shared<obs::TraceContext>("request", req.arrival_vms);
-    trace->SetAttr(nullptr, "id", std::to_string(req.id));
-    trace->SetAttr(nullptr, "skill", req.skill);
-    if (!req.tenant.empty()) trace->SetAttr(nullptr, "tenant", req.tenant);
-    obs::Span* queue_span =
-        trace->StartSpan("queue", req.arrival_vms, nullptr);
-    trace->EndSpan(queue_span, work.est_start_vms);
-  }
-
-  // Under kNone/kQueueFull a request can be admitted into a wait longer
-  // than its whole budget; it dies in the queue without costing a call.
-  if (req.deadline_ms > 0.0 && work.queue_wait_vms >= req.deadline_ms) {
-    r.status = common::Status::Timeout(common::StrFormat(
-        "deadline %.0fms expired after %.0fms in queue", req.deadline_ms,
-        work.queue_wait_vms));
-    r.deadline_missed = true;
-    r.latency_vms = work.queue_wait_vms;
-    if (trace != nullptr) {
-      trace->SetAttr(nullptr, "outcome", "queue_deadline");
-      trace->EndSpan(nullptr, work.est_start_vms);
-      r.trace = trace;
-    }
-    clock_.AdvanceTo(work.est_start_vms);
-    ResolveFlight(work.group, r, work.est_start_vms);
-    PushResponse(std::move(r), work.tenant_state);
-    return;
-  }
-
-  llm::Prompt prompt = llm::MakePrompt(req.skill, req.input);
-  // Per-request salt: two requests with identical text are still
-  // independent draws, and reruns of the same id reproduce exactly.
-  prompt.sample_salt = req.id * 1000003ull + 7;
-  prompt.tenant_id = req.tenant;
-  std::shared_ptr<llm::Deadline> deadline;
-  if (req.deadline_ms > 0.0) {
-    deadline =
-        std::make_shared<llm::Deadline>(req.deadline_ms - work.queue_wait_vms);
-    prompt.deadline = deadline;
-  }
-
-  obs::Span* attempt_span = nullptr;
-  if (trace != nullptr) {
-    attempt_span = trace->StartSpan("attempt", work.est_start_vms, nullptr);
-    prompt.trace = trace;
-    prompt.trace_parent = attempt_span;
-  }
-  llm::UsageMeter primary_meter;
-  auto primary = model_->CompleteMetered(prompt, &primary_meter);
-  double primary_finish =
-      primary.ok() ? primary->latency_ms : options_.failed_attempt_penalty_ms;
-  if (attempt_span != nullptr) {
-    trace->SetAttr(attempt_span, "result", primary.ok() ? "ok" : "error");
-    trace->EndSpan(attempt_span, work.est_start_vms + primary_finish);
-  }
-  FinishExecute(work, std::move(r), trace, prompt, std::move(primary),
-                primary_finish, primary_meter);
-}
-
-void Server::FinishExecute(const Work& work, Response r,
-                           const std::shared_ptr<obs::TraceContext>& trace,
-                           const llm::Prompt& prompt,
-                           common::Result<llm::Completion> primary,
-                           double primary_finish,
-                           llm::UsageMeter& primary_meter) {
-  const Request& req = work.request;
-  bool hedge = options_.hedging &&
-               (!primary.ok() || primary_finish > work.hedge_trigger_vms);
-  if (!hedge) {
-    meter_.MergeFrom(primary_meter);
-    if (primary.ok()) BookPrefixReuse(*primary);
-    r.service_vms = primary_finish;
-    r.latency_vms = work.queue_wait_vms + r.service_vms;
-    if (primary.ok()) {
-      r.status = common::Status::Ok();
-      r.text = primary->text;
-      r.model = primary->model;
-      r.cost = primary->cost;
-    } else {
-      r.status = primary.status();
-    }
-    r.deadline_missed =
-        req.deadline_ms > 0.0 && r.latency_vms > req.deadline_ms;
-    if (trace != nullptr) {
-      trace->SetAttr(nullptr, "outcome", primary.ok() ? "ok" : "error");
-      trace->EndSpan(nullptr, work.est_start_vms + r.service_vms);
-      r.trace = trace;
-    }
-    clock_.AdvanceTo(work.est_start_vms + r.service_vms);
-    ResolveFlight(work.group, r, work.est_start_vms + r.service_vms);
-    PushResponse(std::move(r), work.tenant_state);
-    return;
-  }
-
-  // Hedge: in virtual time the second attempt launched when the primary
-  // crossed the trigger (or failed, whichever came first) and the two
-  // raced; the earliest virtual finish wins and the loser is cancelled —
-  // too late to recover its spend, which is the price of tail-cutting.
-  double hedge_start = std::min(work.hedge_trigger_vms, primary_finish);
-  llm::Prompt hedge_prompt = prompt;
-  hedge_prompt.sample_salt = prompt.sample_salt + 1;
-  obs::Span* hedge_span = nullptr;
-  if (trace != nullptr) {
-    hedge_span =
-        trace->StartSpan("hedge", work.est_start_vms + hedge_start, nullptr);
-    hedge_prompt.trace = trace;
-    hedge_prompt.trace_parent = hedge_span;
-  }
-  llm::UsageMeter hedge_meter;
-  auto hedged = hedge_model_->CompleteMetered(hedge_prompt, &hedge_meter);
-  double hedge_finish = hedged.ok()
-                            ? hedge_start + hedged->latency_ms
-                            : hedge_start + options_.failed_attempt_penalty_ms;
-  if (hedge_span != nullptr) {
-    trace->SetAttr(hedge_span, "result", hedged.ok() ? "ok" : "error");
-    trace->EndSpan(hedge_span, work.est_start_vms + hedge_finish);
-  }
-
-  double p_score = primary.ok() ? primary_finish : kInf;
-  double h_score = hedged.ok() ? hedge_finish : kInf;
-  r.hedged = true;
-  r.hedge_won = h_score < p_score;
-  bool any_ok = primary.ok() || hedged.ok();
-  const auto& winner = r.hedge_won ? hedged : primary;
-  const llm::UsageMeter& winner_meter = r.hedge_won ? hedge_meter : primary_meter;
-  const llm::UsageMeter& loser_meter = r.hedge_won ? primary_meter : hedge_meter;
-
-  meter_.MergeFrom(winner_meter);
-  if (!r.hedge_won && primary.ok()) BookPrefixReuse(*primary);
-  if (any_ok) {
-    r.status = common::Status::Ok();
-    r.text = winner->text;
-    r.model = winner->model;
-    r.cost = winner->cost;
-    r.service_vms = std::min(p_score, h_score);
-  } else {
-    r.status = primary.status();
-    r.service_vms = std::max(primary_finish, hedge_finish);
-  }
-  r.latency_vms = work.queue_wait_vms + r.service_vms;
-  r.deadline_missed = req.deadline_ms > 0.0 && r.latency_vms > req.deadline_ms;
-  metrics_.hedges_launched->Add(1);
-  if (r.hedge_won) metrics_.hedge_wins->Add(1);
-  metrics_.hedge_cancelled_cost_micros->Add(
-      static_cast<uint64_t>(loser_meter.cost().micros()));
-  if (trace != nullptr) {
-    trace->SetAttr(nullptr, "outcome", any_ok ? "ok" : "error");
-    trace->SetAttr(nullptr, "hedge_won", r.hedge_won ? "true" : "false");
-    trace->EndSpan(nullptr, work.est_start_vms + r.service_vms);
-    r.trace = trace;
-  }
-  clock_.AdvanceTo(work.est_start_vms + r.service_vms);
-  ResolveFlight(work.group, r, work.est_start_vms + r.service_vms);
-  PushResponse(std::move(r), work.tenant_state);
-}
-
-void Server::BookPrefixReuse(const llm::Completion& completion) {
-  if (completion.prefix_cached_tokens == 0) return;
-  auto price = [](common::Money per_1k, size_t tokens) {
-    return common::Money::FromMicros(per_1k.micros() *
-                                     static_cast<int64_t>(tokens) / 1000);
-  };
-  common::Money saved =
-      price(model_->spec().input_price_per_1k, completion.input_tokens) +
-      price(model_->spec().output_price_per_1k, completion.output_tokens) -
-      completion.cost;
-  metrics_.batch_prefix_cached_tokens->Add(completion.prefix_cached_tokens);
-  metrics_.batch_prefix_saved_micros->Add(
-      static_cast<uint64_t>(saved.micros()));
-}
-
-void Server::ExecuteBatch(const std::vector<Work>& members) {
-  // Per-member admission-time setup first, so queue-deadline deaths drop
-  // out before the model sees the batch — a dead request never ran prefill,
-  // so it must not seed the prefix trie for later members either.
+  // Per-member setup first, so queue-deadline deaths drop out before the
+  // model sees the batch — a dead request never ran prefill, so it must not
+  // seed the prefix trie for later members either.
   struct Member {
     const Work* work = nullptr;
     Response r;
@@ -855,108 +542,97 @@ void Server::ExecuteBatch(const std::vector<Work>& members) {
   };
   std::vector<Member> live;
   live.reserve(members.size());
-  for (const Work& work : members) {
-    const Request& req = work.request;
-    Response r;
-    r.id = req.id;
-    r.tenant = req.tenant;
-    r.queue_wait_vms = work.queue_wait_vms;
+  for (const Work& member : members) {
+    const Request& req = member.request;
+    Member m;
+    m.work = &member;
+    m.r.id = req.id;
+    m.r.tenant = req.tenant;
+    m.r.queue_wait_vms = member.queue_wait_vms;
 
-    std::shared_ptr<obs::TraceContext> trace;
+    // Span times are anchored in the request's virtual-time frame (arrival,
+    // estimated start, estimated start + service), so the tree is as
+    // deterministic as the workload itself.
     if (options_.tracing) {
-      trace = std::make_shared<obs::TraceContext>("request", req.arrival_vms);
-      trace->SetAttr(nullptr, "id", std::to_string(req.id));
-      trace->SetAttr(nullptr, "skill", req.skill);
-      if (!req.tenant.empty()) trace->SetAttr(nullptr, "tenant", req.tenant);
+      m.trace = std::make_shared<obs::TraceContext>("request", req.arrival_vms);
+      m.trace->SetAttr(nullptr, "id", std::to_string(req.id));
+      m.trace->SetAttr(nullptr, "skill", req.skill);
+      if (!req.tenant.empty()) m.trace->SetAttr(nullptr, "tenant", req.tenant);
       obs::Span* queue_span =
-          trace->StartSpan("queue", req.arrival_vms, nullptr);
-      trace->EndSpan(queue_span, work.est_start_vms);
+          m.trace->StartSpan("queue", req.arrival_vms, nullptr);
+      m.trace->EndSpan(queue_span, member.est_start_vms);
     }
 
-    if (req.deadline_ms > 0.0 && work.queue_wait_vms >= req.deadline_ms) {
-      r.status = common::Status::Timeout(common::StrFormat(
+    // Under kNone/kQueueFull a request can be admitted into a wait longer
+    // than its whole budget; it dies in the queue without costing a call.
+    if (req.deadline_ms > 0.0 && member.queue_wait_vms >= req.deadline_ms) {
+      m.r.status = common::Status::Timeout(common::StrFormat(
           "deadline %.0fms expired after %.0fms in queue", req.deadline_ms,
-          work.queue_wait_vms));
-      r.deadline_missed = true;
-      r.latency_vms = work.queue_wait_vms;
-      if (trace != nullptr) {
-        trace->SetAttr(nullptr, "outcome", "queue_deadline");
-        trace->EndSpan(nullptr, work.est_start_vms);
-        r.trace = trace;
-      }
-      clock_.AdvanceTo(work.est_start_vms);
-      ResolveFlight(work.group, r, work.est_start_vms);
-      PushResponse(std::move(r), work.tenant_state);
+          member.queue_wait_vms));
+      m.r.deadline_missed = true;
+      m.r.latency_vms = member.queue_wait_vms;
+      Publish(member, std::move(m.r), m.trace, "queue_deadline",
+              member.est_start_vms);
       continue;
     }
 
-    Member m;
-    m.work = &work;
-    m.r = std::move(r);
-    m.trace = std::move(trace);
     m.prompt = llm::MakePrompt(req.skill, req.input);
+    // Per-request salt: two requests with identical text are still
+    // independent draws, and reruns of the same id reproduce exactly.
     m.prompt.sample_salt = req.id * 1000003ull + 7;
     m.prompt.tenant_id = req.tenant;
     if (req.deadline_ms > 0.0) {
-      m.prompt.deadline = std::make_shared<llm::Deadline>(req.deadline_ms -
-                                                          work.queue_wait_vms);
+      m.prompt.deadline = std::make_shared<llm::Deadline>(
+          req.deadline_ms - member.queue_wait_vms);
     }
     if (m.trace != nullptr) {
       m.attempt_span =
-          m.trace->StartSpan("attempt", work.est_start_vms, nullptr);
+          m.trace->StartSpan("attempt", member.est_start_vms, nullptr);
       m.prompt.trace = m.trace;
       m.prompt.trace_parent = m.attempt_span;
     }
     live.push_back(std::move(m));
   }
 
-  // One model invocation for the whole batch: the endpoint prices each
-  // member's shared prompt prefix at the cached tier (SimulatedLlm), or
-  // degrades to per-call behaviour (base LlmModel).
-  std::vector<llm::Prompt> prompts;
-  prompts.reserve(live.size());
-  for (const Member& m : live) prompts.push_back(m.prompt);
-  std::vector<common::Result<llm::Completion>> results =
-      model_->CompleteBatch(prompts);
-  meter_.RecordBatchClose(model_->spec().name, live.size());
-
-  auto price = [](common::Money per_1k, size_t tokens) {
-    return common::Money::FromMicros(per_1k.micros() *
-                                     static_cast<int64_t>(tokens) / 1000);
-  };
+  std::vector<common::Result<llm::Completion>> results;
+  if (batched) {
+    // One model invocation for the whole batch: the endpoint prices each
+    // member's shared prompt prefix at the cached tier (SimulatedLlm), or
+    // degrades to per-call behaviour (base LlmModel).
+    std::vector<llm::Prompt> prompts;
+    prompts.reserve(live.size());
+    for (const Member& m : live) prompts.push_back(m.prompt);
+    results = model_->CompleteBatch(prompts);
+    meter_.RecordBatchClose(model_->spec().name, live.size());
+  }
   for (size_t i = 0; i < live.size(); ++i) {
     Member& m = live[i];
+    llm::UsageMeter primary_meter;
     common::Result<llm::Completion> primary =
-        i < results.size()
+        !batched ? model_->CompleteMetered(m.prompt, &primary_meter)
+        : i < results.size()
             ? std::move(results[i])
             : common::Result<llm::Completion>(
                   common::Status::Internal("batch result missing"));
-    double primary_finish = primary.ok() ? primary->latency_ms
-                                         : options_.failed_attempt_penalty_ms;
+    double primary_finish =
+        primary.ok() ? primary->latency_ms : kFailedAttemptPenaltyMs;
     if (m.attempt_span != nullptr) {
       m.trace->SetAttr(m.attempt_span, "result", primary.ok() ? "ok" : "error");
       m.trace->EndSpan(m.attempt_span, m.work->est_start_vms + primary_finish);
     }
-    // Batched calls come back unmetered (see LlmModel::CompleteBatch): meter
-    // this member into its own scratch ledger, prefix discount itemized, so
-    // the winner-commit hedge accounting in FinishExecute stays per request.
-    llm::UsageMeter primary_meter;
-    if (primary.ok()) {
+    if (batched && primary.ok()) {
+      // Batched calls come back unmetered: meter this member into its own
+      // scratch ledger, prefix discount itemized, so the winner-commit hedge
+      // accounting in FinishExecute stays per request. The registry
+      // counters are bumped at commit time (FinishExecute), so ledger and
+      // counters agree even when a hedge steals this member's win.
       primary_meter.Record(primary->model, primary->input_tokens,
                            primary->output_tokens, primary->cost,
                            primary->latency_ms);
       if (primary->prefix_cached_tokens > 0) {
-        // Exact by construction: re-pricing the same token counts at list
-        // makes discounted cost + saved == the unbatched call's cost. Goes
-        // into the scratch meter only — the registry counters are bumped at
-        // commit time (BookPrefixReuse), so ledger and counters agree even
-        // when a hedge steals this member's win.
-        common::Money undiscounted =
-            price(model_->spec().input_price_per_1k, primary->input_tokens) +
-            price(model_->spec().output_price_per_1k, primary->output_tokens);
-        common::Money saved = undiscounted - primary->cost;
-        primary_meter.RecordPrefixReuse(
-            primary->model, primary->prefix_cached_tokens, saved);
+        primary_meter.RecordPrefixReuse(primary->model,
+                                        primary->prefix_cached_tokens,
+                                        PrefixSaved(*primary));
       }
     }
     FinishExecute(*m.work, std::move(m.r), m.trace, m.prompt,
@@ -964,18 +640,116 @@ void Server::ExecuteBatch(const std::vector<Work>& members) {
   }
 }
 
-void Server::ResolveFlight(const std::shared_ptr<FlightGroup>& group,
-                           const Response& response, double finish_vms) {
-  if (group == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(group->mu);
-    group->done = true;
-    group->status = response.status;
-    group->text = response.text;
-    group->model = response.model;
-    group->finish_vms = finish_vms;
+void Server::FinishExecute(const Work& work, Response r,
+                           const std::shared_ptr<obs::TraceContext>& trace,
+                           const llm::Prompt& prompt,
+                           common::Result<llm::Completion> primary,
+                           double primary_finish,
+                           llm::UsageMeter& primary_meter) {
+  const Request& req = work.request;
+  std::optional<common::Result<llm::Completion>> hedged;
+  llm::UsageMeter hedge_meter;
+  r.service_vms = primary_finish;
+  if (options_.hedging &&
+      (!primary.ok() || primary_finish > work.hedge_trigger_vms)) {
+    // Hedge: in virtual time the second attempt launched when the primary
+    // crossed the trigger (or failed, whichever came first) and the two
+    // raced; the earliest virtual finish wins and the loser is cancelled —
+    // too late to recover its spend, which is the price of tail-cutting.
+    double hedge_start = std::min(work.hedge_trigger_vms, primary_finish);
+    llm::Prompt hedge_prompt = prompt;
+    hedge_prompt.sample_salt = prompt.sample_salt + 1;
+    obs::Span* hedge_span = nullptr;
+    if (trace != nullptr) {
+      hedge_span =
+          trace->StartSpan("hedge", work.est_start_vms + hedge_start, nullptr);
+      hedge_prompt.trace = trace;
+      hedge_prompt.trace_parent = hedge_span;
+    }
+    hedged = hedge_model_->CompleteMetered(hedge_prompt, &hedge_meter);
+    double hedge_finish =
+        hedge_start +
+        (hedged->ok() ? (*hedged)->latency_ms : kFailedAttemptPenaltyMs);
+    if (hedge_span != nullptr) {
+      trace->SetAttr(hedge_span, "result", hedged->ok() ? "ok" : "error");
+      trace->EndSpan(hedge_span, work.est_start_vms + hedge_finish);
+    }
+    double p_score = primary.ok() ? primary_finish : kInf;
+    double h_score = hedged->ok() ? hedge_finish : kInf;
+    r.hedged = true;
+    r.hedge_won = h_score < p_score;
+    r.service_vms = primary.ok() || hedged->ok()
+                        ? std::min(p_score, h_score)
+                        : std::max(primary_finish, hedge_finish);
+    metrics_.hedges_launched->Add(1);
+    if (r.hedge_won) metrics_.hedge_wins->Add(1);
+    const llm::UsageMeter& loser_meter =
+        r.hedge_won ? primary_meter : hedge_meter;
+    metrics_.hedge_cancelled_cost_micros->Add(
+        static_cast<uint64_t>(loser_meter.cost().micros()));
   }
-  group->cv.notify_all();
+
+  // Only the winner's spend is committed. When neither attempt succeeded
+  // the primary counts as the winner, so its status is the one returned.
+  const common::Result<llm::Completion>& winner =
+      r.hedge_won ? *hedged : primary;
+  meter_.MergeFrom(r.hedge_won ? hedge_meter : primary_meter);
+  if (!r.hedge_won && primary.ok() && primary->prefix_cached_tokens > 0) {
+    // Booked at commit time, not batch-execution time, so the
+    // llmdm_batch_prefix_* counters equal the meter's winner-committed
+    // BatchStats ledger even when a hedge steals the member's win.
+    metrics_.batch_prefix_cached_tokens->Add(primary->prefix_cached_tokens);
+    metrics_.batch_prefix_saved_micros->Add(
+        static_cast<uint64_t>(PrefixSaved(*primary).micros()));
+  }
+  r.status = winner.status();
+  if (winner.ok()) {
+    r.text = winner->text;
+    r.model = winner->model;
+    r.cost = winner->cost;
+  }
+  r.latency_vms = work.queue_wait_vms + r.service_vms;
+  r.deadline_missed = req.deadline_ms > 0.0 && r.latency_vms > req.deadline_ms;
+  const double finish_vms = work.est_start_vms + r.service_vms;
+  Publish(work, std::move(r), trace, winner.ok() ? "ok" : "error",
+          finish_vms);
+}
+
+void Server::Publish(const Work& work, Response r,
+                     const std::shared_ptr<obs::TraceContext>& trace,
+                     const char* outcome, double finish_vms) {
+  if (trace != nullptr) {
+    trace->SetAttr(nullptr, "outcome", outcome);
+    if (r.hedged) {
+      trace->SetAttr(nullptr, "hedge_won", r.hedge_won ? "true" : "false");
+    }
+    trace->EndSpan(nullptr, finish_vms);
+    r.trace = trace;
+  }
+  clock_.AdvanceTo(finish_vms);
+  if (FlightGroup* group = work.group.get()) {
+    // Publish the leader's outcome to the followers riding its flight.
+    {
+      std::lock_guard<std::mutex> lock(group->mu);
+      group->done = true;
+      group->status = r.status;
+      group->text = r.text;
+      group->model = r.model;
+      group->finish_vms = finish_vms;
+    }
+    group->cv.notify_all();
+  }
+  PushResponse(std::move(r), work.tenant_state);
+}
+
+common::Money Server::PrefixSaved(const llm::Completion& completion) const {
+  // Exact by construction: re-pricing the same token counts at list makes
+  // discounted cost + saved == the unbatched call's cost.
+  return llm::PriceTokens(model_->spec().input_price_per_1k,
+                          completion.input_tokens) +
+         llm::PriceTokens(model_->spec().output_price_per_1k,
+                          completion.output_tokens) -
+         completion.cost;
 }
 
 void Server::ExecuteCoalesced(const Work& work) {
@@ -1019,18 +793,12 @@ void Server::ExecuteCoalesced(const Work& work) {
   // answer the follower got for free — the leader's actual text, so the
   // credit is exact and deterministic, not a guess.
   llm::Prompt prompt = llm::MakePrompt(req.skill, req.input);
-  const common::Money effective_input_price =
-      options_.batching &&
-              model_->spec().cached_input_price_per_1k.micros() > 0
-          ? model_->spec().cached_input_price_per_1k
-          : model_->spec().input_price_per_1k;
-  common::Money saved = common::Money::FromMicros(
-      effective_input_price.micros() *
-      static_cast<int64_t>(prompt.CountInputTokens()) / 1000);
+  common::Money saved = llm::PriceTokens(
+      llm::EffectiveInputPrice(model_->spec(), options_.batching),
+      prompt.CountInputTokens());
   if (status.ok()) {
-    saved += common::Money::FromMicros(
-        model_->spec().output_price_per_1k.micros() *
-        static_cast<int64_t>(text::CountTokens(r.text)) / 1000);
+    saved += llm::PriceTokens(model_->spec().output_price_per_1k,
+                              text::CountTokens(r.text));
   }
   metrics_.coalesce_saved_micros->Add(static_cast<uint64_t>(saved.micros()));
   meter_.RecordCoalesced(status.ok() ? model : model_->spec().name, saved);
@@ -1099,7 +867,7 @@ std::vector<Response> Server::Drain() {
     // Whatever is still accumulating goes out as the final (possibly
     // partial) batch — after the QoS flush above, so late-dispatched work
     // rides it instead of being stranded.
-    FlushOpenBatch("drain");
+    FlushOpenBatch(metrics_.batch_closed_drain);
   }
   {
     std::lock_guard<std::mutex> lock(work_mu_);

@@ -243,17 +243,12 @@ class Server {
     /// Waiting-request bound for kQueueFull / kDeadlineAware.
     size_t queue_depth = 32;
     ShedPolicy shed_policy = ShedPolicy::kQueueFull;
-    /// Fraction of queue_depth usable by Priority::kBatch requests.
+    /// Fraction of queue_depth usable by Priority::kBatch requests
+    /// (Priority::kInteractive gets a fixed 25% headroom above queue_depth).
     double batch_queue_fraction = 0.5;
-    /// Extra headroom (fraction of queue_depth) reserved for
-    /// Priority::kInteractive requests once the nominal queue is full.
-    double interactive_reserve_fraction = 0.25;
     bool hedging = false;
     /// Estimated-service-time percentile after which a hedge launches.
     double hedge_percentile = 0.95;
-    /// Virtual ms a failed attempt is deemed to have occupied its slot
-    /// (timeouts and retry storms burn time even when nothing is returned).
-    double failed_attempt_penalty_ms = 1000.0;
     /// Expected completion length used in service-time estimation.
     size_t est_output_tokens = 48;
     /// Single-flight request coalescing: a request whose (skill, input)
@@ -297,13 +292,15 @@ class Server {
     /// series).
     obs::Registry* registry = nullptr;
     /// Periodic maintenance driven by *virtual* time: when interval > 0 and
-    /// a hook is set, Submit() fires the hook synchronously (on the
-    /// submitting thread, under the admission lock, in arrival order) each
-    /// time a request's arrival_vms crosses the next interval boundary. The
-    /// deterministic home for durability checkpoints / WAL compaction — the
-    /// same workload fires maintenance at the same points regardless of
-    /// thread count or wall-clock speed. Keep the hook bounded: it blocks
-    /// admission while it runs.
+    /// a hook is set, admission fires the hook synchronously (on the
+    /// submitting thread, under the admission lock, in arrival order) when a
+    /// request's arrival_vms reaches the next interval boundary — once per
+    /// submission however many boundaries the arrival crossed; the next
+    /// boundary is then the first one past the arrival. The deterministic
+    /// home for durability checkpoints / WAL compaction — the same workload
+    /// fires maintenance at the same points regardless of thread count or
+    /// wall-clock speed. Keep the hook bounded: it blocks admission while it
+    /// runs.
     double maintenance_interval_vms = 0.0;
     std::function<void()> maintenance_hook;
     /// Admission-time batched cache probe, consulted by SubmitBatch() before
@@ -332,9 +329,9 @@ class Server {
     /// Multi-tenant QoS: configuring at least one tenant switches admission
     /// from the single shared queue to per-tenant token-bucket quotas +
     /// weighted-fair (deficit-round-robin) queuing with priority aging —
-    /// see qos.h and the class comment. In QoS mode shed_policy's queue
-    /// carve-outs (batch_queue_fraction / interactive_reserve_fraction) are
-    /// superseded by per-tenant queue shares.
+    /// see qos.h and the class comment. In QoS mode shed_policy is never
+    /// consulted (nor batch_queue_fraction): a request sheds only on its
+    /// tenant's queue share, then its quota.
     QosOptions qos;
   };
 
@@ -389,13 +386,11 @@ class Server {
   const SimulatedClock& clock() const { return clock_; }
 
  private:
-  /// Shared state of one coalesced flight. The admission-side fields are
-  /// written once in Submit() under admission_mu_; the completion fields are
+  /// Shared state of one coalesced flight. `est_finish_vms` is written once
+  /// at flight registration under admission_mu_; the completion fields are
   /// published by the leader's worker under `mu` and consumed by follower
   /// workers blocking on `cv`.
   struct FlightGroup {
-    // Admission-time (admission_mu_).
-    uint64_t leader_id = 0;
     double est_finish_vms = 0.0;  // leader est_start + est_service
 
     // Completion (mu/cv).
@@ -409,7 +404,7 @@ class Server {
   };
 
   /// Per-tenant instrument handles + admission state (QoS mode). The bucket
-  /// is only touched in Submit() under admission_mu_; the counters are
+  /// is only touched in Admit() under admission_mu_; the counters are
   /// written from admission (under the lock) and completion (worker
   /// threads) sides — commutative integer adds, like the global metrics.
   struct TenantState {
@@ -431,6 +426,8 @@ class Server {
     TenantState(double rate, double burst) : bucket(rate, burst) {}
   };
 
+  /// Admitted work. In QoS mode it waits in pending_qos_ (est_start unset)
+  /// until the fair dispatcher starts it.
   struct Work {
     Request request;
     double est_start_vms = 0.0;
@@ -459,14 +456,6 @@ class Server {
     double close_vms = 0.0;  // first member's arrival + batch_window_vms
     std::vector<Work> members;
     std::vector<Work> followers;
-  };
-
-  /// Admitted-but-not-yet-dispatched request (QoS mode): parked here while
-  /// it waits in its tenant's FIFO inside the scheduler.
-  struct PendingQos {
-    Request request;
-    double est_service_vms = 0.0;
-    TenantState* tenant_state = nullptr;
   };
 
   /// Instrument handles; ServerStats is a read-time view over these (plus
@@ -498,27 +487,25 @@ class Server {
     obs::Histogram* batch_occupancy = nullptr;
   };
 
-  void WorkerLoop();
-  void Execute(const Work& work);
-  /// Executes one closed batch: per-member trace/queue-deadline/prompt
-  /// setup, one CompleteBatch over the surviving members, then the shared
-  /// per-member tail (FinishExecute) with the batch's discounted
-  /// completions.
-  void ExecuteBatch(const std::vector<Work>& members);
-  /// Shared post-model-call tail of Execute/ExecuteBatch: hedge race,
-  /// winner-commit metering, response assembly and publication. `r` arrives
-  /// with id/tenant/queue_wait filled; `primary_finish` is the primary
-  /// attempt's virtual service time.
-  void FinishExecute(const Work& work, Response r,
-                     const std::shared_ptr<obs::TraceContext>& trace,
-                     const llm::Prompt& prompt,
-                     common::Result<llm::Completion> primary,
-                     double primary_finish, llm::UsageMeter& primary_meter);
-  /// Bumps the llmdm_batch_prefix_* counters for a committed batched
-  /// completion. Called at commit time (FinishExecute), not batch-execution
-  /// time, so the counters equal the meter's winner-committed BatchStats
-  /// ledger even when a hedge steals the member's win.
-  void BookPrefixReuse(const llm::Completion& completion);
+  /// The one admission pipeline behind Submit() and SubmitBatch(), in
+  /// stage order: drain check, maintenance tick, batch-window close, QoS
+  /// dispatch + tenant, probe hit (quota, then answer), queue observation,
+  /// single-flight follower, shed checks, start. `hit` is the request's
+  /// batch-probe hit, or null.
+  void Admit(const Request& request, const BatchProbeOutcome* hit);
+  /// Refuses `request` at the door with a cause-specific retry hint
+  /// (admission_mu_ held).
+  void Shed(const Request& request, TenantState* tenant_state, ShedCause cause,
+            double retry_after_vms, const std::string& reason);
+  /// Starts admitted work at its virtual start: hedge trigger, flight
+  /// registration, enqueue (admission_mu_ held). Called by the shared queue
+  /// at admission and by the QoS dispatcher at dispatch.
+  void StartWork(Work work);
+  /// Plays virtual dispatch up to now_vms and starts every dispatched
+  /// request (admission_mu_ held).
+  void DispatchReadyQos(double now_vms);
+  TenantState* ResolveTenant(const TenantId& id);
+  double EstimateTokens(const Request& request) const;
   /// Routes admitted work to the worker queue, or parks it in the open
   /// batch when batching is on (admission_mu_ held).
   void EnqueueWork(Work work);
@@ -526,26 +513,38 @@ class Server {
   /// (admission_mu_ held; called before each admission decision).
   void MaybeCloseBatch(double now_vms);
   /// Pushes the open batch (if any) to the workers as one queue entry,
-  /// followed by its parked followers (admission_mu_ held). `cause` is
-  /// "size", "window" or "drain".
-  void FlushOpenBatch(const char* cause);
+  /// followed by its parked followers, counting the close under `cause`
+  /// (admission_mu_ held).
+  void FlushOpenBatch(obs::Counter* cause);
+
+  void WorkerLoop();
+  /// Executes one queue entry: a closed batch (one CompleteBatch call over
+  /// its members) or a single request (one CompleteMetered call), with the
+  /// same per-member trace, queue-deadline and prompt setup and the same
+  /// FinishExecute tail.
+  void Execute(const Work& work);
+  /// Post-model-call tail: hedge race, winner-commit metering, response
+  /// assembly and publication. `r` arrives with id/tenant/queue_wait
+  /// filled; `primary_finish` is the primary attempt's virtual service
+  /// time.
+  void FinishExecute(const Work& work, Response r,
+                     const std::shared_ptr<obs::TraceContext>& trace,
+                     const llm::Prompt& prompt,
+                     common::Result<llm::Completion> primary,
+                     double primary_finish, llm::UsageMeter& primary_meter);
+  /// Closes the trace with `outcome`, advances the clock to `finish_vms`,
+  /// publishes the outcome to the work's flight (if it leads one) and
+  /// pushes the response.
+  void Publish(const Work& work, Response r,
+               const std::shared_ptr<obs::TraceContext>& trace,
+               const char* outcome, double finish_vms);
+  /// List price of `completion`'s tokens minus what it was billed: the
+  /// prefix discount of a batched completion.
+  common::Money PrefixSaved(const llm::Completion& completion) const;
   /// Follower path: wait for the leader's published result and answer with
   /// it (zero cost, virtual latency = leader finish - own arrival).
   void ExecuteCoalesced(const Work& work);
-  /// Publishes the leader's outcome to its flight group (no-op if null).
-  static void ResolveFlight(const std::shared_ptr<FlightGroup>& group,
-                            const Response& response, double finish_vms);
-  double EstimateTokens(const Request& request) const;
-  double EstimateServiceVms(const Request& request) const;
   void PushResponse(Response response, TenantState* tenant_state = nullptr);
-
-  /// QoS admission path (admission_mu_ held): quota + queue-share check,
-  /// then park in the tenant FIFO and let the virtual dispatcher run.
-  void SubmitQos(const Request& request);
-  /// Plays virtual dispatch up to now_vms and hands every dispatched
-  /// request to the worker pool (admission_mu_ held).
-  void DispatchReadyQos(double now_vms);
-  TenantState* ResolveTenant(const TenantId& id);
 
   std::shared_ptr<llm::LlmModel> model_;
   std::shared_ptr<llm::LlmModel> hedge_model_;
@@ -558,7 +557,7 @@ class Server {
   obs::Registry* registry_ = nullptr;
   Metrics metrics_;
 
-  // Admission state: touched only under admission_mu_, only from Submit().
+  // Admission state: touched only under admission_mu_.
   // The admission counters (submitted/admitted/shed/coalesced) live in
   // metrics_; being written under admission_mu_ keeps them as deterministic
   // as the fields they replaced.
@@ -566,7 +565,7 @@ class Server {
   std::vector<double> slot_free_vms_;  // per virtual slot
   std::priority_queue<double, std::vector<double>, std::greater<double>>
       pending_starts_;                  // est_start of not-yet-started work
-  std::vector<double> est_services_;    // admitted est service times, sorted
+  std::vector<double> est_services_;    // hedging: est service times, sorted
   /// Next virtual-time boundary at which the maintenance hook fires.
   double next_maintenance_vms_ = 0.0;
   bool draining_ = false;
@@ -584,7 +583,7 @@ class Server {
   std::vector<std::unique_ptr<TenantState>> tenants_;  // scheduler order
   std::unordered_map<TenantId, TenantState*> tenant_by_id_;
   TenantState* default_tenant_ = nullptr;  // catch-all for unknown ids
-  std::unordered_map<uint64_t, PendingQos> pending_qos_;  // by request id
+  std::unordered_map<uint64_t, Work> pending_qos_;  // by request id
 
   // Worker pool.
   std::mutex work_mu_;

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <map>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "llm/resilient.h"
 #include "llm/simulated.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/server.h"
 
 namespace llmdm {
@@ -1152,6 +1156,317 @@ TEST(Serve, SubmitBatchProbeAnswersHitsAtZeroCostDeterministically) {
   std::string one = run(1);
   EXPECT_EQ(one, run(4));
   EXPECT_EQ(one, run(8));
+}
+
+// ---- Golden pin -------------------------------------------------------------
+//
+// The determinism tests above compare two runs of the same build, so a change
+// that moves a shed, coalesce, batch or hedge decision still passes them.
+// These scenarios compare each run with a checked-in text file instead: the
+// id-sorted outcome log, stats(), tenant_stats(), the meter ledgers and the
+// registry export, byte for byte, at 1 and at 4 workers.
+//
+// To regenerate after an intended output change, run the suite with
+// LLMDM_UPDATE_GOLDEN=1 and review the diff of tests/golden/.
+
+struct GoldenRun {
+  size_t worker_threads = 1;
+  obs::Registry registry;
+  size_t maintenance_fires = 0;
+};
+
+// Common options of every golden scenario: workers, the run's registry,
+// tracing, and a maintenance hook counting its fires.
+void ConfigureGoldenRun(serve::Server::Options* options, GoldenRun* run,
+                        double interval_vms) {
+  options->worker_threads = run->worker_threads;
+  options->registry = &run->registry;
+  options->tracing = true;
+  options->maintenance_interval_vms = interval_vms;
+  options->maintenance_hook = [run] { ++run->maintenance_fires; };
+}
+
+// Arrival gaps stay below one maintenance interval, so each arrival crosses
+// at most one boundary and the fire count does not depend on how a long gap
+// is caught up.
+void ExpectGapsBelow(const std::vector<serve::Request>& requests,
+                     double interval_vms) {
+  for (size_t i = 1; i < requests.size(); ++i) {
+    ASSERT_LT(requests[i].arrival_vms - requests[i - 1].arrival_vms,
+              interval_vms);
+  }
+}
+
+std::string GoldenDump(serve::Server& server, GoldenRun& run) {
+  std::string out;
+  for (const serve::Response& r : server.Drain()) {
+    out += common::StrFormat(
+        "%llu tenant=%s status=%s shed=%d cause=%d retry=%.3f wait=%.3f "
+        "svc=%.3f lat=%.3f cost=%lld miss=%d hedged=%d won=%d coal=%d "
+        "model=%s text=%s\n",
+        (unsigned long long)r.id, r.tenant.c_str(),
+        r.status.ToString().c_str(), r.shed ? 1 : 0,
+        static_cast<int>(r.shed_cause), r.retry_after_vms, r.queue_wait_vms,
+        r.service_vms, r.latency_vms, (long long)r.cost.micros(),
+        r.deadline_missed ? 1 : 0, r.hedged ? 1 : 0, r.hedge_won ? 1 : 0,
+        r.coalesced ? 1 : 0, r.model.c_str(), r.text.c_str());
+    if (r.trace != nullptr) out += "  trace " + r.trace->ToJson() + "\n";
+  }
+  const serve::ServerStats s = server.stats();
+  out += common::StrFormat(
+      "stats sub=%zu adm=%zu shed=%zu done=%zu fail=%zu miss=%zu hedges=%zu "
+      "wins=%zu coal=%zu probe_hits=%zu batches=%zu batched=%zu cached=%zu "
+      "saved=%lld cancelled=%lld p50=%.3f p99=%.3f maxq=%.0f goodput=%.4f\n",
+      s.submitted, s.admitted, s.shed, s.completed, s.failed,
+      s.deadline_missed, s.hedges_launched, s.hedge_wins, s.coalesced,
+      s.cache_probe_hits, s.batches_closed, s.batched_requests,
+      s.prefix_cached_tokens, (long long)s.prefix_saved.micros(),
+      (long long)s.hedge_cancelled_cost.micros(), s.p50_latency_vms,
+      s.p99_latency_vms, s.max_queue_len, s.goodput_per_vs);
+  for (const serve::TenantStats& t : server.tenant_stats()) {
+    out += common::StrFormat(
+        "tenant %s sub=%zu adm=%zu coal=%zu probe_hits=%zu shedq=%zu "
+        "shedr=%zu done=%zu fail=%zu miss=%zu spend=%lld slo=%.4f p99=%.3f\n",
+        t.tenant.c_str(), t.submitted, t.admitted, t.coalesced,
+        t.cache_probe_hits, t.shed_quota, t.shed_queue, t.completed, t.failed,
+        t.deadline_missed, (long long)t.spend.micros(), t.slo_attainment,
+        t.p99_latency_vms);
+  }
+  // The meter's latency total is a floating-point sum in completion order,
+  // so it is the one ledger field left out.
+  const llm::UsageMeter& meter = server.meter();
+  for (const auto& [model, t] : meter.by_model()) {
+    out += common::StrFormat("meter %s calls=%zu in=%zu out=%zu cost=%lld\n",
+                             model.c_str(), t.calls, t.input_tokens,
+                             t.output_tokens, (long long)t.cost.micros());
+  }
+  for (const auto& [model, rs] : meter.retry_by_model()) {
+    out += "retry " + model + " " + rs.ToString() + "\n";
+  }
+  for (const auto& [model, c] : meter.coalesce_by_model()) {
+    out += common::StrFormat("coalesce %s n=%zu saved=%lld\n", model.c_str(),
+                             c.coalesced, (long long)c.saved.micros());
+  }
+  for (const auto& [model, b] : meter.batch_by_model()) {
+    out += common::StrFormat(
+        "batch %s batches=%zu calls=%zu cached=%zu saved=%lld\n",
+        model.c_str(), b.batches, b.batched_calls, b.prefix_cached_tokens,
+        (long long)b.prefix_saved.micros());
+  }
+  out += common::StrFormat("maintenance fires=%zu\n", run.maintenance_fires);
+  out += run.registry.PrometheusText();
+  return out;
+}
+
+std::shared_ptr<llm::LlmModel> MakeFaultyResilientModel() {
+  auto faulty = std::make_shared<llm::FaultInjectingLlm>(
+      MakeModel("sim-serve", 200.0, 3), llm::FaultProfile::Uniform(0.3), 11);
+  llm::ResilientLlm::Options resilience;
+  resilience.retry.max_attempts = 3;
+  resilience.retry.initial_backoff_ms = 20.0;
+  resilience.seed = 9;
+  // Pinned closed for the same reason as in RunServeWorkload: a tripping
+  // breaker depends on real completion order.
+  resilience.breaker.min_samples = std::numeric_limits<size_t>::max();
+  return std::make_shared<llm::ResilientLlm>(faulty, resilience);
+}
+
+// Shared queue: overload against two slots with mixed priorities and
+// deadlines, hedging on, a faulty resilient primary.
+std::string GoldenSharedQueue(serve::ShedPolicy policy, size_t workers) {
+  GoldenRun run;
+  run.worker_threads = workers;
+  serve::Server::Options options;
+  ConfigureGoldenRun(&options, &run, 50.0);
+  options.virtual_concurrency = 2;
+  options.queue_depth = 8;
+  options.shed_policy = policy;
+  options.hedging = true;
+  options.hedge_percentile = 0.9;
+  serve::Server server(MakeFaultyResilientModel(), options,
+                       MakeModel("sim-hedge", 50.0, 4));
+  std::vector<serve::Request> requests;
+  for (size_t i = 0; i < 160; ++i) {
+    serve::Request req = MakeRequest(i, static_cast<double>(i) * 3.0,
+                                     common::StrFormat("query %zu", i % 70));
+    req.priority = static_cast<serve::Priority>(i % 3);
+    req.deadline_ms =
+        (i % 4 == 0) ? 0.0 : 20.0 + static_cast<double>(i % 6) * 15.0;
+    requests.push_back(req);
+  }
+  ExpectGapsBelow(requests, 50.0);
+  for (const auto& req : requests) server.Submit(req);
+  return GoldenDump(server, run);
+}
+
+// QoS: a hot tenant bursting past its queue share, a quota-metered tenant,
+// single-flight riding the fair dispatcher.
+std::string GoldenQos(size_t workers) {
+  GoldenRun run;
+  run.worker_threads = workers;
+  serve::Server::Options options;
+  ConfigureGoldenRun(&options, &run, 200.0);
+  options.virtual_concurrency = 2;
+  options.queue_depth = 12;
+  options.single_flight = true;
+  for (size_t i = 0; i < 4; ++i) {
+    serve::TenantConfig cfg;
+    cfg.id = common::StrFormat("t%02zu", i);
+    cfg.weight = (i == 0) ? 4.0 : 1.0;
+    if (i == 1) {
+      cfg.quota_tokens_per_vs = 40.0;
+      cfg.quota_burst_tokens = 120.0;
+    }
+    options.qos.tenants.push_back(cfg);
+  }
+  options.qos.aging_threshold_vms = 1500.0;
+  serve::Server server(MakeModel("sim-serve", 400.0, 3), options);
+  serve::PopulationOptions pop;
+  pop.tenants = 4;
+  pop.requests = 200;
+  pop.mean_gap_vms = 4.0;
+  pop.diurnal_period_vms = 400.0;
+  pop.hot_tenants = 1;
+  pop.burst_every_vms = 300.0;
+  pop.burst_size = 12;
+  pop.deadline_ms = 3000.0;
+  pop.inputs_per_tenant = 6;
+  pop.seed = 5;
+  std::vector<serve::Request> requests = serve::GeneratePopulation(pop);
+  ExpectGapsBelow(requests, 200.0);
+  for (const auto& req : requests) server.Submit(req);
+  return GoldenDump(server, run);
+}
+
+// Continuous batching with single-flight and hedging over a slow primary;
+// some members die in the queue before their batch runs.
+std::string GoldenBatching(size_t workers) {
+  GoldenRun run;
+  run.worker_threads = workers;
+  serve::Server::Options options;
+  ConfigureGoldenRun(&options, &run, 50.0);
+  options.shed_policy = serve::ShedPolicy::kNone;
+  options.batching = true;
+  options.max_batch = 4;
+  options.batch_window_vms = 15.0;
+  options.single_flight = true;
+  options.hedging = true;
+  options.hedge_percentile = 0.5;
+  options.est_output_tokens = 1;
+  // The hedge model is slow enough that a prefix-discounted primary beats
+  // it and a full-price one does not, so both winners occur.
+  serve::Server server(MakeBatchModel("sim-batch", 5000.0, 3), options,
+                       MakeModel("sim-hedge", 1500.0, 4));
+  std::vector<serve::Request> requests;
+  for (size_t i = 0; i < 96; ++i) {
+    std::string input =
+        (i % 3 == 0)
+            ? common::StrFormat("shared stem request %zu", i % 12)
+            : (i % 3 == 1 ? std::string("identical flight query")
+                          : common::StrFormat("unique tail %zu", i));
+    serve::Request req = MakeRequest(i, static_cast<double>(i) * 5.0, input);
+    if (i % 4 == 3) req.deadline_ms = 40.0;
+    requests.push_back(req);
+  }
+  ExpectGapsBelow(requests, 50.0);
+  for (const auto& req : requests) server.Submit(req);
+  return GoldenDump(server, run);
+}
+
+// SubmitBatch through a semantic-cache probe warmed with about half the
+// queries. With `qos`, a quota-metered tenant pays for hits and misses alike.
+std::string GoldenProbe(bool qos, size_t workers) {
+  GoldenRun run;
+  run.worker_threads = workers;
+  auto model = MakeModel("sim-serve", 400.0, 3);
+  optimize::SemanticCache::Options copts;
+  copts.similarity_threshold = 0.99;
+  copts.capacity = 256;
+  copts.registry = &run.registry;
+  optimize::SemanticCache cache(copts);
+  for (size_t i = 0; i < 40; ++i) {
+    cache.Insert(common::StrFormat("warm query %zu", i), "cached answer",
+                 common::Money::FromDollars(0.001));
+  }
+  serve::Server::Options options;
+  ConfigureGoldenRun(&options, &run, 50.0);
+  options.virtual_concurrency = 2;
+  options.queue_depth = 16;
+  options.single_flight = true;
+  if (qos) {
+    serve::TenantConfig metered;
+    metered.id = "metered";
+    metered.quota_tokens_per_vs = 3000.0;
+    metered.quota_burst_tokens = 150.0;
+    serve::TenantConfig free_tenant;
+    free_tenant.id = "free";
+    free_tenant.weight = 2.0;
+    options.qos.tenants = {metered, free_tenant};
+  }
+  options.batch_probe = optimize::MakeBatchCacheProbe(&cache, model->spec());
+  serve::Server server(model, options);
+  std::vector<serve::Request> requests;
+  for (size_t i = 0; i < 96; ++i) {
+    // Even ids were pre-cached; odd ids are cold, and repeat often enough
+    // to coalesce.
+    std::string text = (i % 2 == 0)
+                           ? common::StrFormat("warm query %zu", (i / 2) % 40)
+                           : common::StrFormat("cold query %zu", i % 6);
+    serve::Request req = MakeRequest(i, static_cast<double>(i) * 1.5, text);
+    req.tenant = (i % 3 == 0) ? "metered" : (i % 3 == 1 ? "free" : "");
+    if (i % 5 == 0) req.deadline_ms = 60.0;
+    requests.push_back(req);
+  }
+  ExpectGapsBelow(requests, 50.0);
+  for (size_t begin = 0; begin < requests.size(); begin += 8) {
+    server.SubmitBatch(std::vector<serve::Request>(
+        requests.begin() + begin, requests.begin() + begin + 8));
+  }
+  return GoldenDump(server, run);
+}
+
+// Compares `actual` with tests/golden/<name>.txt, reporting the first
+// differing line rather than two whole files.
+void ExpectMatchesGolden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(LLMDM_GOLDEN_DIR) + "/" + name + ".txt";
+  if (std::getenv("LLMDM_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::stringstream expected;
+  expected << in.rdbuf();
+  if (expected.str() == actual) return;
+  std::istringstream want(expected.str()), got(actual);
+  std::string want_line, got_line;
+  for (size_t line = 1;; ++line) {
+    bool more_want = static_cast<bool>(std::getline(want, want_line));
+    bool more_got = static_cast<bool>(std::getline(got, got_line));
+    if (!more_want && !more_got) break;
+    if (!more_want || !more_got || want_line != got_line) {
+      ADD_FAILURE() << path << " differs at line " << line << "\n  want: "
+                    << (more_want ? want_line : "<end of file>")
+                    << "\n  got:  " << (more_got ? got_line : "<end of file>");
+      return;
+    }
+  }
+  ADD_FAILURE() << path << " differs (line endings)";
+}
+
+TEST(ServeGolden, OutputsMatchCheckedInGoldenAtOneAndFourWorkers) {
+  for (size_t workers : {1, 4}) {
+    SCOPED_TRACE(common::StrFormat("%zu workers", workers));
+    ExpectMatchesGolden(
+        "serve_queue_full",
+        GoldenSharedQueue(serve::ShedPolicy::kQueueFull, workers));
+    ExpectMatchesGolden(
+        "serve_deadline_aware",
+        GoldenSharedQueue(serve::ShedPolicy::kDeadlineAware, workers));
+    ExpectMatchesGolden("serve_qos", GoldenQos(workers));
+    ExpectMatchesGolden("serve_batching", GoldenBatching(workers));
+    ExpectMatchesGolden("serve_probe", GoldenProbe(false, workers));
+    ExpectMatchesGolden("serve_probe_qos", GoldenProbe(true, workers));
+  }
 }
 
 }  // namespace

@@ -850,7 +850,7 @@ TEST(DurableComponents, HnswIndexRecoversTheExactVectorSet) {
 // ---------------------------------------------------------------------------
 // serve::Server virtual-time maintenance hook (the checkpoint driver).
 
-TEST(ServeMaintenance, HookFiresOncePerCrossedVirtualBoundary) {
+TEST(ServeMaintenance, HookFiresAtMostOncePerSubmission) {
   llm::ModelSpec spec;
   spec.name = "sim-maint";
   spec.capability = 0.9;
@@ -867,21 +867,29 @@ TEST(ServeMaintenance, HookFiresOncePerCrossedVirtualBoundary) {
   serve::Server server(model, options);
 
   // Boundaries at 10, 20, 30, ...: arrival 12 crosses one, 25 crosses 20,
-  // 55 catches up across 30, 40, 50 — deterministic in arrival order, so
-  // the count is a pure function of the arrival times.
+  // and 55 crosses 30, 40 and 50 but fires once — a long gap is not caught
+  // up one run per boundary under the admission lock. The next boundary is
+  // then the first one past the arrival (60).
   const double arrivals[] = {0.0, 5.0, 12.0, 25.0, 55.0};
   uint64_t id = 0;
-  for (double at : arrivals) {
+  auto submit = [&](double at) {
     serve::Request request;
     request.id = id++;
     request.input = "question";
     request.arrival_vms = at;
     server.Submit(request);
-  }
-  EXPECT_EQ(fires, 5u);
+  };
+  for (double at : arrivals) submit(at);
+  EXPECT_EQ(fires, 3u);
+  submit(58.0);  // still short of 60
+  EXPECT_EQ(fires, 3u);
+  // An arrival so far out that adding one interval no longer changes the
+  // double: stepping boundary by boundary would never reach it.
+  submit(1e18);
+  EXPECT_EQ(fires, 4u);
   auto responses = server.Drain();
-  EXPECT_EQ(responses.size(), 5u);
-  EXPECT_EQ(fires, 5u);  // Drain adds no phantom boundary crossings
+  EXPECT_EQ(responses.size(), 7u);
+  EXPECT_EQ(fires, 4u);  // Drain adds no phantom boundary crossings
 }
 
 TEST(ServeMaintenance, HookCanCheckpointADurableCacheUnderLoad) {

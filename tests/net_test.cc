@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,6 +137,32 @@ TEST(WireCodec, TruncatedPayloadRejectedAtEveryLength) {
   std::string padded(payload);
   padded.push_back('\0');
   EXPECT_FALSE(net::DecodeRequest(padded).ok());
+}
+
+TEST(WireCodec, NonFiniteOrNegativeVirtualTimeRejected) {
+  auto decode = [](const net::WireRequest& r) {
+    std::string frame = net::EncodeRequestFrame(r);
+    return net::DecodeRequest(
+        std::string_view(frame).substr(net::kFrameHeaderBytes));
+  };
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(), -1.0};
+  for (double v : bad) {
+    for (bool arrival : {true, false}) {
+      net::WireRequest in = SampleRequest();
+      (arrival ? in.arrival_vms : in.deadline_ms) = v;
+      auto out = decode(in);
+      ASSERT_FALSE(out.ok()) << (arrival ? "arrival_vms " : "deadline_ms ")
+                             << v << " decoded";
+      EXPECT_EQ(out.status().code(), common::StatusCode::kInvalidArgument);
+    }
+  }
+  // Zero stays valid for both: "arrived at the epoch", "no deadline".
+  net::WireRequest zero = SampleRequest();
+  zero.arrival_vms = 0.0;
+  zero.deadline_ms = 0.0;
+  EXPECT_TRUE(decode(zero).ok());
 }
 
 // ---- Torn frames and corruption -------------------------------------------
