@@ -4,11 +4,8 @@
 // with the exact pre-filter answer; also shows the adaptive-k predictor
 // converging to the workload's pass rate.
 #include <cstdio>
-#include <memory>
 
 #include "common/rng.h"
-#include "vectordb/flat_index.h"
-#include "vectordb/hnsw_index.h"
 #include "vectordb/vector_store.h"
 
 int main() {
@@ -18,7 +15,7 @@ int main() {
 
   constexpr size_t kN = 5000;
   constexpr size_t kDim = 64;
-  vectordb::VectorStore store(std::make_unique<vectordb::FlatIndex>());
+  vectordb::VectorStore store;
   for (uint64_t i = 0; i < kN; ++i) {
     vectordb::StoredItem item;
     item.id = i;

@@ -1,9 +1,9 @@
 // Wall-clock hot-path harness (not a paper table): measures the serving
 // fast path this repo actually executes per request — semantic-cache lookup
 // and insert across thread/shard counts, embedder throughput with and
-// without the allocation-free path, ANN vs flat lookup at cache sizes where
-// the scan is the bottleneck, and end-to-end serve QPS with and without
-// single-flight coalescing.
+// without the allocation-free path, float32 vs int8 flat lookup at cache
+// sizes where the scan is the bottleneck, and end-to-end serve QPS with and
+// without single-flight coalescing.
 //
 // Emits machine-readable JSON (default ./BENCH_perf.json, override with
 // --out=PATH): {"meta": {...}, "results": [{name, threads, shards, ops,
@@ -131,7 +131,7 @@ float NaiveDot(const float* a, const float* b, size_t n) {
 }
 
 /// Kernel microbench: each timed op scores one query against a contiguous
-/// arena of `rows` vectors (the FlatIndex/IVF-cell scan shape). Variants:
+/// arena of `rows` vectors (the FlatIndex scan shape). Variants:
 /// "naive" = sequential scalar reference, "dispatch" = DotBatch on the
 /// runtime-selected kernel, "int8" = quantized DotBatchI8.
 BenchResult KernelDot(const std::string& variant, size_t rows, size_t dim,
@@ -225,20 +225,15 @@ BenchResult EmbedThroughput(bool into, size_t ops) {
                      });
 }
 
-BenchResult AnnLookup(optimize::CacheIndexKind kind, size_t entries,
-                      size_t ops, bool quantize = false, size_t shards = 1) {
+BenchResult AnnLookup(size_t entries, size_t ops, bool quantize = false,
+                      size_t shards = 1) {
   auto options = CacheOptions(shards, entries);
-  options.index = kind;
-  options.ann_min_size = 64;
   options.quantize = quantize;
   optimize::SemanticCache cache(options);
   for (size_t i = 0; i < entries; ++i) {
     cache.Insert(Query(i), "answer", common::Money::FromDollars(0.001));
   }
-  const char* name =
-      quantize ? "ann_lookup_int8"
-               : (kind == optimize::CacheIndexKind::kHnsw ? "ann_lookup_hnsw"
-                                                          : "ann_lookup_flat");
+  const char* name = quantize ? "ann_lookup_int8" : "ann_lookup_flat";
   return RunThreaded(name, 1, shards, ops, [&](size_t, size_t i) {
     cache.Lookup(Query((i * 13) % entries));
   });
@@ -373,12 +368,9 @@ int main(int argc, char** argv) {
   }
   results.push_back(EmbedThroughput(/*into=*/false, kEmbedOps));
   results.push_back(EmbedThroughput(/*into=*/true, kEmbedOps));
+  results.push_back(AnnLookup(kAnnEntries, kAnnOps));
   results.push_back(
-      AnnLookup(optimize::CacheIndexKind::kFlat, kAnnEntries, kAnnOps));
-  results.push_back(
-      AnnLookup(optimize::CacheIndexKind::kHnsw, kAnnEntries, kAnnOps));
-  results.push_back(AnnLookup(optimize::CacheIndexKind::kFlat, kInt8Entries,
-                              kInt8Ops, /*quantize=*/true, kInt8Shards));
+      AnnLookup(kInt8Entries, kInt8Ops, /*quantize=*/true, kInt8Shards));
   std::string metrics_text;
   std::string* metrics_collector =
       metrics_out.empty() ? nullptr : &metrics_text;

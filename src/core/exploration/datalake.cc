@@ -16,9 +16,6 @@ std::string_view ModalityName(Modality modality) {
   return "?";
 }
 
-MultiModalDataLake::MultiModalDataLake()
-    : store_(std::make_unique<vectordb::HnswIndex>()) {}
-
 common::Status MultiModalDataLake::Ingest(LakeItem item) {
   if (item.id == 0) item.id = next_id_++;
   next_id_ = std::max(next_id_, item.id + 1);

@@ -2,7 +2,6 @@
 #define LLMDM_CORE_EXPLORATION_DATALAKE_H_
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -10,7 +9,6 @@
 #include "common/result.h"
 #include "data/table.h"
 #include "embed/embedder.h"
-#include "vectordb/hnsw_index.h"
 #include "vectordb/vector_store.h"
 
 namespace llmdm::exploration {
@@ -40,8 +38,6 @@ struct LakeItem {
 /// a sentence) so that SQL-less semantic queries still reach tabular facts.
 class MultiModalDataLake {
  public:
-  MultiModalDataLake();
-
   common::Status Ingest(LakeItem item);
 
   /// Embedding granularity for table ingestion (Sec. III-B.2: "an embedding

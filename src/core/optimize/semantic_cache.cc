@@ -8,15 +8,15 @@
 #include "durability/store.h"
 #include "obs/trace.h"
 #include "text/tokenizer.h"
-#include "vectordb/flat_index.h"
-#include "vectordb/hnsw_index.h"
 
 namespace llmdm::optimize {
 
 namespace {
-/// How many neighbours a reuse/stale probe fetches: wide enough to step
-/// over dead ids an index may still return (e.g. HNSW mark-removal) without
-/// missing a live above-threshold neighbour behind them.
+/// How many neighbours a reuse/stale probe fetches. The probe loops take
+/// the first live entry among them, so a dead slot can never shadow a live
+/// neighbour behind it. The width also sizes the int8 short list under
+/// Options::quantize (k * rescore_factor + 8 rows are rescored), so
+/// changing it can move which entry a quantized probe returns.
 constexpr size_t kLookupProbeWidth = 4;
 }  // namespace
 
@@ -42,7 +42,8 @@ void SemanticCache::InitShards() {
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>(
-        MakeIndex(), base + (i < extra ? 1 : 0), options_.doorkeeper_capacity));
+        vectordb::FlatIndex::Options{.quantize = options_.quantize},
+        base + (i < extra ? 1 : 0), options_.doorkeeper_capacity));
     Shard& shard = *shards_.back();
     shard.shard_id = i;
     obs::Labels labels{{"shard", std::to_string(i)}};
@@ -73,48 +74,6 @@ size_t SemanticCache::ShardIndexFor(std::string_view query) const {
   return common::Fnv1a(query) % shards_.size();
 }
 
-std::unique_ptr<vectordb::VectorIndex> SemanticCache::MakeIndex() const {
-  vectordb::FlatIndex::Options flat;
-  flat.quantize = options_.quantize;
-  switch (options_.index) {
-    case CacheIndexKind::kFlat:
-      return std::make_unique<vectordb::FlatIndex>(flat);
-    case CacheIndexKind::kHnsw: {
-      vectordb::HnswIndex::Options hnsw;
-      hnsw.quantize = options_.quantize;
-      return std::make_unique<vectordb::HnswIndex>(hnsw);
-    }
-  }
-  return std::make_unique<vectordb::FlatIndex>(flat);
-}
-
-std::vector<vectordb::SearchResult> SemanticCache::SearchShard(
-    const Shard& shard, const embed::Vector& query, size_t k) const {
-  if (options_.index == CacheIndexKind::kHnsw &&
-      shard.live_count < options_.ann_min_size) {
-    // Brute-force below the ANN threshold: exact, and cheaper than a graph
-    // walk on a small collection. Same ordering contract as FlatIndex
-    // (score desc, id asc).
-    std::vector<vectordb::SearchResult> all;
-    all.reserve(shard.live_count);
-    for (size_t i = 0; i < shard.entries.size(); ++i) {
-      if (!shard.entries[i].live) continue;
-      all.push_back(vectordb::SearchResult{
-          i, embed::CosineSimilarity(query, shard.entries[i].embedding)});
-    }
-    size_t take = std::min(k, all.size());
-    std::partial_sort(all.begin(), all.begin() + take, all.end(),
-                      [](const vectordb::SearchResult& a,
-                         const vectordb::SearchResult& b) {
-                        if (a.score != b.score) return a.score > b.score;
-                        return a.id < b.id;
-                      });
-    all.resize(take);
-    return all;
-  }
-  return shard.index->Search(query, k);
-}
-
 double SemanticCache::EvictionScore(const Entry& entry) const {
   switch (options_.policy) {
     case EvictionPolicy::kLru:
@@ -141,7 +100,7 @@ void SemanticCache::KillSlot(Shard& shard, size_t slot) {
   std::string().swap(evicted.query);
   std::string().swap(evicted.response);
   embed::Vector().swap(evicted.embedding);
-  shard.index->Remove(slot).ok();  // ignore status: id is known-present
+  shard.index.Remove(slot).ok();  // ignore status: id is known-present
   --shard.live_count;
   ++shard.dead_count;
   shard.metrics.evictions->Add(1);
@@ -191,12 +150,10 @@ void SemanticCache::CompactShard(Shard& shard) {
   shard.entries = std::move(survivors);
   // Rebuild the index over the remapped ids. The compaction is stable, so
   // live entries keep their relative order: every id-based tie-break
-  // (search ordering, eviction scans) behaves exactly as before. With an
-  // HNSW index the rebuilt graph may differ from the tombstoned one — an
-  // approximate index makes no byte-stability promise across maintenance.
-  shard.index = MakeIndex();
+  // (search ordering, eviction scans) behaves exactly as before.
+  shard.index = vectordb::FlatIndex({.quantize = options_.quantize});
   for (size_t i = 0; i < shard.entries.size(); ++i) {
-    shard.index->Add(i, shard.entries[i].embedding).ok();
+    shard.index.Add(i, shard.entries[i].embedding).ok();
   }
   shard.dead_count = 0;
   ++shard.generation;
@@ -255,11 +212,10 @@ std::optional<SemanticCache::Hit> SemanticCache::ProbeShardLocked(
   shard.metrics.lookups->Add(1);
   ++shard.tick;
   if (shard.live_count == 0) return std::nullopt;
-  // Probe a few neighbours and take the best *live* one: an index that only
-  // mark-removes (HNSW) can still surface a dead id at rank 0, and a miss
-  // there must not shadow the live neighbour right behind it.
+  // Probe a few neighbours and take the best *live* one (see
+  // kLookupProbeWidth).
   const std::vector<vectordb::SearchResult> results =
-      SearchShard(shard, q, kLookupProbeWidth);
+      shard.index.Search(q, kLookupProbeWidth);
   const vectordb::SearchResult* best = nullptr;
   for (const auto& r : results) {
     if (r.id < shard.entries.size() && shard.entries[r.id].live) {
@@ -295,7 +251,7 @@ std::optional<SemanticCache::Hit> SemanticCache::LookupStale(
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.live_count == 0) continue;
-    for (const auto& r : SearchShard(shard, q, kLookupProbeWidth)) {
+    for (const auto& r : shard.index.Search(q, kLookupProbeWidth)) {
       if (r.id >= shard.entries.size() || !shard.entries[r.id].live) continue;
       const Entry& entry = shard.entries[r.id];
       if (r.score < relaxed_threshold) break;  // results are best-first
@@ -329,7 +285,7 @@ std::vector<SemanticCache::Hit> SemanticCache::TopKForAugmentation(
     std::lock_guard<std::mutex> lock(shard.mu);
     ++shard.tick;
     if (shard.live_count == 0) continue;
-    for (const auto& r : SearchShard(shard, q, k)) {
+    for (const auto& r : shard.index.Search(q, k)) {
       candidates.push_back(Candidate{r.score, s, r.id, shard.generation});
     }
   }
@@ -388,7 +344,7 @@ void SemanticCache::Insert(const std::string& query,
   }
   shard.metrics.insertions->Add(1);
   // Refresh an existing (near-)identical key instead of duplicating it.
-  auto nearest = SearchShard(shard, q, 1);
+  auto nearest = shard.index.Search(q, 1);
   if (!nearest.empty() && nearest[0].score > 0.999) {
     Entry& entry = shard.entries[nearest[0].id];
     if (entry.live) {
@@ -415,7 +371,7 @@ void SemanticCache::Insert(const std::string& query,
   entry.last_used_tick = shard.tick;
   size_t id = shard.entries.size();
   shard.entries.push_back(std::move(entry));
-  shard.index->Add(id, shard.entries.back().embedding).ok();
+  shard.index.Add(id, shard.entries.back().embedding).ok();
   ++shard.live_count;
   shard.metrics.live_entries->Set(static_cast<int64_t>(shard.live_count));
   shard.metrics.slots->Set(static_cast<int64_t>(shard.entries.size()));
@@ -555,7 +511,7 @@ common::Status SemanticCache::LoadSnapshot(durability::ByteReader& in) {
       }
       shard.entries.push_back(std::move(entry));
       if (shard.entries.back().live) {
-        shard.index->Add(i, shard.entries.back().embedding).ok();
+        shard.index.Add(i, shard.entries.back().embedding).ok();
         ++shard.live_count;
       } else {
         ++shard.dead_count;
@@ -605,7 +561,7 @@ common::Status SemanticCache::ApplyInsertRecord(durability::ByteReader& in) {
   entry.cost_to_produce = common::Money::FromMicros(cost_micros);
   size_t id = shard.entries.size();
   shard.entries.push_back(std::move(entry));
-  shard.index->Add(id, shard.entries.back().embedding).ok();
+  shard.index.Add(id, shard.entries.back().embedding).ok();
   ++shard.live_count;
   shard.metrics.insertions->Add(1);
   shard.metrics.live_entries->Set(static_cast<int64_t>(shard.live_count));

@@ -4,24 +4,11 @@
 
 #include "durability/format.h"
 #include "durability/store.h"
-#include "vectordb/flat_index.h"
 
 namespace llmdm::vectordb {
 
-DurableVectorIndex::DurableVectorIndex(const Options& options)
-    : options_(options), inner_(MakeInner()) {}
-
-std::unique_ptr<VectorIndex> DurableVectorIndex::MakeInner() const {
-  // Quantized codes are derived state: recovery re-quantizes from the float
-  // vectors in the durable image, so the snapshot/WAL format is unchanged.
-  switch (options_.kind) {
-    case Kind::kFlat:
-      return std::make_unique<FlatIndex>(options_.flat);
-    case Kind::kHnsw:
-      return std::make_unique<HnswIndex>(options_.hnsw);
-  }
-  return std::make_unique<FlatIndex>(options_.flat);
-}
+DurableVectorIndex::DurableVectorIndex(const FlatIndex::Options& options)
+    : options_(options), inner_(options) {}
 
 common::Status DurableVectorIndex::Add(uint64_t id, Vector vector) {
   durability::MutationGuard guard = durable_ != nullptr
@@ -34,7 +21,7 @@ common::Status DurableVectorIndex::Add(uint64_t id, Vector vector) {
     durability::AppendU64(&rec, id);
     durability::AppendFloats(&rec, vector);
   }
-  LLMDM_RETURN_IF_ERROR(inner_->Add(id, std::move(vector)));
+  LLMDM_RETURN_IF_ERROR(inner_.Add(id, std::move(vector)));
   if (durable_ != nullptr) durable_->Append(guard, rec).ok();
   return common::Status::Ok();
 }
@@ -43,7 +30,7 @@ common::Status DurableVectorIndex::Remove(uint64_t id) {
   durability::MutationGuard guard = durable_ != nullptr
                                         ? durable_->BeginMutation()
                                         : durability::MutationGuard();
-  LLMDM_RETURN_IF_ERROR(inner_->Remove(id));
+  LLMDM_RETURN_IF_ERROR(inner_.Remove(id));
   if (durable_ != nullptr) {
     std::string rec;
     durability::AppendU8(&rec, static_cast<uint8_t>(WalOp::kRemove));
@@ -53,31 +40,15 @@ common::Status DurableVectorIndex::Remove(uint64_t id) {
   return common::Status::Ok();
 }
 
-bool DurableVectorIndex::Contains(uint64_t id) const {
-  return inner_->Contains(id);
-}
-
-size_t DurableVectorIndex::Size() const { return inner_->Size(); }
-
-std::vector<SearchResult> DurableVectorIndex::Search(const Vector& query,
-                                                     size_t k) const {
-  return inner_->Search(query, k);
-}
-
-void DurableVectorIndex::ForEach(
-    const std::function<void(uint64_t, const Vector&)>& fn) const {
-  inner_->ForEach(fn);
-}
-
 void DurableVectorIndex::AttachDurability(durability::DurableStore* store) {
   durable_ = store;
 }
 
-void DurableVectorIndex::ResetToEmpty() { inner_ = MakeInner(); }
+void DurableVectorIndex::ResetToEmpty() { inner_ = FlatIndex(options_); }
 
 common::Status DurableVectorIndex::SaveSnapshot(std::string* out) const {
-  durability::AppendU64(out, inner_->Size());
-  inner_->ForEach([out](uint64_t id, const Vector& vector) {
+  durability::AppendU64(out, inner_.Size());
+  inner_.ForEach([out](uint64_t id, const Vector& vector) {
     durability::AppendU64(out, id);
     durability::AppendFloats(out, vector);
   });
@@ -92,7 +63,7 @@ common::Status DurableVectorIndex::LoadSnapshot(durability::ByteReader& in) {
     Vector vector;
     LLMDM_RETURN_IF_ERROR(in.ReadU64(&id));
     LLMDM_RETURN_IF_ERROR(in.ReadFloats(&vector));
-    LLMDM_RETURN_IF_ERROR(inner_->Add(id, std::move(vector)));
+    LLMDM_RETURN_IF_ERROR(inner_.Add(id, std::move(vector)));
   }
   return common::Status::Ok();
 }
@@ -107,12 +78,12 @@ common::Status DurableVectorIndex::ApplyWalRecord(std::string_view payload) {
       Vector vector;
       LLMDM_RETURN_IF_ERROR(in.ReadU64(&id));
       LLMDM_RETURN_IF_ERROR(in.ReadFloats(&vector));
-      return inner_->Add(id, std::move(vector));
+      return inner_.Add(id, std::move(vector));
     }
     case WalOp::kRemove: {
       uint64_t id = 0;
       LLMDM_RETURN_IF_ERROR(in.ReadU64(&id));
-      return inner_->Remove(id);
+      return inner_.Remove(id);
     }
   }
   return common::Status::InvalidArgument("unknown index WAL op " +

@@ -1,13 +1,10 @@
 #ifndef LLMDM_VECTORDB_DURABLE_INDEX_H_
 #define LLMDM_VECTORDB_DURABLE_INDEX_H_
 
-#include <memory>
 #include <string_view>
 
 #include "durability/durable.h"
 #include "vectordb/flat_index.h"
-#include "vectordb/hnsw_index.h"
-#include "vectordb/index.h"
 
 namespace llmdm::durability {
 class DurableStore;
@@ -15,42 +12,30 @@ class DurableStore;
 
 namespace llmdm::vectordb {
 
-/// A VectorIndex with durable state: wraps a flat or HNSW index and logs
-/// every Add/Remove as a physical WAL record once a DurableStore is
-/// attached.
+/// A FlatIndex with durable state: logs every Add/Remove as a physical WAL
+/// record once a DurableStore is attached.
 ///
-/// The durable image is the *vector set* — the sorted live (id, vector)
-/// pairs — never the index structure. A flat index restores trivially; an
-/// HNSW index is rebuilt by re-inserting the pairs in ascending id order
-/// with a fresh level rng. The rebuilt graph is therefore a function of the
-/// surviving vectors alone (deterministic across recoveries of the same
-/// files) but not bit-identical to the pre-crash graph, whose shape depended
-/// on the original insert/remove interleaving: an approximate index promises
-/// equivalent *contents*, not an identical search path. Exact results (the
-/// flat kind) are unaffected.
-class DurableVectorIndex : public VectorIndex, public durability::DurableState {
+/// The durable image is the vector set — the sorted live (id, vector)
+/// pairs. Int8 codes (FlatIndex::Options::quantize) are derived state:
+/// recovery re-quantizes from the float vectors, so the snapshot/WAL format
+/// does not depend on the option.
+class DurableVectorIndex : public durability::DurableState {
  public:
-  enum class Kind { kFlat, kHnsw };
+  explicit DurableVectorIndex(const FlatIndex::Options& options);
 
-  struct Options {
-    Kind kind = Kind::kFlat;
-    HnswIndex::Options hnsw;  // used when kind == kHnsw
-    FlatIndex::Options flat;  // used when kind == kFlat
-  };
-
-  explicit DurableVectorIndex(const Options& options);
-
-  // VectorIndex. Not internally synchronized (same contract as the other
-  // indexes — callers own the locking); mutations are logged under the
-  // attached store's commit gate.
-  common::Status Add(uint64_t id, Vector vector) override;
-  common::Status Remove(uint64_t id) override;
-  bool Contains(uint64_t id) const override;
-  size_t Size() const override;
-  std::vector<SearchResult> Search(const Vector& query,
-                                   size_t k) const override;
-  void ForEach(const std::function<void(uint64_t, const Vector&)>& fn)
-      const override;
+  // Not internally synchronized (same contract as FlatIndex — callers own
+  // the locking); mutations are logged under the attached store's commit
+  // gate.
+  common::Status Add(uint64_t id, Vector vector);
+  common::Status Remove(uint64_t id);
+  bool Contains(uint64_t id) const { return inner_.Contains(id); }
+  size_t Size() const { return inner_.Size(); }
+  std::vector<SearchResult> Search(const Vector& query, size_t k) const {
+    return inner_.Search(query, k);
+  }
+  void ForEach(const std::function<void(uint64_t, const Vector&)>& fn) const {
+    inner_.ForEach(fn);
+  }
 
   /// See SemanticCache::AttachDurability for the setup contract.
   void AttachDurability(durability::DurableStore* store);
@@ -64,13 +49,11 @@ class DurableVectorIndex : public VectorIndex, public durability::DurableState {
  private:
   enum class WalOp : uint8_t {
     kAdd = 1,     // id, floats -> insert/replace
-    kRemove = 2,  // id         -> delete (tombstone under HNSW)
+    kRemove = 2,  // id         -> delete
   };
 
-  std::unique_ptr<VectorIndex> MakeInner() const;
-
-  Options options_;
-  std::unique_ptr<VectorIndex> inner_;
+  FlatIndex::Options options_;
+  FlatIndex inner_;
   durability::DurableStore* durable_ = nullptr;  // not owned; may be null
 };
 

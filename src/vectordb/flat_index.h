@@ -1,16 +1,20 @@
 #ifndef LLMDM_VECTORDB_FLAT_INDEX_H_
 #define LLMDM_VECTORDB_FLAT_INDEX_H_
 
+#include <functional>
 #include <unordered_map>
+#include <vector>
 
+#include "common/status.h"
 #include "vectordb/index.h"
 #include "vectordb/kernels.h"
 
 namespace llmdm::vectordb {
 
-/// Exact brute-force index. O(n·d) per query; the recall oracle against
-/// which IVF/HNSW are measured, and the right choice for small collections
-/// (the semantic cache and the prompt store both default to it).
+/// The library's vector index: exact brute force, O(n·d) per query. The
+/// semantic cache shards, the prompt store and the data lake's VectorStore
+/// each hold one by value. Vectors are keyed by caller-chosen 64-bit ids;
+/// adding an existing id replaces it.
 ///
 /// Vectors live in one contiguous row-major arena so a query is a single
 /// kernels::DotBatch sweep plus a bounded top-k selection — no per-row
@@ -19,7 +23,7 @@ namespace llmdm::vectordb {
 /// sweep then runs over the codes and only the top k·rescore_factor
 /// candidates are rescored with exact float32, so returned scores are always
 /// exact while the O(n·d) inner loop is 4-byte→1-byte.
-class FlatIndex : public VectorIndex {
+class FlatIndex {
  public:
   struct Options {
     /// Scan int8 codes and rescore the short list in float32. Returned
@@ -33,16 +37,20 @@ class FlatIndex : public VectorIndex {
   FlatIndex() = default;
   explicit FlatIndex(const Options& options) : options_(options) {}
 
-  common::Status Add(uint64_t id, Vector vector) override;
-  common::Status Remove(uint64_t id) override;
-  bool Contains(uint64_t id) const override;
-  size_t Size() const override { return id_to_slot_.size(); }
+  common::Status Add(uint64_t id, Vector vector);
+  common::Status Remove(uint64_t id);
+  bool Contains(uint64_t id) const;
+  size_t Size() const { return id_to_slot_.size(); }
 
-  std::vector<SearchResult> Search(const Vector& query,
-                                   size_t k) const override;
+  /// Top-k by cosine similarity, best first (score desc, id asc). May
+  /// return fewer than k.
+  std::vector<SearchResult> Search(const Vector& query, size_t k) const;
 
-  void ForEach(const std::function<void(uint64_t, const Vector&)>& fn)
-      const override;
+  /// Invokes `fn(id, vector)` once per live vector, in ascending id order.
+  /// The ordering is part of the contract: durability snapshots consume
+  /// this iteration and need two indexes holding the same vectors to
+  /// enumerate them identically.
+  void ForEach(const std::function<void(uint64_t, const Vector&)>& fn) const;
 
  private:
   // Grows the row stride to `new_dim`, zero-padding existing rows in place

@@ -2,10 +2,7 @@
 #define LLMDM_VECTORDB_INDEX_H_
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
-#include "common/status.h"
 #include "embed/embedder.h"
 
 namespace llmdm::vectordb {
@@ -19,29 +16,6 @@ struct SearchResult {
   float score = 0.0f;
 
   bool operator==(const SearchResult&) const = default;
-};
-
-/// Common interface for the vector indexes (flat / IVF / HNSW). Vectors are
-/// keyed by caller-chosen 64-bit ids; adding an existing id replaces it.
-class VectorIndex {
- public:
-  virtual ~VectorIndex() = default;
-
-  virtual common::Status Add(uint64_t id, Vector vector) = 0;
-  virtual common::Status Remove(uint64_t id) = 0;
-  virtual bool Contains(uint64_t id) const = 0;
-  virtual size_t Size() const = 0;
-
-  /// Top-k by cosine similarity, best first. May return fewer than k.
-  virtual std::vector<SearchResult> Search(const Vector& query,
-                                           size_t k) const = 0;
-
-  /// Invokes `fn(id, vector)` once per *live* vector, in ascending id order.
-  /// The ordering is part of the contract: durability snapshots and
-  /// rebuild-by-reinsertion both consume this iteration, and they need two
-  /// indexes holding the same vectors to enumerate them identically.
-  virtual void ForEach(
-      const std::function<void(uint64_t, const Vector&)>& fn) const = 0;
 };
 
 }  // namespace llmdm::vectordb

@@ -23,7 +23,7 @@ void AdaptiveKPredictor::Observe(size_t fetched, size_t passed) {
 
 common::Status VectorStore::Insert(StoredItem item) {
   uint64_t id = item.id;
-  LLMDM_RETURN_IF_ERROR(index_->Add(id, item.vector));
+  LLMDM_RETURN_IF_ERROR(index_.Add(id, item.vector));
   items_[id] = std::move(item);
   return common::Status::Ok();
 }
@@ -32,7 +32,7 @@ common::Status VectorStore::Remove(uint64_t id) {
   if (items_.erase(id) == 0) {
     return common::Status::NotFound("no item with id " + std::to_string(id));
   }
-  return index_->Remove(id);
+  return index_.Remove(id);
 }
 
 const StoredItem* VectorStore::Get(uint64_t id) const {
@@ -42,7 +42,7 @@ const StoredItem* VectorStore::Get(uint64_t id) const {
 
 std::vector<SearchResult> VectorStore::Search(const Vector& query,
                                               size_t k) const {
-  return index_->Search(query, k);
+  return index_.Search(query, k);
 }
 
 double VectorStore::EstimateSelectivity(const AttributePredicate& predicate,
@@ -100,7 +100,7 @@ std::vector<SearchResult> VectorStore::HybridSearch(
     for (int attempt = 0; attempt < 4; ++attempt) {
       fetch_k = std::min(fetch_k, items_.size());
       local.fetch_k = fetch_k;
-      std::vector<SearchResult> candidates = index_->Search(query, fetch_k);
+      std::vector<SearchResult> candidates = index_.Search(query, fetch_k);
       local.candidates_examined = candidates.size();
       out.clear();
       for (const SearchResult& c : candidates) {

@@ -3,13 +3,12 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "common/result.h"
 #include "data/value.h"
-#include "vectordb/index.h"
+#include "vectordb/flat_index.h"
 
 namespace llmdm::vectordb {
 
@@ -48,10 +47,10 @@ class AdaptiveKPredictor {
   double safety_;
 };
 
-/// Vector collection with attribute metadata and hybrid search. Wraps any
-/// VectorIndex (flat/IVF/HNSW) for the vector side; the attribute side is an
-/// in-memory scan (sufficient at library scale, and what the filter-ordering
-/// trade-off actually compares against).
+/// Vector collection with attribute metadata and hybrid search. Owns a
+/// FlatIndex for the vector side; the attribute side is an in-memory scan
+/// (sufficient at library scale, and what the filter-ordering trade-off
+/// actually compares against).
 class VectorStore {
  public:
   enum class FilterStrategy { kPreFilter, kPostFilter, kAdaptive };
@@ -66,9 +65,6 @@ class VectorStore {
     size_t fetch_k = 0;              // k requested from the index (post-filter)
     double estimated_selectivity = 0.0;
   };
-
-  explicit VectorStore(std::unique_ptr<VectorIndex> index)
-      : index_(std::move(index)) {}
 
   common::Status Insert(StoredItem item);
   common::Status Remove(uint64_t id);
@@ -97,7 +93,7 @@ class VectorStore {
   AdaptiveKPredictor& k_predictor() { return k_predictor_; }
 
  private:
-  std::unique_ptr<VectorIndex> index_;
+  FlatIndex index_;
   std::unordered_map<uint64_t, StoredItem> items_;
   AdaptiveKPredictor k_predictor_;
 };

@@ -23,11 +23,12 @@
 //     actually reached the file and run the same comparison.
 //
 // Units: --unit=cache (SemanticCache: insert/refresh/evict/compact),
-// prompts (PromptStore: add/evict/outcome), flat / hnsw (DurableVectorIndex:
+// prompts (PromptStore: add/evict/outcome), flat (DurableVectorIndex:
 // add/remove). Exit 0 when every offset agrees; 1 on the first divergence;
 // 2 on usage errors.
 //
-// scripts/verify.sh runs the cache and prompts sweeps as its final stage.
+// scripts/verify.sh runs the cache, prompts and flat sweeps as its
+// crash-sweep stage.
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -128,8 +129,7 @@ class PromptUnit : public Unit {
 
 class IndexUnit : public Unit {
  public:
-  explicit IndexUnit(vectordb::DurableVectorIndex::Kind kind)
-      : index_(MakeOptions(kind)) {}
+  IndexUnit() : index_({}) {}
 
   durability::DurableState* state() override { return &index_; }
   void Attach(durability::DurableStore* store) override {
@@ -149,25 +149,13 @@ class IndexUnit : public Unit {
   }
 
  private:
-  static vectordb::DurableVectorIndex::Options MakeOptions(
-      vectordb::DurableVectorIndex::Kind kind) {
-    vectordb::DurableVectorIndex::Options options;
-    options.kind = kind;
-    return options;
-  }
-
   vectordb::DurableVectorIndex index_;
 };
 
 std::unique_ptr<Unit> MakeUnit(const std::string& name) {
   if (name == "cache") return std::make_unique<CacheUnit>();
   if (name == "prompts") return std::make_unique<PromptUnit>();
-  if (name == "flat") {
-    return std::make_unique<IndexUnit>(vectordb::DurableVectorIndex::Kind::kFlat);
-  }
-  if (name == "hnsw") {
-    return std::make_unique<IndexUnit>(vectordb::DurableVectorIndex::Kind::kHnsw);
-  }
+  if (name == "flat") return std::make_unique<IndexUnit>();
   return nullptr;
 }
 
@@ -506,7 +494,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: llmdm_durability_harness --mode=sweep|point "
-      "--unit=cache|prompts|flat|hnsw --dir=DIR\n"
+      "--unit=cache|prompts|flat --dir=DIR\n"
       "        [--ops=N] [--stride=N] [--crash-after-bytes=N]\n"
       "  sweep: truncate the WAL at every (stride-sampled) byte offset and\n"
       "         assert recovery equals snapshot + clean record prefix\n"

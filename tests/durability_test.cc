@@ -805,48 +805,6 @@ TEST(DurableComponents, PromptStoreRecoversUtilityTallies) {
   EXPECT_EQ(p->successes, 2u);
 }
 
-TEST(DurableComponents, HnswIndexRecoversTheExactVectorSet) {
-  TempDir dir;
-  dir.Track("hx.snap");
-  dir.Track("hx.wal.0");
-  vectordb::DurableVectorIndex::Options options;
-  options.kind = vectordb::DurableVectorIndex::Kind::kHnsw;
-  std::vector<std::pair<uint64_t, vectordb::Vector>> want;
-  {
-    vectordb::DurableVectorIndex index(options);
-    auto store = durability::DurableStore::Open(
-        StoreOptions(dir.path(), "hx"), &index);
-    ASSERT_TRUE(store.ok());
-    index.AttachDurability(store.value().get());
-    for (uint64_t i = 0; i < 30; ++i) {
-      ASSERT_TRUE(index.Add(i, TestVector(i)).ok());
-    }
-    for (uint64_t i = 0; i < 30; i += 7) {
-      ASSERT_TRUE(index.Remove(i).ok());
-    }
-    index.ForEach([&](uint64_t id, const vectordb::Vector& v) {
-      want.emplace_back(id, v);
-    });
-  }
-  vectordb::DurableVectorIndex recovered(options);
-  auto store = durability::DurableStore::Open(StoreOptions(dir.path(), "hx"),
-                                              &recovered);
-  ASSERT_TRUE(store.ok());
-  // The durable image is the vector *set*: identical ids and floats, even
-  // though the rebuilt HNSW graph may wire them differently.
-  std::vector<std::pair<uint64_t, vectordb::Vector>> got;
-  recovered.ForEach([&](uint64_t id, const vectordb::Vector& v) {
-    got.emplace_back(id, v);
-  });
-  EXPECT_EQ(got, want);
-  // And search works over the rebuilt graph: results name live ids only.
-  auto results = recovered.Search(TestVector(9), 3);
-  ASSERT_FALSE(results.empty());
-  for (const auto& r : results) {
-    EXPECT_TRUE(recovered.Contains(r.id));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // serve::Server virtual-time maintenance hook (the checkpoint driver).
 

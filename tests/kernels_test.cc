@@ -15,8 +15,6 @@
 #include "data/nl2sql_workload.h"
 #include "embed/embedder.h"
 #include "vectordb/flat_index.h"
-#include "vectordb/hnsw_index.h"
-#include "vectordb/ivf_index.h"
 #include "vectordb/kernels.h"
 
 namespace llmdm::vectordb::kernels {
@@ -212,7 +210,7 @@ std::vector<embed::Vector> TableIIIEmbeddings() {
 }
 
 double RecallAt10(const std::vector<embed::Vector>& data,
-                  VectorIndex& exact, VectorIndex& approx) {
+                  const FlatIndex& exact, const FlatIndex& approx) {
   size_t hits = 0, total = 0;
   for (const embed::Vector& q : data) {
     auto truth = exact.Search(q, 10);
@@ -224,8 +222,7 @@ double RecallAt10(const std::vector<embed::Vector>& data,
   return total > 0 ? double(hits) / double(total) : 0.0;
 }
 
-template <typename IndexT>
-void FillIndex(const std::vector<embed::Vector>& data, IndexT* index) {
+void FillIndex(const std::vector<embed::Vector>& data, FlatIndex* index) {
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_TRUE(index->Add(i, data[i]).ok());
   }
@@ -238,32 +235,6 @@ TEST(QuantizedRecall, FlatInt8RescoreOnTableIIIWorkload) {
   FlatIndex::Options qopts;
   qopts.quantize = true;
   FlatIndex quantized(qopts);
-  FillIndex(data, &quantized);
-  EXPECT_GE(RecallAt10(data, exact, quantized), 0.99);
-}
-
-TEST(QuantizedRecall, HnswInt8RescoreOnTableIIIWorkload) {
-  auto data = TableIIIEmbeddings();
-  FlatIndex exact;
-  FillIndex(data, &exact);
-  HnswIndex::Options qopts;
-  qopts.quantize = true;
-  qopts.ef_search = 200;  // wide beam: isolates the quantization error from
-                          // HNSW's own routing approximation
-  HnswIndex quantized(qopts);
-  FillIndex(data, &quantized);
-  EXPECT_GE(RecallAt10(data, exact, quantized), 0.99);
-}
-
-TEST(QuantizedRecall, IvfInt8RescoreOnTableIIIWorkload) {
-  auto data = TableIIIEmbeddings();
-  FlatIndex exact;
-  FillIndex(data, &exact);
-  IvfIndex::Options qopts;
-  qopts.quantize = true;
-  qopts.nprobe = qopts.nlist;  // probe every cell: isolates quantization
-                               // error from the IVF pruning approximation
-  IvfIndex quantized(qopts);
   FillIndex(data, &quantized);
   EXPECT_GE(RecallAt10(data, exact, quantized), 0.99);
 }

@@ -439,43 +439,6 @@ TEST(SemanticCache, ShardedEvictionIsDeterministicAcrossRuns) {
   EXPECT_GT(a.evictions, 0u);
 }
 
-// The acceptance gate for the ANN backend: on the Table III workload shape
-// (NL2SQL queries issued twice, threshold 0.99) the HNSW-backed cache must
-// make exactly the hit/miss decisions the exact flat scan makes.
-TEST(SemanticCache, AnnLookupAgreesWithFlatOnTableIIIWorkload) {
-  common::Rng rng(20240706);
-  data::Nl2SqlWorkloadOptions wopts;
-  wopts.num_queries = 60;
-  wopts.condition_pool = 6;
-  wopts.compound_rate = 0.8;
-  auto base = data::GenerateNl2SqlWorkload(wopts, rng);
-  std::vector<std::string> stream;
-  for (const auto& q : base) stream.push_back(q.ToNaturalLanguage());
-  for (const auto& q : base) stream.push_back(q.ToNaturalLanguage());
-
-  auto run = [&](CacheIndexKind kind) {
-    SemanticCache::Options options;
-    options.similarity_threshold = 0.99;
-    options.capacity = 1024;
-    options.index = kind;
-    options.ann_min_size = 1;  // force the graph path from the first entry
-    SemanticCache cache(options);
-    std::vector<bool> decisions;
-    for (const auto& q : stream) {
-      bool hit = cache.Lookup(q).has_value();
-      decisions.push_back(hit);
-      if (!hit) cache.Insert(q, "sql");
-    }
-    return std::make_pair(decisions, cache.stats());
-  };
-  auto [flat_decisions, flat_stats] = run(CacheIndexKind::kFlat);
-  auto [ann_decisions, ann_stats] = run(CacheIndexKind::kHnsw);
-  EXPECT_EQ(ann_decisions, flat_decisions);
-  EXPECT_EQ(ann_stats.hits, flat_stats.hits);
-  EXPECT_EQ(ann_stats.insertions, flat_stats.insertions);
-  EXPECT_GT(flat_stats.hits, 0u);
-}
-
 TEST(SemanticCache, LookupBatchMatchesSequentialLookups) {
   // The batched probe (arena embedding + per-shard grouping) must be
   // semantically identical to calling Lookup() once per query in order —
@@ -672,14 +635,13 @@ TEST(SemanticCache, EvictedNearestNeighbourDoesNotShadowSecond) {
   // Bugfix regression for dead-entry shadowing: when the nearest neighbour
   // of a probe has been evicted, the probe must step past it to the live
   // second-nearest instead of reporting a miss. Exercised on both index
-  // kinds — HNSW only mark-removes, so its index can still surface dead ids.
-  for (CacheIndexKind kind : {CacheIndexKind::kFlat, CacheIndexKind::kHnsw}) {
+  // modes: the float32 scan and the int8 scan with float32 rescore.
+  for (bool quantize : {false, true}) {
     SemanticCache::Options options;
     options.capacity = 2;
     options.policy = EvictionPolicy::kLru;
     options.similarity_threshold = 0.85;
-    options.index = kind;
-    options.ann_min_size = 1;  // force the graph path from the first entry
+    options.quantize = quantize;
     SemanticCache cache(options);
     const std::string nearest =
         "What are the names of stadiums that had concerts in 2014?";
@@ -695,7 +657,7 @@ TEST(SemanticCache, EvictedNearestNeighbourDoesNotShadowSecond) {
     // The probe's top match is the evicted entry; the live paraphrase right
     // behind it must still hit.
     auto hit = cache.Lookup(nearest, common::Money::FromDollars(0.01));
-    ASSERT_TRUE(hit.has_value()) << "index kind " << static_cast<int>(kind);
+    ASSERT_TRUE(hit.has_value()) << "quantize " << quantize;
     EXPECT_EQ(hit->response, "answer second");
   }
 }

@@ -1,12 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <set>
-
 #include "common/rng.h"
 #include "vectordb/flat_index.h"
-#include "vectordb/hnsw_index.h"
-#include "vectordb/ivf_index.h"
 #include "vectordb/vector_store.h"
 
 namespace llmdm::vectordb {
@@ -27,148 +22,73 @@ std::vector<Vector> MakeDataset(size_t n, size_t dim, uint64_t seed) {
   return out;
 }
 
-// ---- shared conformance suite over all three index types -----------------
+// ---- conformance suite over both FlatIndex modes --------------------------
 
-enum class IndexKind { kFlat, kIvf, kHnsw };
+enum class IndexKind { kFlat, kFlatInt8 };
 
-std::unique_ptr<VectorIndex> MakeIndex(IndexKind kind) {
-  switch (kind) {
-    case IndexKind::kFlat:
-      return std::make_unique<FlatIndex>();
-    case IndexKind::kIvf: {
-      IvfIndex::Options o;
-      o.nlist = 8;
-      o.nprobe = 8;  // probe everything: exact for conformance checks
-      return std::make_unique<IvfIndex>(o);
-    }
-    case IndexKind::kHnsw:
-      return std::make_unique<HnswIndex>();
-  }
-  return nullptr;
+FlatIndex MakeIndex(IndexKind kind) {
+  FlatIndex::Options o;
+  o.quantize = kind == IndexKind::kFlatInt8;  // int8 scan + float32 rescore
+  return FlatIndex(o);
 }
 
 class IndexConformanceTest : public ::testing::TestWithParam<IndexKind> {};
 
 TEST_P(IndexConformanceTest, AddSearchRemove) {
-  auto index = MakeIndex(GetParam());
+  FlatIndex index = MakeIndex(GetParam());
   auto data = MakeDataset(50, 32, 1);
   for (size_t i = 0; i < data.size(); ++i) {
-    ASSERT_TRUE(index->Add(i, data[i]).ok());
+    ASSERT_TRUE(index.Add(i, data[i]).ok());
   }
-  EXPECT_EQ(index->Size(), 50u);
-  EXPECT_TRUE(index->Contains(7));
-  EXPECT_FALSE(index->Contains(999));
+  EXPECT_EQ(index.Size(), 50u);
+  EXPECT_TRUE(index.Contains(7));
+  EXPECT_FALSE(index.Contains(999));
 
   // The exact vector must be its own nearest neighbour.
-  auto results = index->Search(data[7], 1);
+  auto results = index.Search(data[7], 1);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].id, 7u);
   EXPECT_NEAR(results[0].score, 1.0f, 1e-4f);
 
-  ASSERT_TRUE(index->Remove(7).ok());
-  EXPECT_FALSE(index->Contains(7));
-  EXPECT_EQ(index->Size(), 49u);
-  results = index->Search(data[7], 1);
+  ASSERT_TRUE(index.Remove(7).ok());
+  EXPECT_FALSE(index.Contains(7));
+  EXPECT_EQ(index.Size(), 49u);
+  results = index.Search(data[7], 1);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_NE(results[0].id, 7u);
 
-  EXPECT_FALSE(index->Remove(7).ok());  // already gone
+  EXPECT_FALSE(index.Remove(7).ok());  // already gone
 }
 
 TEST_P(IndexConformanceTest, EmptyIndexReturnsNothing) {
-  auto index = MakeIndex(GetParam());
-  EXPECT_TRUE(index->Search(Vector{1.0f, 0.0f}, 5).empty());
+  FlatIndex index = MakeIndex(GetParam());
+  EXPECT_TRUE(index.Search(Vector{1.0f, 0.0f}, 5).empty());
 }
 
 TEST_P(IndexConformanceTest, KLargerThanSize) {
-  auto index = MakeIndex(GetParam());
+  FlatIndex index = MakeIndex(GetParam());
   auto data = MakeDataset(5, 16, 2);
   for (size_t i = 0; i < data.size(); ++i) {
-    ASSERT_TRUE(index->Add(i, data[i]).ok());
+    ASSERT_TRUE(index.Add(i, data[i]).ok());
   }
-  auto results = index->Search(data[0], 50);
+  auto results = index.Search(data[0], 50);
   EXPECT_EQ(results.size(), 5u);
 }
 
 TEST_P(IndexConformanceTest, ResultsSortedByScore) {
-  auto index = MakeIndex(GetParam());
+  FlatIndex index = MakeIndex(GetParam());
   auto data = MakeDataset(100, 32, 3);
   for (size_t i = 0; i < data.size(); ++i) {
-    ASSERT_TRUE(index->Add(i, data[i]).ok());
+    ASSERT_TRUE(index.Add(i, data[i]).ok());
   }
-  auto results = index->Search(data[0], 10);
+  auto results = index.Search(data[0], 10);
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_GE(results[i - 1].score, results[i].score);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllIndexes, IndexConformanceTest,
-                         ::testing::Values(IndexKind::kFlat, IndexKind::kIvf,
-                                           IndexKind::kHnsw),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case IndexKind::kFlat:
-                               return "Flat";
-                             case IndexKind::kIvf:
-                               return "Ivf";
-                             case IndexKind::kHnsw:
-                               return "Hnsw";
-                           }
-                           return "?";
-                         });
-
-// ---- recall of the approximate indexes vs the flat oracle ---------------
-
-double RecallAt10(VectorIndex& approx, FlatIndex& exact,
-                  const std::vector<Vector>& queries) {
-  size_t hits = 0, total = 0;
-  for (const Vector& q : queries) {
-    auto truth = exact.Search(q, 10);
-    auto got = approx.Search(q, 10);
-    std::set<uint64_t> truth_ids;
-    for (const auto& r : truth) truth_ids.insert(r.id);
-    for (const auto& r : got) hits += truth_ids.count(r.id);
-    total += truth.size();
-  }
-  return static_cast<double>(hits) / static_cast<double>(total);
-}
-
-TEST(IvfIndex, RecallReasonableAndImprovesWithNprobe) {
-  auto data = MakeDataset(2000, 32, 11);
-  FlatIndex exact;
-  IvfIndex::Options low_opts;
-  low_opts.nlist = 32;
-  low_opts.nprobe = 1;
-  IvfIndex low(low_opts);
-  IvfIndex::Options high_opts = low_opts;
-  high_opts.nprobe = 16;
-  IvfIndex high(high_opts);
-  for (size_t i = 0; i < data.size(); ++i) {
-    ASSERT_TRUE(exact.Add(i, data[i]).ok());
-    ASSERT_TRUE(low.Add(i, data[i]).ok());
-    ASSERT_TRUE(high.Add(i, data[i]).ok());
-  }
-  auto queries = MakeDataset(30, 32, 99);
-  double r_low = RecallAt10(low, exact, queries);
-  double r_high = RecallAt10(high, exact, queries);
-  EXPECT_GT(r_high, r_low);
-  EXPECT_GT(r_high, 0.85);
-}
-
-TEST(HnswIndex, HighRecall) {
-  auto data = MakeDataset(2000, 32, 13);
-  FlatIndex exact;
-  HnswIndex hnsw;
-  for (size_t i = 0; i < data.size(); ++i) {
-    ASSERT_TRUE(exact.Add(i, data[i]).ok());
-    ASSERT_TRUE(hnsw.Add(i, data[i]).ok());
-  }
-  auto queries = MakeDataset(30, 32, 98);
-  EXPECT_GT(RecallAt10(hnsw, exact, queries), 0.9);
-}
-
-TEST(HnswIndex, ReplaceExistingId) {
-  HnswIndex index;
+TEST_P(IndexConformanceTest, ReplaceExistingId) {
+  FlatIndex index = MakeIndex(GetParam());
   Vector a{1.0f, 0.0f};
   Vector b{0.0f, 1.0f};
   ASSERT_TRUE(index.Add(1, a).ok());
@@ -179,11 +99,19 @@ TEST(HnswIndex, ReplaceExistingId) {
   EXPECT_NEAR(res[0].score, 1.0f, 1e-5f);
 }
 
+INSTANTIATE_TEST_SUITE_P(AllIndexes, IndexConformanceTest,
+                         ::testing::Values(IndexKind::kFlat,
+                                           IndexKind::kFlatInt8),
+                         [](const auto& info) {
+                           return info.param == IndexKind::kFlat ? "Flat"
+                                                                 : "FlatInt8";
+                         });
+
 // ---- hybrid store ----------------------------------------------------------
 
 class VectorStoreTest : public ::testing::Test {
  protected:
-  VectorStoreTest() : store_(std::make_unique<FlatIndex>()) {
+  VectorStoreTest() {
     common::Rng rng(5);
     for (uint64_t i = 0; i < 200; ++i) {
       StoredItem item;
@@ -272,7 +200,7 @@ TEST(AdaptiveKPredictor, LearnsPassRate) {
 
 TEST(AdaptiveKPredictor, PostFilterShortfallGrows) {
   // A store where only ~2% pass: post-filter must still find them.
-  VectorStore store(std::make_unique<FlatIndex>());
+  VectorStore store;
   common::Rng rng(6);
   for (uint64_t i = 0; i < 500; ++i) {
     StoredItem item;
