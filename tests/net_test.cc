@@ -921,6 +921,10 @@ TEST(NetLoopback, MetricsCountTheConversation) {
   auto result = client.Call(r);
   ASSERT_TRUE(result.ok());
 
+  // NetServer counts bytes_tx after write() returns, so the client can hold
+  // its response before the count lands. Shutdown joins the loop thread,
+  // which orders the read below after every count the loop made.
+  harness.server().Shutdown();
   net::NetStats stats = harness.server().stats();
   EXPECT_EQ(stats.connections_accepted, 1u);
   EXPECT_EQ(stats.requests_rx, 1u);
