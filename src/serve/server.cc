@@ -772,6 +772,7 @@ void Server::ExecuteCoalesced(const Work& work) {
 
   Response r;
   r.id = req.id;
+  r.tenant = req.tenant;
   r.coalesced = true;
   r.status = status;
   if (status.ok()) {

@@ -684,6 +684,43 @@ TEST(ServeQos, DeterministicAcrossRunsAndWorkerCounts) {
   EXPECT_EQ(two, RunQosWorkload(8));
 }
 
+TEST(ServeQos, CoalescedFollowerIsBookedUnderItsOwnTenant) {
+  // A coalesced follower's response carries its own request's tenant, so
+  // tenant_stats() books its latency and SLO there, not under the default
+  // tenant: no tenant can count more good responses than it submitted.
+  serve::Server::Options options;
+  options.worker_threads = 2;
+  options.virtual_concurrency = 2;
+  options.queue_depth = 24;
+  options.single_flight = true;
+  for (const char* id : {"a", "b"}) {
+    serve::TenantConfig cfg;
+    cfg.id = id;
+    options.qos.tenants.push_back(cfg);
+  }
+  serve::Server server(MakeModel("sim-serve", 400.0, 3), options);
+  // Three tenants ("" is the default one) take turns asking the same
+  // question six times in a row, so every tenant's followers ride leaders
+  // of the others.
+  std::map<uint64_t, std::string> tenant_of;
+  for (size_t i = 0; i < 48; ++i) {
+    serve::Request req = MakeRequest(i, static_cast<double>(i) * 2.0,
+                                     common::StrFormat("shared %zu", i / 6));
+    req.tenant = (i % 3 == 0) ? "a" : (i % 3 == 1 ? "b" : "");
+    tenant_of[req.id] = req.tenant;
+    server.Submit(req);
+  }
+  size_t followers = 0;
+  for (const serve::Response& r : server.Drain()) {
+    EXPECT_EQ(r.tenant, tenant_of[r.id]) << "response " << r.id;
+    if (r.coalesced) ++followers;
+  }
+  EXPECT_GT(followers, 0u);
+  for (const serve::TenantStats& t : server.tenant_stats()) {
+    EXPECT_LE(t.slo_attainment, 1.0) << t.tenant;
+  }
+}
+
 struct StarvationSoakResult {
   size_t weak_completed = 0;
   double max_weak_wait = 0.0;
