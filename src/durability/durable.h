@@ -33,7 +33,7 @@ class Snapshottable {
 
   /// Rebuilds state from an image produced by SaveSnapshot. Called on an
   /// empty component (after ResetToEmpty); derived data (embeddings, token
-  /// counts, index graphs) is recomputed deterministically.
+  /// counts, int8 index codes) is recomputed deterministically.
   virtual common::Status LoadSnapshot(ByteReader& in) = 0;
 };
 
