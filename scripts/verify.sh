@@ -114,23 +114,27 @@ TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_net_tests" \
   --gtest_brief=1
 echo "ok: concurrency and net suites race-free under ThreadSanitizer"
 
-stage "address + undefined-behaviour sanitizers (main + durability suites)"
-# A third fresh tree with -DLLMDM_SANITIZE=ON, building only the main suite
-# and the durability suite plus its crash harness (the ctest durability
-# label runs the harness sweeps instrumented). As for TSan, the extra cmake
-# args are not forwarded. UBSan reports fail the run only with
-# halt_on_error set; there are no suppressions.
+stage "address + undefined-behaviour sanitizers (all suites)"
+# A third fresh tree with -DLLMDM_SANITIZE=ON, building every test suite
+# plus the durability crash harness (the ctest durability label runs the
+# harness sweeps instrumented). As for TSan, the extra cmake args are not
+# forwarded. UBSan reports fail the run only with halt_on_error set; there
+# are no suppressions.
 asan_dir="${build_dir}-asan"
 rm -rf "${asan_dir}"
 cmake -B "${asan_dir}" -S "${repo_root}" "${generator[@]}" -DLLMDM_SANITIZE=ON \
   >/dev/null
 cmake --build "${asan_dir}" -j "$(nproc)" \
-  --target llmdm_tests llmdm_durability_tests llmdm_durability_harness
+  --target llmdm_tests llmdm_durability_tests llmdm_durability_harness \
+  llmdm_robustness_tests llmdm_concurrency_tests llmdm_net_tests
 export ASAN_OPTIONS=halt_on_error=1
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 ctest --test-dir "${asan_dir}" --output-on-failure -j "$(nproc)" -L durability
-"${asan_dir}/tests/llmdm_tests" --gtest_brief=1
+for suite in llmdm_tests llmdm_robustness_tests llmdm_concurrency_tests \
+    llmdm_net_tests; do
+  "${asan_dir}/tests/${suite}" --gtest_brief=1
+done
 unset ASAN_OPTIONS UBSAN_OPTIONS
-echo "ok: main and durability suites clean under ASan + UBSan"
+echo "ok: every test suite clean under ASan + UBSan"
 
 echo "VERIFY PASSED (${build_dir})"

@@ -18,6 +18,10 @@ namespace {
 /// Options::quantize (k * rescore_factor + 8 rows are rescored), so
 /// changing it can move which entry a quantized probe returns.
 constexpr size_t kLookupProbeWidth = 4;
+/// Insert refreshes an entry scoring above this against its query instead
+/// of adding a near-duplicate. Compared as a double, so a float score of
+/// exactly 0.999f (which is above 0.999) refreshes.
+constexpr double kRefreshSimilarity = 0.999;
 }  // namespace
 
 SemanticCache::SemanticCache(const Options& options) : options_(options) {
@@ -46,6 +50,7 @@ void SemanticCache::InitShards() {
         base + (i < extra ? 1 : 0), options_.doorkeeper_capacity));
     Shard& shard = *shards_.back();
     shard.shard_id = i;
+    BumpIndexVersion(shard);
     obs::Labels labels{{"shard", std::to_string(i)}};
     ShardMetrics& m = shard.metrics;
     m.lookups = registry_->GetCounter("llmdm_cache_lookups_total", labels);
@@ -67,6 +72,11 @@ void SemanticCache::InitShards() {
     m.live_entries->Set(0);
     m.slots->Set(0);
   }
+}
+
+void SemanticCache::BumpIndexVersion(Shard& shard) {
+  shard.index_version =
+      index_versions_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 size_t SemanticCache::ShardIndexFor(std::string_view query) const {
@@ -101,6 +111,7 @@ void SemanticCache::KillSlot(Shard& shard, size_t slot) {
   std::string().swap(evicted.response);
   embed::Vector().swap(evicted.embedding);
   shard.index.Remove(slot).ok();  // ignore status: id is known-present
+  BumpIndexVersion(shard);
   --shard.live_count;
   ++shard.dead_count;
   shard.metrics.evictions->Add(1);
@@ -155,6 +166,7 @@ void SemanticCache::CompactShard(Shard& shard) {
   for (size_t i = 0; i < shard.entries.size(); ++i) {
     shard.index.Add(i, shard.entries[i].embedding).ok();
   }
+  BumpIndexVersion(shard);
   shard.dead_count = 0;
   ++shard.generation;
   shard.metrics.compactions->Add(1);
@@ -163,14 +175,29 @@ void SemanticCache::CompactShard(Shard& shard) {
 
 std::optional<SemanticCache::Hit> SemanticCache::Lookup(
     const std::string& query, common::Money avoided_cost,
-    common::Money output_price_per_1k) {
+    common::Money output_price_per_1k, Miss* miss) {
   // Embedding is the expensive half of a lookup; do it before taking any
   // lock so concurrent lookups only serialize on the (cheap) shard scan.
   embed::Vector q;
   embedder_.EmbedInto(query, &q);
   Shard& shard = *shards_[ShardIndexFor(query)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return ProbeShardLocked(shard, q, avoided_cost, output_price_per_1k);
+  float top_score = 0.0f;
+  uint64_t version = 0;
+  std::optional<Hit> hit;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    hit = ProbeShardLocked(shard, q, avoided_cost, output_price_per_1k,
+                           &top_score);
+    version = shard.index_version;
+  }
+  if (!hit.has_value() && miss != nullptr) {
+    miss->cache = this;
+    miss->query = query;
+    miss->embedding = std::move(q);
+    miss->version = version;
+    miss->best_score = top_score;
+  }
+  return hit;
 }
 
 std::vector<std::optional<SemanticCache::Hit>> SemanticCache::LookupBatch(
@@ -208,14 +235,20 @@ std::vector<std::optional<SemanticCache::Hit>> SemanticCache::LookupBatch(
 
 std::optional<SemanticCache::Hit> SemanticCache::ProbeShardLocked(
     Shard& shard, const embed::Vector& q, common::Money avoided_cost,
-    common::Money output_price_per_1k) {
+    common::Money output_price_per_1k, float* top_score) {
   shard.metrics.lookups->Add(1);
   ++shard.tick;
+  if (top_score != nullptr) {
+    *top_score = -std::numeric_limits<float>::infinity();
+  }
   if (shard.live_count == 0) return std::nullopt;
   // Probe a few neighbours and take the best *live* one (see
   // kLookupProbeWidth).
   const std::vector<vectordb::SearchResult> results =
       shard.index.Search(q, kLookupProbeWidth);
+  if (top_score != nullptr && !results.empty()) {
+    *top_score = results.front().score;
+  }
   const vectordb::SearchResult* best = nullptr;
   for (const auto& r : results) {
     if (r.id < shard.entries.size() && shard.entries[r.id].live) {
@@ -317,13 +350,21 @@ std::vector<SemanticCache::Hit> SemanticCache::TopKForAugmentation(
 
 void SemanticCache::Insert(const std::string& query,
                            const std::string& response,
-                           common::Money cost_to_produce) {
-  // Embed before locking (see Lookup). Predictive admission may then throw
-  // the embedding away on a first sighting — accepted: rejections are rare
-  // per recurring query, and keeping one critical section preserves the
+                           common::Money cost_to_produce, Miss* miss) {
+  // Take the embedding from this cache's Lookup of this query, or embed
+  // before locking (see Lookup). Either way predictive admission may then
+  // drop it on a first sighting — accepted: rejections are rare per
+  // recurring query, and keeping one critical section preserves the
   // pre-sharding semantics under every interleaving.
+  const bool handed =
+      miss != nullptr && miss->cache == this && miss->query == query;
   embed::Vector q;
-  embedder_.EmbedInto(query, &q);
+  if (handed) {
+    q = std::move(miss->embedding);
+    miss->cache = nullptr;  // consumed: its embedding is gone
+  } else {
+    embedder_.EmbedInto(query, &q);
+  }
   // Commit gate before the shard lock (ordering: gate -> shard.mu -> WAL
   // file mutex): the mutation and its WAL record must land on the same side
   // of any concurrent Checkpoint, or replay would re-apply an operation the
@@ -343,9 +384,17 @@ void SemanticCache::Insert(const std::string& query,
     }
   }
   shard.metrics.insertions->Add(1);
-  // Refresh an existing (near-)identical key instead of duplicating it.
-  auto nearest = shard.index.Search(q, 1);
-  if (!nearest.empty() && nearest[0].score > 0.999) {
+  // Refresh an existing (near-)identical key instead of duplicating it. A
+  // handed probe of the unchanged index already settles that there is none
+  // when its best score fails the refresh test: the probe ranked the whole
+  // shard and the top-1 search returns its best (float32), or rescores a
+  // subset of the probe's int8 short list (quantize), so the search could
+  // only score the same or lower.
+  const bool probe_settles = handed && miss->version == shard.index_version &&
+                             !(miss->best_score > kRefreshSimilarity);
+  std::vector<vectordb::SearchResult> nearest;
+  if (!probe_settles) nearest = shard.index.Search(q, 1);
+  if (!nearest.empty() && nearest[0].score > kRefreshSimilarity) {
     Entry& entry = shard.entries[nearest[0].id];
     if (entry.live) {
       entry.response = response;
@@ -372,6 +421,7 @@ void SemanticCache::Insert(const std::string& query,
   size_t id = shard.entries.size();
   shard.entries.push_back(std::move(entry));
   shard.index.Add(id, shard.entries.back().embedding).ok();
+  BumpIndexVersion(shard);
   ++shard.live_count;
   shard.metrics.live_entries->Set(static_cast<int64_t>(shard.live_count));
   shard.metrics.slots->Set(static_cast<int64_t>(shard.entries.size()));
@@ -489,6 +539,7 @@ common::Status SemanticCache::LoadSnapshot(durability::ByteReader& in) {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
+    BumpIndexVersion(shard);  // before any Add, so an early return is covered
     uint64_t slots = 0;
     LLMDM_RETURN_IF_ERROR(in.ReadU64(&slots));
     shard.entries.reserve(slots);
@@ -562,6 +613,7 @@ common::Status SemanticCache::ApplyInsertRecord(durability::ByteReader& in) {
   size_t id = shard.entries.size();
   shard.entries.push_back(std::move(entry));
   shard.index.Add(id, shard.entries.back().embedding).ok();
+  BumpIndexVersion(shard);
   ++shard.live_count;
   shard.metrics.insertions->Add(1);
   shard.metrics.live_entries->Set(static_cast<int64_t>(shard.live_count));
@@ -639,8 +691,9 @@ common::Result<llm::Completion> CachedLlm::Complete(const llm::Prompt& prompt) {
     probe = prompt.trace->StartSpan("cache_probe", probe_start,
                                     prompt.trace_parent);
   }
+  SemanticCache::Miss miss;
   if (auto hit = cache_->Lookup(prompt.input, avoided,
-                                spec().output_price_per_1k);
+                                spec().output_price_per_1k, &miss);
       hit.has_value()) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     if (probe != nullptr) {
@@ -665,7 +718,7 @@ common::Result<llm::Completion> CachedLlm::Complete(const llm::Prompt& prompt) {
     prompt.trace->EndSpan(probe, probe_start + 1.0);
   }
   LLMDM_ASSIGN_OR_RETURN(llm::Completion c, inner_->Complete(prompt));
-  cache_->Insert(prompt.input, c.text, c.cost);
+  cache_->Insert(prompt.input, c.text, c.cost, &miss);
   return c;
 }
 

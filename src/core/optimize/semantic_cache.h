@@ -2,6 +2,7 @@
 #define LLMDM_CORE_OPTIMIZE_SEMANTIC_CACHE_H_
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -140,6 +141,21 @@ class SemanticCache : public durability::DurableState {
     }
   };
 
+  /// What a missed Lookup learned about its query, handed to the Insert
+  /// that follows the model call so a miss embeds the query and scans its
+  /// shard once (CachedLlm::Complete passes one along). Lookup fills it only
+  /// on a miss; Insert consumes it. Only the issuing cache trusts it, and
+  /// only for the query it was issued for.
+  struct Miss {
+    const SemanticCache* cache = nullptr;  // the issuer; null: untrusted
+    std::string query;
+    embed::Vector embedding;
+    /// The query's shard's index version, read under the probe's lock.
+    uint64_t version = 0;
+    /// The probe's best score; -inf when the shard held no candidate.
+    float best_score = -std::numeric_limits<float>::infinity();
+  };
+
   explicit SemanticCache(const Options& options);
 
   /// Reuse lookup: the best *live* cached entry with similarity >=
@@ -148,11 +164,13 @@ class SemanticCache : public durability::DurableState {
   /// LLM call's *input* side would have cost; when `output_price_per_1k` is
   /// non-zero the hit additionally credits the output tokens the cached
   /// response replaces — both halves of the bill land in Hit::saved and the
-  /// stats ledger.
+  /// stats ledger. On a miss, a non-null `miss` receives the probe's
+  /// embedding, shard index version and best score for Insert (see Miss).
   std::optional<Hit> Lookup(
       const std::string& query,
       common::Money avoided_cost = common::Money::Zero(),
-      common::Money output_price_per_1k = common::Money::Zero());
+      common::Money output_price_per_1k = common::Money::Zero(),
+      Miss* miss = nullptr);
 
   /// Batched reuse lookup: semantically identical to calling Lookup() once
   /// per query in order (same hits, same stats, same tick sequence per
@@ -178,9 +196,20 @@ class SemanticCache : public durability::DurableState {
                                  double relaxed_threshold) const;
 
   /// Inserts (or refreshes) a query/response pair into the query's shard,
-  /// evicting within that shard if it is over its capacity share.
+  /// evicting within that shard if it is over its capacity share. An entry
+  /// scoring above 0.999 against the query is refreshed in place; finding
+  /// it takes a top-1 search of the shard.
+  ///
+  /// `miss`, when it holds this cache's Lookup of this same query, saves
+  /// work without changing any decision: Insert takes its embedding instead
+  /// of embedding the query again (the handle is consumed), and skips the
+  /// search when the shard's index has not changed since the probe and the
+  /// probe's best score was not above 0.999 — the top-1 search could then
+  /// only have found the same or a lower score. In every other case Insert
+  /// searches, exactly as without a handle.
   void Insert(const std::string& query, const std::string& response,
-              common::Money cost_to_produce = common::Money::Zero());
+              common::Money cost_to_produce = common::Money::Zero(),
+              Miss* miss = nullptr);
 
   /// Live entries across all shards.
   size_t Size() const;
@@ -282,6 +311,11 @@ class SemanticCache : public durability::DurableState {
     /// references held across an unlock — TopKForAugmentation's phase 2 —
     /// check it before dereferencing.
     uint64_t generation = 0;
+    /// Replaced from the cache-wide index_versions_ counter on every index
+    /// mutation (add, remove, rebuild) and at shard creation, so equal
+    /// versions mean an unchanged index — even across ResetToEmpty. Miss
+    /// handles record it.
+    uint64_t index_version = 0;
     size_t capacity = 0;  // this shard's share of Options::capacity
     size_t shard_id = 0;  // position in shards_, for WAL record encoding
     Doorkeeper doorkeeper;
@@ -312,10 +346,15 @@ class SemanticCache : public durability::DurableState {
   /// shard.mu.
   void CompactShard(Shard& shard);
   /// The post-embedding body of Lookup (tick, probe, threshold, credit) —
-  /// shared with LookupBatch. Requires shard.mu.
+  /// shared with LookupBatch. A non-null `top_score` receives the probe's
+  /// best score (-inf when the shard is empty). Requires shard.mu.
   std::optional<Hit> ProbeShardLocked(Shard& shard, const embed::Vector& q,
                                       common::Money avoided_cost,
-                                      common::Money output_price_per_1k);
+                                      common::Money output_price_per_1k,
+                                      float* top_score = nullptr);
+  /// Stamps `shard` with a fresh index version (see Shard::index_version).
+  /// Requires shard.mu once the shard is reachable from other threads.
+  void BumpIndexVersion(Shard& shard);
 
   Options options_;
   embed::HashingEmbedder embedder_;
@@ -324,6 +363,7 @@ class SemanticCache : public durability::DurableState {
   std::unique_ptr<obs::Registry> owned_registry_;
   obs::Registry* registry_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<uint64_t> index_versions_{0};  // last version handed out
   durability::DurableStore* durable_ = nullptr;  // not owned; may be null
 };
 

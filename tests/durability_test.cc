@@ -740,6 +740,134 @@ TEST(DurableComponents, SemanticCacheSurvivesInsertRefreshEvictCompact) {
   EXPECT_EQ(hit->response, "answer 39");
 }
 
+TEST(DurableComponents, SemanticCacheMissHandoffWritesTheSameBytes) {
+  // CachedLlm hands each missed Lookup's probe to its Insert, which then
+  // reuses the embedding and may skip its near-duplicate search. Neither
+  // may change a decision: a cache driven through CachedLlm must end with
+  // the same snapshot, WAL, stats and slots as one fed the same stream
+  // through Lookup plus a handle-less Insert. Repeats and paraphrases over
+  // a small two-shard cache make inserts, evictions and compactions happen;
+  // a threshold no score reaches also sends every repeat down the refresh
+  // path.
+  const std::vector<std::string> topics = {
+      "stadiums that hosted concerts in 2014",
+      "patients with a diabetes diagnosis",
+      "average salary by department",
+      "flights delayed out of boston",
+      "novels written by tolstoy",
+      "students enrolled in calculus",
+      "orders shipped to canada last week",
+      "movies released before 1990",
+      "employees hired after march",
+      "rivers longer than a thousand kilometres",
+      "songs recorded by the beatles",
+      "cars with electric engines",
+      "museums open on sundays"};
+  // Even steps repeat three hot topics verbatim; odd steps churn through
+  // paraphrases of the other ten.
+  std::vector<std::string> stream;
+  for (size_t i = 0; i < 90; ++i) {
+    const size_t j = i / 2;
+    if (i % 2 == 0) {
+      stream.push_back(topics[j % 3]);
+      continue;
+    }
+    const std::string& topic = topics[3 + (j * 7) % 10];
+    switch (j % 3) {
+      case 0: stream.push_back(topic); break;
+      case 1: stream.push_back("show me " + topic); break;
+      default: stream.push_back("list all " + topic + " please"); break;
+    }
+  }
+  struct Outcome {
+    std::string snapshot;
+    std::string wal;
+    optimize::SemanticCache::Stats stats;
+    size_t live = 0;
+    size_t slots = 0;
+    uint64_t compactions = 0;
+  };
+  auto run = [&](const optimize::SemanticCache::Options& options,
+                 bool through_cached_llm) {
+    TempDir dir;
+    dir.Track("cache.snap");
+    dir.Track("cache.wal.0");
+    optimize::SemanticCache cache(options);
+    auto store = durability::DurableStore::Open(
+        StoreOptions(dir.path(), "cache"), &cache);
+    EXPECT_TRUE(store.ok());
+    cache.AttachDurability(store.value().get());
+    std::shared_ptr<llm::LlmModel> model =
+        llm::CreatePaperModelLadder(nullptr, 41)[2];
+    optimize::CachedLlm cached(model, &cache);
+    for (const std::string& query : stream) {
+      const llm::Prompt prompt = llm::MakePrompt("freeform", query);
+      if (through_cached_llm) {
+        EXPECT_TRUE(cached.Complete(prompt).ok());
+        continue;
+      }
+      const common::Money avoided = llm::PriceTokens(
+          model->spec().input_price_per_1k, prompt.CountInputTokens());
+      if (cache.Lookup(query, avoided, model->spec().output_price_per_1k)
+              .has_value()) {
+        continue;
+      }
+      auto answer = model->Complete(prompt);
+      EXPECT_TRUE(answer.ok());
+      cache.Insert(query, answer->text, answer->cost);
+    }
+    Outcome out;
+    out.snapshot = Image(cache);
+    out.wal = ReadFileBytes(dir.path() + "/cache.wal.0");
+    out.stats = cache.stats();
+    out.live = cache.Size();
+    out.slots = cache.TotalSlots();
+    for (const char* shard : {"0", "1"}) {
+      out.compactions +=
+          cache.registry()
+              ->GetCounter("llmdm_cache_compactions_total", {{"shard", shard}})
+              ->value();
+    }
+    return out;
+  };
+  for (bool quantize : {false, true}) {
+    for (double threshold : {0.85, 2.0}) {
+      SCOPED_TRACE("quantize " + std::to_string(quantize) + " threshold " +
+                   std::to_string(threshold));
+      optimize::SemanticCache::Options options;
+      options.capacity = 6;
+      options.num_shards = 2;
+      options.compact_min_dead = 2;
+      options.similarity_threshold = threshold;
+      options.quantize = quantize;
+      const Outcome plain = run(options, false);
+      const Outcome handed = run(options, true);
+      EXPECT_EQ(handed.snapshot, plain.snapshot);
+      EXPECT_EQ(handed.wal, plain.wal);
+      EXPECT_EQ(handed.stats.lookups, plain.stats.lookups);
+      EXPECT_EQ(handed.stats.hits, plain.stats.hits);
+      EXPECT_EQ(handed.stats.insertions, plain.stats.insertions);
+      EXPECT_EQ(handed.stats.evictions, plain.stats.evictions);
+      EXPECT_EQ(handed.stats.admission_rejections,
+                plain.stats.admission_rejections);
+      EXPECT_EQ(handed.stats.saved, plain.stats.saved);
+      EXPECT_EQ(handed.live, plain.live);
+      EXPECT_EQ(handed.slots, plain.slots);
+      EXPECT_EQ(handed.compactions, plain.compactions);
+      // The stream really does exercise every mutation kind.
+      EXPECT_GT(plain.stats.evictions, 0u);
+      EXPECT_GT(plain.compactions, 0u);
+      if (threshold > 1.0) {
+        EXPECT_EQ(plain.stats.hits, 0u);
+        // Every insertion that did not add a live or evicted slot refreshed.
+        EXPECT_GT(plain.stats.insertions, plain.stats.evictions + plain.live);
+      } else {
+        EXPECT_GT(plain.stats.hits, 0u);
+      }
+    }
+  }
+}
+
 TEST(DurableComponents, SemanticCacheRejectsSnapshotWithWrongShardCount) {
   TempDir dir;
   dir.Track("cache.snap");

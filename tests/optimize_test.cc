@@ -8,6 +8,7 @@
 #include "core/optimize/semantic_cache.h"
 #include "data/nl2sql_workload.h"
 #include "data/qa_workload.h"
+#include "durability/format.h"
 #include "llm/simulated.h"
 #include "sql/database.h"
 #include "text/tokenizer.h"
@@ -660,6 +661,118 @@ TEST(SemanticCache, EvictedNearestNeighbourDoesNotShadowSecond) {
     ASSERT_TRUE(hit.has_value()) << "quantize " << quantize;
     EXPECT_EQ(hit->response, "answer second");
   }
+}
+
+const std::string kHandoffQuery = "which stadiums hosted concerts in 2014";
+const std::vector<std::string> kUnrelated = {
+    "patients with a diabetes diagnosis", "average salary by department",
+    "flights delayed out of boston", "novels written by tolstoy"};
+
+TEST(SemanticCache, StaleMissHandleStillRefreshes) {
+  // A handle-less Insert of the same query — a concurrent duplicate — lands
+  // between a missed probe and the Insert it hands its probe to: alone,
+  // with an eviction, and with an eviction plus a compaction. The probe saw
+  // no near-duplicate, but the index has changed since, so the handed
+  // Insert must search, find the duplicate and refresh it.
+  for (size_t warm : {0, 2, 4}) {
+    SCOPED_TRACE("warm entries " + std::to_string(warm));
+    SemanticCache::Options options;
+    options.capacity = 2;
+    options.policy = EvictionPolicy::kLru;
+    options.compact_min_dead = 2;
+    SemanticCache cache(options);
+    for (size_t i = 0; i < warm; ++i) cache.Insert(kUnrelated[i], "warm");
+    SemanticCache::Miss miss;
+    ASSERT_FALSE(cache.Lookup(kHandoffQuery, common::Money::Zero(),
+                              common::Money::Zero(), &miss)
+                     .has_value());
+    const size_t evictions = cache.stats().evictions;
+    cache.Insert(kHandoffQuery, "a");
+    EXPECT_EQ(cache.stats().evictions, evictions + (warm > 0 ? 1 : 0));
+    const size_t size = cache.Size();
+    const size_t slots = cache.TotalSlots();
+    // With four warm entries the eviction crosses the dead-slot bound, and
+    // the compaction leaves only the two live slots.
+    EXPECT_EQ(slots, warm == 4 ? 2u : warm + 1);
+    cache.Insert(kHandoffQuery, "b", common::Money::Zero(), &miss);
+    EXPECT_EQ(cache.Size(), size);
+    EXPECT_EQ(cache.TotalSlots(), slots);
+    auto hit = cache.Lookup(kHandoffQuery);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->response, "b");
+  }
+}
+
+TEST(SemanticCache, MissHandleDoesNotOutliveAReset) {
+  // Recovery recreates the shards (ResetToEmpty) and reloads them; the
+  // reloaded index holds the query the handle's probe did not see. Shard
+  // versions come from one cache-wide counter, so the handle cannot match
+  // the rebuilt shard even though it went through as many mutations.
+  SemanticCache cache(SemanticCache::Options{});
+  cache.Insert(kUnrelated[0], "x");
+  SemanticCache::Miss miss;
+  ASSERT_FALSE(cache.Lookup(kHandoffQuery, common::Money::Zero(),
+                            common::Money::Zero(), &miss)
+                   .has_value());
+  cache.Insert(kHandoffQuery, "a");
+  std::string image;
+  ASSERT_TRUE(cache.SaveSnapshot(&image).ok());
+  cache.ResetToEmpty();
+  durability::ByteReader in(image);
+  ASSERT_TRUE(cache.LoadSnapshot(in).ok());
+  cache.Insert(kHandoffQuery, "b", common::Money::Zero(), &miss);
+  EXPECT_EQ(cache.Size(), 2u);
+  EXPECT_EQ(cache.TotalSlots(), 2u);
+  auto hit = cache.Lookup(kHandoffQuery);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->response, "b");
+}
+
+TEST(SemanticCache, MissHandleFromAnotherCacheIsIgnored) {
+  // Two caches with histories of equal length hold equal index versions, so
+  // only the issuer check stops B's handle — whose probe saw nothing near
+  // the query — from letting A skip the search that finds A's entry.
+  SemanticCache a(SemanticCache::Options{});
+  SemanticCache b(SemanticCache::Options{});
+  a.Insert(kHandoffQuery, "a");
+  b.Insert(kUnrelated[0], "other");
+  SemanticCache::Miss miss;
+  ASSERT_FALSE(b.Lookup(kHandoffQuery, common::Money::Zero(),
+                        common::Money::Zero(), &miss)
+                   .has_value());
+  a.Insert(kHandoffQuery, "b", common::Money::Zero(), &miss);
+  EXPECT_EQ(a.Size(), 1u);
+  EXPECT_EQ(a.TotalSlots(), 1u);
+  auto hit = a.Lookup(kHandoffQuery);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->response, "b");
+}
+
+TEST(SemanticCache, MissHandleServesOnlyItsQueryOnce) {
+  // A handle carries its query's embedding: passed with another query, or
+  // a second time after Insert consumed it, it must be ignored, or the
+  // entry would be stored under the wrong (or an empty) embedding.
+  SemanticCache cache(SemanticCache::Options{});
+  SemanticCache::Miss miss;
+  ASSERT_FALSE(cache.Lookup(kHandoffQuery, common::Money::Zero(),
+                            common::Money::Zero(), &miss)
+                   .has_value());
+  cache.Insert(kUnrelated[1], "salaries", common::Money::Zero(), &miss);
+  auto other = cache.Lookup(kUnrelated[1]);
+  ASSERT_TRUE(other.has_value());
+  EXPECT_EQ(other->response, "salaries");
+  EXPECT_FALSE(cache.Lookup(kHandoffQuery).has_value());
+
+  ASSERT_FALSE(cache.Lookup(kHandoffQuery, common::Money::Zero(),
+                            common::Money::Zero(), &miss)
+                   .has_value());
+  cache.Insert(kHandoffQuery, "a", common::Money::Zero(), &miss);
+  cache.Insert(kHandoffQuery, "b", common::Money::Zero(), &miss);
+  EXPECT_EQ(cache.Size(), 2u);
+  auto hit = cache.Lookup(kHandoffQuery);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->response, "b");
+  EXPECT_GT(hit->similarity, 0.999);
 }
 
 // ---- prompt store -----------------------------------------------------------------
