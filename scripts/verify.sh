@@ -97,8 +97,49 @@ sweep_dir="$(mktemp -d "${build_dir}/crash-sweep.XXXXXX")"
 rm -rf "${sweep_dir}"
 echo "ok: recovery is a clean prefix at every truncation offset"
 
+stage "scalar dispatch (Tables I-III + smoke cells vs. the SIMD tree)"
+# A second fresh tree with -DLLMDM_FORCE_SCALAR=ON, building only the table
+# benches and the serve bench. Every dispatch level is bit-identical by the
+# kernel contract (vectordb/kernels.h), so Tables I-III and the three smoke
+# cells' stdout and registry exports must match the main tree's byte for
+# byte. The extra cmake args are not forwarded.
+scalar_dir="${build_dir}-scalar"
+rm -rf "${scalar_dir}"
+cmake -B "${scalar_dir}" -S "${repo_root}" "${generator[@]}" \
+  -DLLMDM_FORCE_SCALAR=ON >/dev/null
+cmake --build "${scalar_dir}" -j "$(nproc)" --target bench_table1_cascade \
+  bench_table2_decomposition bench_table3_cache bench_serve_overload
+tables=(bench_table1_cascade bench_table2_decomposition bench_table3_cache)
+cells=(benchmark-smoke qos-smoke batch-smoke)
+# Runs every table and smoke cell of the tree $1 inside the directory $2.
+# The metrics path is relative, so the "wrote <path>" line each smoke cell
+# prints is the same for both trees.
+run_outputs() {
+  local bench_dir
+  bench_dir="$(cd "$1/bench" && pwd)"
+  mkdir -p "$2"
+  (
+    cd "$2"
+    for table in "${tables[@]}"; do
+      "${bench_dir}/${table}" >"${table}.txt"
+    done
+    for cell in "${cells[@]}"; do
+      "${bench_dir}/bench_serve_overload" "--${cell}" \
+        --metrics-out="${cell}.prom" >"${cell}.txt"
+    done
+  )
+}
+run_outputs "${build_dir}" "${scalar_dir}/out-simd"
+run_outputs "${scalar_dir}" "${scalar_dir}/out-scalar"
+compared=0
+for file in "${tables[@]/%/.txt}" "${cells[@]/%/.txt}" "${cells[@]/%/.prom}"; do
+  cmp "${scalar_dir}/out-simd/${file}" "${scalar_dir}/out-scalar/${file}"
+  compared=$((compared + 1))
+done
+echo "ok: scalar dispatch reproduces all ${compared} outputs byte for byte"
+
 stage "thread sanitizer (concurrency + net suites)"
-# A second fresh tree with -DLLMDM_TSAN=ON, building only the two suites
+# A third fresh tree with -DLLMDM_TSAN=ON, building only the two suites
 # that race real threads over the serve layer (including its golden pin)
 # and the net event loop. The extra cmake args are not forwarded: TSan
 # cannot be combined with -DLLMDM_SANITIZE=ON.
@@ -115,7 +156,7 @@ TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_net_tests" \
 echo "ok: concurrency and net suites race-free under ThreadSanitizer"
 
 stage "address + undefined-behaviour sanitizers (all suites)"
-# A third fresh tree with -DLLMDM_SANITIZE=ON, building every test suite
+# A fourth fresh tree with -DLLMDM_SANITIZE=ON, building every test suite
 # plus the durability crash harness (the ctest durability label runs the
 # harness sweeps instrumented). As for TSan, the extra cmake args are not
 # forwarded. UBSan reports fail the run only with halt_on_error set; there

@@ -1,12 +1,22 @@
 #include "embed/embedder.h"
 
+#include <cctype>
 #include <cmath>
+#include <string>
 
 #include "common/hash.h"
 #include "text/tokenizer.h"
 #include "vectordb/kernels.h"
 
 namespace llmdm::embed {
+
+namespace {
+
+// EmbedInto's per-thread scratch keeps its capacity up to this many text
+// bytes; typical prompts are far shorter.
+constexpr size_t kMaxKeptScratchBytes = 64 << 10;
+
+}  // namespace
 
 // The three distance functions route through the dispatched kernels
 // (vectordb/kernels.h). The kernels' lane-equivalent reduction contract makes
@@ -65,42 +75,62 @@ void HashingEmbedder::EmbedInto(std::string_view text, float* out) const {
     float sign = ((h >> 61) & 1) ? 1.0f : -1.0f;
     v[bucket] += sign * weight;
   };
-  auto fold = [](char c) {
-    return static_cast<unsigned char>(
-        std::tolower(static_cast<unsigned char>(c)));
-  };
+
+  // Fold once: '^' + lower(text) + '$' (what CharNgrams materializes) goes
+  // into a per-thread buffer that keeps its capacity, so every feature below
+  // reads folded bytes instead of calling std::tolower per window byte, and
+  // the steady state allocates nothing.
+  thread_local std::string padded;
+  thread_local std::vector<uint64_t> gram4;
+  padded.resize(text.size() + 2);
+  padded.front() = '^';
+  for (size_t i = 0; i < text.size(); ++i) {
+    padded[i + 1] = static_cast<char>(
+        std::tolower(static_cast<unsigned char>(text[i])));
+  }
+  padded.back() = '$';
+  const auto* folded = reinterpret_cast<const unsigned char*>(padded.data());
 
   // Word features: hash-equivalent to Fnv1a("w:" + lowercased_piece, seed)
-  // by seeding with the "w:" prefix and extending with case-folded bytes —
-  // no per-feature string is ever built. Feature order (all word pieces,
-  // then 3-grams, then 4-grams) matches the accumulation order the seed
-  // implementation used, so the float sums are bit-identical.
+  // by seeding with the "w:" prefix and extending with the piece's folded
+  // bytes — no per-feature string is ever built. Feature order (all word
+  // pieces, then 3-grams, then 4-grams) matches the accumulation order the
+  // seed implementation used, so the float sums are bit-identical.
   const uint64_t word_seed = common::Fnv1a("w:", options_.seed);
   text::Tokenizer::Options tok_options;
-  tok_options.lowercase = true;  // folded below, byte by byte
+  tok_options.lowercase = true;  // the hash reads the folded copy
   text::Tokenizer tokenizer(tok_options);
   tokenizer.VisitTokens(text, [&](std::string_view piece, bool /*is_word*/) {
+    // Pieces are views into `text`; the same bytes sit one past their
+    // offset in the padded buffer.
+    const unsigned char* p = folded + 1 + (piece.data() - text.data());
     uint64_t h = word_seed;
-    for (char c : piece) h = common::Fnv1aByte(h, fold(c));
+    for (size_t k = 0; k < piece.size(); ++k) h = common::Fnv1aByte(h, p[k]);
     bucket_add(h, options_.word_weight);
   });
 
-  // Character n-grams over the virtual padded sequence '^' + lower(text) +
-  // '$' (what CharNgrams materializes), hashed window by window.
+  // Character n-grams over the padded buffer, window by window. FNV-1a is
+  // byte-sequential, so the 4-gram at i is one step past the 3-gram at i.
+  // The 4-grams are applied after every 3-gram, the order the float sums
+  // depend on.
   const uint64_t gram_seed = common::Fnv1a("g:", options_.seed);
-  const size_t padded_len = text.size() + 2;
-  auto padded_at = [&](size_t i) -> unsigned char {
-    if (i == 0) return '^';
-    if (i + 1 == padded_len) return '$';
-    return fold(text[i - 1]);
-  };
-  for (size_t n : {3u, 4u}) {
-    if (padded_len < n) continue;
-    for (size_t i = 0; i + n <= padded_len; ++i) {
-      uint64_t h = gram_seed;
-      for (size_t j = 0; j < n; ++j) h = common::Fnv1aByte(h, padded_at(i + j));
-      bucket_add(h, 1.0f);
+  const size_t padded_len = padded.size();
+  gram4.clear();
+  for (size_t i = 0; i + 3 <= padded_len; ++i) {
+    uint64_t h = common::Fnv1aByte(gram_seed, folded[i]);
+    h = common::Fnv1aByte(h, folded[i + 1]);
+    h = common::Fnv1aByte(h, folded[i + 2]);
+    bucket_add(h, 1.0f);
+    if (i + 4 <= padded_len) {
+      gram4.push_back(common::Fnv1aByte(h, folded[i + 3]));
     }
+  }
+  for (uint64_t h : gram4) bucket_add(h, 1.0f);
+  // A rare huge input (a wire frame may carry megabytes) must not pin its
+  // scratch on this thread for good.
+  if (padded.capacity() > kMaxKeptScratchBytes) {
+    std::string().swap(padded);
+    std::vector<uint64_t>().swap(gram4);
   }
   // Normalize in place with the same sequential accumulation L2Normalize
   // performs, so this path stays bit-identical to Embed().

@@ -52,10 +52,11 @@ class HashingEmbedder {
   /// Embed() into a caller-owned buffer, reusing its capacity: the hot-path
   /// variant for the sharded semantic cache and the perf bench, which embed
   /// per lookup. Produces bit-identical vectors to Embed() while allocating
-  /// nothing beyond `out`'s (reused) storage: word pieces are hashed as
-  /// string_views over the input with bytes case-folded on the fly, and
-  /// character n-grams are hashed incrementally without materializing the
-  /// padded string (see common::Fnv1aByte).
+  /// nothing in steady state beyond `out`'s (reused) storage: the text is
+  /// case-folded once into a per-thread padded buffer that keeps its
+  /// capacity, word pieces and n-gram windows are hashed straight off it,
+  /// and each 4-gram hash extends the 3-gram hash at its position (see
+  /// common::Fnv1aByte).
   void EmbedInto(std::string_view text, Vector* out) const;
 
   /// EmbedInto() against a raw buffer of dimension() floats — the batch

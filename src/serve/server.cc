@@ -263,6 +263,15 @@ void Server::Admit(const Request& request, const BatchProbeOutcome* hit) {
     // cannot be shed: it adds no load. Decided here, in arrival order, so
     // coalescing is deterministic across runs and worker counts.
     if (options_.single_flight) {
+      while (!flight_expiry_.empty() &&
+             flight_expiry_.top().est_finish_vms <= now) {
+        const FlightExpiry& expired = flight_expiry_.top();
+        auto it = inflight_.find(expired.key);
+        if (it != inflight_.end() && it->second == expired.group) {
+          inflight_.erase(it);
+        }
+        flight_expiry_.pop();
+      }
       auto it = inflight_.find(
           common::Fnv1a(request.input, common::Fnv1a(request.skill)));
       if (it != inflight_.end() && now < it->second->est_finish_vms) {
@@ -410,12 +419,14 @@ void Server::StartWork(Work work) {
   }
   if (options_.single_flight) {
     // This request leads a new flight; later identical arrivals inside
-    // [arrival, est_finish) will ride it. Replacing any expired group for
-    // the key keeps the map at one entry per distinct (skill, input).
+    // [arrival, est_finish) will ride it. It replaces any older group for
+    // the key, and Admit drops it once an arrival reaches est_finish.
     auto group = std::make_shared<FlightGroup>();
     group->est_finish_vms = work.est_start_vms + work.est_service_vms;
-    inflight_[common::Fnv1a(work.request.input,
-                            common::Fnv1a(work.request.skill))] = group;
+    const uint64_t key = common::Fnv1a(work.request.input,
+                                       common::Fnv1a(work.request.skill));
+    inflight_[key] = group;
+    flight_expiry_.push(FlightExpiry{group->est_finish_vms, key, group});
     work.group = std::move(group);
   }
   EnqueueWork(std::move(work));
@@ -882,6 +893,11 @@ std::vector<Response> Server::Drain() {
   std::sort(responses_.begin(), responses_.end(),
             [](const Response& a, const Response& b) { return a.id < b.id; });
   return responses_;
+}
+
+size_t Server::inflight_flights() const {
+  std::lock_guard<std::mutex> lock(admission_mu_);
+  return inflight_.size();
 }
 
 ServerStats Server::stats() const {

@@ -379,6 +379,10 @@ class Server {
   /// Committed usage across all winning attempts (thread-safe itself).
   const llm::UsageMeter& meter() const { return meter_; }
 
+  /// Single-flight groups currently held: flights that could still absorb
+  /// a later arrival. For tests of the expiry bound.
+  size_t inflight_flights() const;
+
   /// The registry holding the server's instruments (the injected one, or
   /// the private per-instance registry).
   obs::Registry* registry() const { return registry_; }
@@ -401,6 +405,18 @@ class Server {
     std::string text;
     std::string model;
     double finish_vms = 0.0;  // leader's actual virtual finish
+  };
+
+  /// A registered flight awaiting expiry. It erases its key only if the map
+  /// still holds its group: a QoS dispatch may already have replaced it
+  /// with a newer flight for the same key.
+  struct FlightExpiry {
+    double est_finish_vms = 0.0;
+    uint64_t key = 0;
+    std::shared_ptr<FlightGroup> group;
+    bool operator>(const FlightExpiry& other) const {
+      return est_finish_vms > other.est_finish_vms;
+    }
   };
 
   /// Per-tenant instrument handles + admission state (QoS mode). The bucket
@@ -569,11 +585,18 @@ class Server {
   /// Next virtual-time boundary at which the maintenance hook fires.
   double next_maintenance_vms_ = 0.0;
   bool draining_ = false;
-  /// Single-flight: latest flight per (skill, input) hash. Entries expire by
-  /// virtual time (a new arrival past est_finish_vms starts a new flight and
-  /// replaces the old group), so the map holds one entry per distinct key
-  /// seen — bounded by the workload's key diversity.
+  /// Single-flight: latest flight per (skill, input) hash. Coalescing needs
+  /// `arrival < est_finish_vms` and arrivals are non-decreasing, so a flight
+  /// with est_finish_vms at or before the current arrival can absorb no
+  /// later request: Admit drops it, soonest finish first, through
+  /// flight_expiry_. The map holds only flights still open to followers,
+  /// however many distinct keys the workload brings.
   std::unordered_map<uint64_t, std::shared_ptr<FlightGroup>> inflight_;
+  /// Every registered flight, soonest est_finish_vms first (see
+  /// FlightExpiry).
+  std::priority_queue<FlightExpiry, std::vector<FlightExpiry>,
+                      std::greater<FlightExpiry>>
+      flight_expiry_;
   /// Continuous batching: the accumulating batch (null when none is open).
   std::unique_ptr<OpenBatch> open_batch_;
 

@@ -80,6 +80,23 @@ int32_t DotI8Scalar(const int8_t* a, const int8_t* b, size_t n) {
 
 #if LLMDM_KERNELS_X86
 
+/// Finishes one dot product from its two 8-lane accumulators (acc0 holds
+/// lanes s[0..7], acc1 s[8..15]) through the contract's tree — t[j] = s[j] +
+/// s[j+8], u[m] = t[m] + t[m+4], total = (u0+u2) + (u1+u3) — then adds the
+/// ragged tail a[n16..n) · b[n16..n) sequentially.
+__attribute__((target("avx2"))) inline float FinishDotAvx2(
+    __m256 acc0, __m256 acc1, const float* a, const float* b, size_t n16,
+    size_t n) {
+  __m256 t = _mm256_add_ps(acc0, acc1);
+  __m128 w = _mm_add_ps(_mm256_castps256_ps128(t),
+                        _mm256_extractf128_ps(t, 1));
+  alignas(16) float u[4];
+  _mm_store_ps(u, w);
+  float total = (u[0] + u[2]) + (u[1] + u[3]);
+  for (size_t i = n16; i < n; ++i) total += a[i] * b[i];
+  return total;
+}
+
 __attribute__((target("avx2"))) float DotAvx2(const float* a, const float* b,
                                               size_t n) {
   __m256 acc0 = _mm256_setzero_ps();
@@ -91,16 +108,51 @@ __attribute__((target("avx2"))) float DotAvx2(const float* a, const float* b,
     acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_loadu_ps(a + i + 8),
                                              _mm256_loadu_ps(b + i + 8)));
   }
-  // Reduction tree per the contract: t[j] = s[j] + s[j+8], u[m] = t[m] +
-  // t[m+4], total = (u0+u2) + (u1+u3).
-  __m256 t = _mm256_add_ps(acc0, acc1);
-  __m128 w = _mm_add_ps(_mm256_castps256_ps128(t),
-                        _mm256_extractf128_ps(t, 1));
-  alignas(16) float u[4];
-  _mm_store_ps(u, w);
-  float total = (u[0] + u[2]) + (u[1] + u[3]);
-  for (size_t i = n16; i < n; ++i) total += a[i] * b[i];
-  return total;
+  return FinishDotAvx2(acc0, acc1, a, b, n16, n);
+}
+
+/// DotBatch four rows per pass. A single row's dot is a chain of dependent
+/// adds per accumulator; four rows give eight independent chains, and each
+/// query load feeds all four. Every row keeps its own two accumulators and
+/// its own reduction and tail, in DotAvx2's order, so out[r] is
+/// bit-identical to DotAvx2(query, row r). Leftover rows go through DotAvx2.
+__attribute__((target("avx2"))) void DotBatchAvx2(const float* query,
+                                                  const float* base,
+                                                  size_t count, size_t dim,
+                                                  float* out) {
+  const size_t n16 = dim & ~static_cast<size_t>(15);
+  size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    const float* row0 = base + r * dim;
+    const float* row1 = row0 + dim;
+    const float* row2 = row1 + dim;
+    const float* row3 = row2 + dim;
+    __m256 lo0 = _mm256_setzero_ps(), hi0 = _mm256_setzero_ps();
+    __m256 lo1 = _mm256_setzero_ps(), hi1 = _mm256_setzero_ps();
+    __m256 lo2 = _mm256_setzero_ps(), hi2 = _mm256_setzero_ps();
+    __m256 lo3 = _mm256_setzero_ps(), hi3 = _mm256_setzero_ps();
+    for (size_t i = 0; i < n16; i += 16) {
+      const __m256 q_lo = _mm256_loadu_ps(query + i);
+      const __m256 q_hi = _mm256_loadu_ps(query + i + 8);
+      lo0 = _mm256_add_ps(lo0, _mm256_mul_ps(q_lo, _mm256_loadu_ps(row0 + i)));
+      hi0 = _mm256_add_ps(hi0,
+                          _mm256_mul_ps(q_hi, _mm256_loadu_ps(row0 + i + 8)));
+      lo1 = _mm256_add_ps(lo1, _mm256_mul_ps(q_lo, _mm256_loadu_ps(row1 + i)));
+      hi1 = _mm256_add_ps(hi1,
+                          _mm256_mul_ps(q_hi, _mm256_loadu_ps(row1 + i + 8)));
+      lo2 = _mm256_add_ps(lo2, _mm256_mul_ps(q_lo, _mm256_loadu_ps(row2 + i)));
+      hi2 = _mm256_add_ps(hi2,
+                          _mm256_mul_ps(q_hi, _mm256_loadu_ps(row2 + i + 8)));
+      lo3 = _mm256_add_ps(lo3, _mm256_mul_ps(q_lo, _mm256_loadu_ps(row3 + i)));
+      hi3 = _mm256_add_ps(hi3,
+                          _mm256_mul_ps(q_hi, _mm256_loadu_ps(row3 + i + 8)));
+    }
+    out[r] = FinishDotAvx2(lo0, hi0, query, row0, n16, dim);
+    out[r + 1] = FinishDotAvx2(lo1, hi1, query, row1, n16, dim);
+    out[r + 2] = FinishDotAvx2(lo2, hi2, query, row2, n16, dim);
+    out[r + 3] = FinishDotAvx2(lo3, hi3, query, row3, n16, dim);
+  }
+  for (; r < count; ++r) out[r] = DotAvx2(query, base + r * dim, dim);
 }
 
 __attribute__((target("avx2"))) float L2SqAvx2(const float* a, const float* b,
@@ -244,6 +296,8 @@ std::atomic<int> g_pinned{-1};
 using DotFn = float (*)(const float*, const float*, size_t);
 using L2Fn = float (*)(const float*, const float*, size_t);
 using DotI8Fn = int32_t (*)(const int8_t*, const int8_t*, size_t);
+using DotBatchFn = void (*)(const float*, const float*, size_t, size_t,
+                            float*);
 
 DotFn ResolveDot(DispatchLevel level) {
   switch (level) {
@@ -257,6 +311,30 @@ DotFn ResolveDot(DispatchLevel level) {
 #endif
     default:
       return DotScalar;
+  }
+}
+
+/// The per-row loop: the scalar reference for DotBatch, and NEON's batch
+/// path (a multi-row NEON variant would need an aarch64 host to check its
+/// parity).
+template <DotFn kDot>
+void DotBatchPerRow(const float* query, const float* base, size_t count,
+                    size_t dim, float* out) {
+  for (size_t r = 0; r < count; ++r) out[r] = kDot(query, base + r * dim, dim);
+}
+
+DotBatchFn ResolveDotBatch(DispatchLevel level) {
+  switch (level) {
+#if LLMDM_KERNELS_X86
+    case DispatchLevel::kAvx2:
+      return DotBatchAvx2;
+#endif
+#if LLMDM_KERNELS_NEON
+    case DispatchLevel::kNeon:
+      return DotBatchPerRow<DotNeon>;
+#endif
+    default:
+      return DotBatchPerRow<DotScalar>;
   }
 }
 
@@ -361,10 +439,7 @@ float L2Sq(const float* a, const float* b, size_t n) {
 
 void DotBatch(const float* query, const float* base, size_t count, size_t dim,
               float* out) {
-  DotFn fn = ResolveDot(ActiveDispatch());
-  for (size_t r = 0; r < count; ++r) {
-    out[r] = fn(query, base + r * dim, dim);
-  }
+  ResolveDotBatch(ActiveDispatch())(query, base, count, dim, out);
 }
 
 void QuantizeSymmetric(const float* v, size_t n, int8_t* codes, float* scale) {

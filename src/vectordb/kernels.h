@@ -70,7 +70,9 @@ float L2Sq(const float* a, const float* b, size_t n);
 
 /// out[r] = Dot(query, base + r*dim, dim) for r in [0, count). `base` is a
 /// contiguous row-major matrix. The dispatch branch is resolved once for the
-/// whole batch — this is the hot entry point for flat index scans.
+/// whole batch — this is the hot entry point for flat index scans. On AVX2
+/// rows run four per pass (each query load feeds four rows), each row
+/// bit-identical to Dot; scalar and NEON run one row at a time.
 void DotBatch(const float* query, const float* base, size_t count, size_t dim,
               float* out);
 

@@ -476,6 +476,53 @@ TEST(Serve, SingleFlightSpendConservedAndItemized) {
   EXPECT_EQ(by_model_sum, coalesce.coalesced);
 }
 
+TEST(Serve, SingleFlightGroupsExpireWithVirtualTime) {
+  // A flight whose estimated finish is at or before the latest arrival can
+  // absorb no later request, so the server drops it: a stream of distinct
+  // questions, each arriving after the previous one's service, keeps one
+  // live flight instead of one per question ever seen.
+  serve::Server::Options options;
+  options.worker_threads = 2;
+  options.shed_policy = serve::ShedPolicy::kNone;
+  options.single_flight = true;
+  serve::Server server(MakeModel("sim-serve", 100.0, 3), options);
+  constexpr size_t kDistinct = 1000;
+  constexpr double kSpacingVms = 1000.0;  // far past any one service
+  size_t max_live = 0;
+  for (size_t i = 0; i < kDistinct; ++i) {
+    server.Submit(MakeRequest(i, static_cast<double>(i) * kSpacingVms,
+                              common::StrFormat("distinct question %zu", i)));
+    max_live = std::max(max_live, server.inflight_flights());
+  }
+  EXPECT_EQ(max_live, 1u);
+
+  // Overlapping duplicates still coalesce onto one live flight.
+  constexpr size_t kDup = 5;
+  const double burst_vms = static_cast<double>(kDistinct) * kSpacingVms;
+  for (size_t k = 0; k < kDup; ++k) {
+    server.Submit(MakeRequest(kDistinct + k, burst_vms + 0.001 * k,
+                              "duplicate question"));
+    EXPECT_EQ(server.inflight_flights(), 1u) << "duplicate " << k;
+  }
+  // One more distinct arrival past the burst's service retires its flight.
+  server.Submit(MakeRequest(kDistinct + kDup, burst_vms + kSpacingVms,
+                            "last distinct question"));
+  EXPECT_EQ(server.inflight_flights(), 1u);
+
+  auto responses = server.Drain();
+  ASSERT_EQ(responses.size(), kDistinct + kDup + 1);
+  for (const auto& r : responses) {
+    ASSERT_TRUE(r.status.ok()) << r.id;
+    // Every distinct question was past its predecessor's service.
+    if (r.id < kDistinct) EXPECT_LT(r.service_vms, kSpacingVms) << r.id;
+  }
+  EXPECT_EQ(server.stats().coalesced, kDup - 1);
+  for (size_t k = 1; k < kDup; ++k) {
+    EXPECT_TRUE(responses[kDistinct + k].coalesced) << "duplicate " << k;
+    EXPECT_EQ(responses[kDistinct + k].text, responses[kDistinct].text);
+  }
+}
+
 std::string RunSingleFlightWorkload(size_t worker_threads) {
   serve::Server::Options options;
   options.worker_threads = worker_threads;

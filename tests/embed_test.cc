@@ -1,3 +1,6 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
@@ -70,10 +73,12 @@ Vector ReferenceEmbed(std::string_view text,
 }
 
 TEST(Embedder, EmbedIntoBitIdenticalToReference) {
-  const char* samples[] = {
+  std::vector<std::string> samples = {
       "",
       "a",
       "ab",
+      "abc",
+      "AbCd",
       "hello world",
       "MiXeD CaSe QuErY with PUNCTUATION!?; and_underscores",
       "internationalization of disproportionately long tokens",
@@ -82,22 +87,49 @@ TEST(Embedder, EmbedIntoBitIdenticalToReference) {
       "  leading and trailing whitespace   ",
       "tabs\tand\nnewlines\r\nmixed",
       "numbers 1234567890123 and s1mb0l1c_w0rds",
+      // Case flips at every byte, so every 3- and 4-gram window straddles
+      // a change.
+      "aBcDeFgHiJkLmNoPqRsTuVwXyZ AbCdEfGhIjKlMnOpQrStUvWxYz",
+      "ABCdefGHIjklMNOpqr stuVWXyz",
+      // Bytes >= 0x80 (UTF-8 and stray high bytes), next to folded ASCII.
+      "Caf\xc3\xa9 NA\xc3\x8fVE \xff\x80\xfe\xc0 X\xe2\x82\xacY",
+      "\x80",
+      "\xff\xfe" "AB",  // split: 'A' and 'B' are hex digits
   };
+  // Long samples: 3,000 bytes with every byte class, and one past the
+  // embedder's per-thread scratch cap, so the buffer is released and
+  // regrown between samples.
+  const std::string chunk =
+      "The Quick BROWN fox, 42 Jumps_over; \xc3\xa9\xff ";
+  std::string long_text;
+  while (long_text.size() < 3000) long_text += chunk;
+  long_text.resize(3000);
+  samples.push_back(long_text);
+  std::string huge_text;
+  while (huge_text.size() < 70000) huge_text += chunk;
+  samples.push_back(huge_text);
+  // Dim 100 is not a power of two. Its word weight is not a short binary
+  // fraction, so partial bucket sums round and a change in feature order
+  // shows: with weights 1, 1.5 and 2 every partial sum is exact.
   for (auto& options :
-       {HashingEmbedder::Options{}, HashingEmbedder::Options{64, 1.5f, 99}}) {
+       {HashingEmbedder::Options{}, HashingEmbedder::Options{64, 1.5f, 99},
+        HashingEmbedder::Options{100, 0.3f, 7}}) {
     HashingEmbedder e(options);
-    for (const char* s : samples) {
+    for (const std::string& s : samples) {
+      const std::string label =
+          "dim=" + std::to_string(options.dimension) +
+          " len=" + std::to_string(s.size()) + " text=" + s.substr(0, 40);
       Vector expected = ReferenceEmbed(s, options);
       Vector via_embed = e.Embed(s);
       Vector reused;
       e.EmbedInto(s, &reused);
-      EXPECT_EQ(via_embed, expected) << s;   // exact float equality
-      EXPECT_EQ(reused, expected) << s;
+      EXPECT_EQ(via_embed, expected) << label;  // exact float equality
+      EXPECT_EQ(reused, expected) << label;
       // The buffer really is reused: embedding again into the same vector
       // (now non-empty, wrong values) must fully overwrite it.
       e.EmbedInto("something else entirely", &reused);
       e.EmbedInto(s, &reused);
-      EXPECT_EQ(reused, expected) << s;
+      EXPECT_EQ(reused, expected) << label;
     }
   }
 }

@@ -86,15 +86,46 @@ TEST(Kernels, DotParityOnZeroAndDenormalVectors) {
 }
 
 TEST(Kernels, DotBatchMatchesPerRowCalls) {
+  // Dims around the 16-float block (empty block loop, pure tail, ragged
+  // tail), row counts around the AVX2 four-row pass (no full pass, leftover
+  // rows 1..3), and unaligned bases.
+  const size_t kMaxDim = 257, kMaxRows = 33, kMaxOffset = 3;
+  const float kSentinel = -12345.0f;
   common::Rng rng(77);
-  const size_t dim = 96, rows = 33;
-  std::vector<float> base = RandomVec(rng, rows * dim);
-  std::vector<float> query = RandomVec(rng, dim);
-  std::vector<float> batched(rows);
-  DotBatch(query.data(), base.data(), rows, dim, batched.data());
-  for (size_t r = 0; r < rows; ++r) {
-    float one = Dot(query.data(), base.data() + r * dim, dim);
-    EXPECT_TRUE(SameBits(one, batched[r])) << "row " << r;
+  std::vector<float> pool = RandomVec(rng, kMaxOffset + kMaxRows * kMaxDim);
+  std::vector<float> query = RandomVec(rng, kMaxDim);
+  for (size_t dim : {1, 7, 15, 16, 17, 33, 96, 100, 255, 256, 257}) {
+    for (size_t rows : {0, 1, 2, 3, 4, 5, 7, 8, 9, 33}) {
+      for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+        const float* base = pool.data() + offset;
+        // Batched scores (plus one sentinel slot past the last row, which
+        // DotBatch must leave alone) and per-row Dot calls, on one level.
+        auto run = [&] {
+          std::vector<float> batched(rows + 1, kSentinel);
+          DotBatch(query.data(), base, rows, dim, batched.data());
+          std::vector<float> per_row(rows);
+          for (size_t r = 0; r < rows; ++r) {
+            per_row[r] = Dot(query.data(), base + r * dim, dim);
+          }
+          return std::make_pair(batched, per_row);
+        };
+        auto [scalar, active] = ScalarVsActive(run);
+        for (const auto* level : {&scalar, &active}) {
+          for (size_t r = 0; r < rows; ++r) {
+            EXPECT_TRUE(SameBits(level->first[r], level->second[r]))
+                << (level == &scalar ? "scalar" : "active") << " dim=" << dim
+                << " rows=" << rows << " offset=" << offset << " row=" << r;
+          }
+          EXPECT_TRUE(SameBits(level->first[rows], kSentinel))
+              << "wrote past the last row: dim=" << dim << " rows=" << rows;
+        }
+        for (size_t r = 0; r < rows; ++r) {
+          EXPECT_TRUE(SameBits(scalar.first[r], active.first[r]))
+              << "dim=" << dim << " rows=" << rows << " offset=" << offset
+              << " row=" << r;
+        }
+      }
+    }
   }
 }
 
