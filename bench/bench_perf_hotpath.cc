@@ -1,9 +1,9 @@
 // Wall-clock hot-path harness (not a paper table): measures the serving
 // fast path this repo actually executes per request — semantic-cache lookup
 // and insert across thread/shard counts, embedder throughput with and
-// without the allocation-free path, float32 vs int8 flat lookup at cache
-// sizes where the scan is the bottleneck, and end-to-end serve QPS with and
-// without single-flight coalescing.
+// without the allocation-free path, and float32 vs int8 flat lookup at cache
+// sizes where the scan is the bottleneck. End-to-end serving is perfbench's
+// job (perfbench/run.py).
 //
 // Emits machine-readable JSON (default ./BENCH_perf.json, override with
 // --out=PATH): {"meta": {...}, "results": [{name, threads, shards, ops,
@@ -27,9 +27,7 @@
 #include "common/string_util.h"
 #include "core/optimize/semantic_cache.h"
 #include "embed/embedder.h"
-#include "llm/simulated.h"
 #include "obs/metrics.h"
-#include "serve/server.h"
 #include "vectordb/kernels.h"
 
 namespace {
@@ -239,74 +237,6 @@ BenchResult AnnLookup(size_t entries, size_t ops, bool quantize = false,
   });
 }
 
-// When `metrics_text` is non-null the cell runs against an injected
-// obs::Registry and appends its Prometheus export (one commented section per
-// cell) for the --metrics-out file.
-BenchResult ServeQps(bool single_flight, size_t requests,
-                     std::string* metrics_text, bool batching = false) {
-  llm::ModelSpec spec;
-  spec.name = "sim-serve";
-  spec.capability = 0.9;
-  spec.input_price_per_1k = common::Money::FromDollars(0.001);
-  if (batching) {
-    // The cached input tier the batch scheduler's prefix trie prices the
-    // shared prompt head at; absent (the default) batching is billing-inert.
-    spec.cached_input_price_per_1k = common::Money::FromDollars(0.0001);
-  }
-  spec.output_price_per_1k = common::Money::FromDollars(0.002);
-  spec.latency_ms_per_1k_tokens = 100.0;
-  auto model = std::make_shared<llm::SimulatedLlm>(spec, 17);
-  model->RegisterSkill(std::make_unique<llm::FreeformSkill>());
-
-  obs::Registry registry;
-  serve::Server::Options options;
-  options.worker_threads = 4;
-  options.shed_policy = serve::ShedPolicy::kNone;
-  options.single_flight = single_flight;
-  options.batching = batching;
-  if (metrics_text != nullptr) options.registry = &registry;
-  serve::Server server(model, options);
-
-  auto wall_start = Clock::now();
-  constexpr size_t kBurst = 4;  // every query arrives 4x back to back
-  for (size_t i = 0; i < requests; ++i) {
-    serve::Request req;
-    req.id = i;
-    req.arrival_vms = static_cast<double>(i) * 1.0;
-    req.input = Query(i / kBurst);
-    server.Submit(req);
-  }
-  auto responses = server.Drain();
-  double wall_sec =
-      std::chrono::duration<double>(Clock::now() - wall_start).count();
-
-  auto stats = server.stats();
-  BenchResult r;
-  r.name = batching ? "serve_qps_batched"
-           : single_flight ? "serve_qps_single_flight"
-                           : "serve_qps_baseline";
-  r.threads = options.worker_threads;
-  r.ops = responses.size();
-  r.ops_per_sec = wall_sec > 0.0 ? static_cast<double>(r.ops) / wall_sec : 0.0;
-  r.extra_json = common::StrFormat(
-      ", \"coalesced\": %zu, \"meter_calls\": %zu, \"meter_cost_micros\": %lld",
-      stats.coalesced, server.meter().calls(),
-      (long long)server.meter().cost().micros());
-  if (batching) {
-    r.extra_json += common::StrFormat(
-        ", \"batch_closes\": %zu, \"batch_requests\": %zu, "
-        "\"batch_prefix_cached_tokens\": %zu, "
-        "\"batch_prefix_saved_micros\": %lld",
-        stats.batches_closed, stats.batched_requests,
-        stats.prefix_cached_tokens, (long long)stats.prefix_saved.micros());
-  }
-  if (metrics_text != nullptr) {
-    *metrics_text += common::StrFormat("# cell: %s\n", r.name.c_str());
-    *metrics_text += registry.PrometheusText();
-  }
-  return r;
-}
-
 // ---- Driver -----------------------------------------------------------------
 
 void AppendJson(std::string* out, const BenchResult& r) {
@@ -339,7 +269,6 @@ int main(int argc, char** argv) {
   const size_t kEmbedOps = smoke ? 2000 : 20000;
   const size_t kAnnEntries = smoke ? 512 : 4096;
   const size_t kAnnOps = smoke ? 50 : 400;
-  const size_t kServeReqs = smoke ? 80 : 400;
   // The kernel arena stays L2-resident (1024 x 256 floats = 1 MB) in both
   // modes: the row measures distance-kernel throughput, not DRAM bandwidth —
   // at larger arenas every variant converges on the memory wall and the
@@ -372,9 +301,7 @@ int main(int argc, char** argv) {
   results.push_back(
       AnnLookup(kInt8Entries, kInt8Ops, /*quantize=*/true, kInt8Shards));
   std::string metrics_text;
-  std::string* metrics_collector =
-      metrics_out.empty() ? nullptr : &metrics_text;
-  if (metrics_collector != nullptr) {
+  if (!metrics_out.empty()) {
     // Which kernel this machine actually ran: the dispatch gauge makes perf
     // trajectories across machines interpretable next to the numbers.
     obs::Registry dispatch_registry;
@@ -382,12 +309,6 @@ int main(int argc, char** argv) {
     metrics_text += "# cell: kernel_dispatch\n";
     metrics_text += dispatch_registry.PrometheusText();
   }
-  results.push_back(
-      ServeQps(/*single_flight=*/false, kServeReqs, metrics_collector));
-  results.push_back(
-      ServeQps(/*single_flight=*/true, kServeReqs, metrics_collector));
-  results.push_back(ServeQps(/*single_flight=*/false, kServeReqs,
-                             metrics_collector, /*batching=*/true));
 
   std::printf("%-26s %7s %6s %10s %12s %10s %10s\n", "scenario", "threads",
               "shards", "ops", "ops/sec", "p50_us", "p99_us");

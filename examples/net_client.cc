@@ -1,8 +1,8 @@
 // Network quickstart: drive the wire protocol over loopback with
 // net::Client — the three moves a remote caller makes.
 //  1. stand up a serve::Server behind net::NetServer on an ephemeral port;
-//  2. stream a completion: chunk frames arrive incrementally, the final
-//     response frame carries the metadata;
+//  2. make one call: the response frame carries the whole completion and
+//     its metadata;
 //  3. overload the tiny admission queue, get shed with a cause-specific
 //     retry_after_vms hint on the error frame, and retry when it says to.
 //
@@ -46,32 +46,20 @@ int main() {
     return 1;
   }
 
-  // 2. Streaming: ask for 48-byte chunks and print them as they arrive.
+  // 2. One call: the whole completion comes back in one response frame.
   net::WireRequest request;
   request.id = 1;
   request.skill = "freeform";
   request.input = "Summarize the stadium concert attendance trends.";
   request.arrival_vms = 0.0;
-  request.stream_chunk_bytes = 48;
-  auto stream = client.CallStreaming(request);
-  if (!stream.ok()) {
-    std::fprintf(stderr, "stream: %s\n", stream.status().ToString().c_str());
+  auto answer = client.Call(request);
+  if (!answer.ok()) {
+    std::fprintf(stderr, "call: %s\n", answer.status().ToString().c_str());
     return 1;
   }
-  std::string chunk;
-  size_t n = 0;
-  while (stream->Next(&chunk)) {
-    std::printf("  chunk %zu: %zu bytes\n", n++, chunk.size());
-  }
-  auto final_result = stream->Finish();
-  if (!final_result.ok()) {
-    std::fprintf(stderr, "finish: %s\n",
-                 final_result.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("streamed %zu chunks from %s (%zu bytes total, %.1f vms)\n\n",
-              final_result->chunks, final_result->model.c_str(),
-              final_result->text.size(), final_result->latency_vms);
+  std::printf("answered by %s (%zu bytes, %.1f vms)\n\n",
+              answer->model.c_str(), answer->text.size(),
+              answer->latency_vms);
 
   // 3. Shed + retry: burst past the queue depth at one virtual instant.
   //    The refused requests come back as error frames carrying the shed

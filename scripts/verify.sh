@@ -92,8 +92,6 @@ sweep_dir="$(mktemp -d "${build_dir}/crash-sweep.XXXXXX")"
   --dir="${sweep_dir}" >/dev/null
 "${build_dir}/tests/llmdm_durability_harness" --mode=sweep --unit=prompts \
   --dir="${sweep_dir}" >/dev/null
-"${build_dir}/tests/llmdm_durability_harness" --mode=sweep --unit=flat \
-  --dir="${sweep_dir}" >/dev/null
 rm -rf "${sweep_dir}"
 echo "ok: recovery is a clean prefix at every truncation offset"
 

@@ -165,8 +165,11 @@ common::Status PromptStore::LoadSnapshot(durability::ByteReader& in) {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t count = 0;
   LLMDM_RETURN_IF_ERROR(in.ReadU64(&count));
-  prompts_.reserve(count);
-  live_.reserve(count);
+  // The count is untrusted: every slot takes at least one byte, so a count
+  // past the bytes left is corrupt and must not size an allocation.
+  const uint64_t plausible = std::min<uint64_t>(count, in.remaining());
+  prompts_.reserve(plausible);
+  live_.reserve(plausible);
   for (uint64_t i = 0; i < count; ++i) {
     uint8_t live = 0;
     StoredPrompt p;

@@ -15,13 +15,18 @@ namespace {
 /// How many neighbours a reuse/stale probe fetches. The probe loops take
 /// the first live entry among them, so a dead slot can never shadow a live
 /// neighbour behind it. The width also sizes the int8 short list under
-/// Options::quantize (k * rescore_factor + 8 rows are rescored), so
-/// changing it can move which entry a quantized probe returns.
+/// Options::quantize (k * FlatIndex::kRescoreFactor + 8 rows are
+/// rescored), so changing it can move which entry a quantized probe
+/// returns.
 constexpr size_t kLookupProbeWidth = 4;
 /// Insert refreshes an entry scoring above this against its query instead
 /// of adding a near-duplicate. Compared as a double, so a float score of
 /// exactly 0.999f (which is above 0.999) refreshes.
 constexpr double kRefreshSimilarity = 0.999;
+/// kCostAware scoring weights for the two hit kinds: a reuse hit saves a
+/// whole call, an augmentation hit only sharpens one.
+constexpr double kReuseWeight = 2.0;
+constexpr double kAugmentWeight = 1.0;
 }  // namespace
 
 SemanticCache::SemanticCache(const Options& options) : options_(options) {
@@ -91,10 +96,10 @@ double SemanticCache::EvictionScore(const Entry& entry) const {
     case EvictionPolicy::kLfu:
       return static_cast<double>(entry.reuse_hits + entry.augment_hits);
     case EvictionPolicy::kCostAware: {
-      // Hits are weighted by kind (reuse saves a whole call, augmentation
-      // only sharpens one); recency breaks ties so dead entries rotate out.
-      double value = options_.reuse_weight * double(entry.reuse_hits) +
-                     options_.augment_weight * double(entry.augment_hits);
+      // Hits are weighted by kind; recency breaks ties so dead entries
+      // rotate out.
+      double value = kReuseWeight * double(entry.reuse_hits) +
+                     kAugmentWeight * double(entry.augment_hits);
       return value + 1e-6 * static_cast<double>(entry.last_used_tick);
     }
   }
@@ -106,10 +111,9 @@ void SemanticCache::KillSlot(Shard& shard, size_t slot) {
   evicted.live = false;
   // Release the payloads now — the slot itself lingers until compaction
   // (ids must stay stable between compactions), but the strings and the
-  // embedding are the bytes that matter.
+  // index row are the bytes that matter.
   std::string().swap(evicted.query);
   std::string().swap(evicted.response);
-  embed::Vector().swap(evicted.embedding);
   shard.index.Remove(slot).ok();  // ignore status: id is known-present
   BumpIndexVersion(shard);
   --shard.live_count;
@@ -159,13 +163,17 @@ void SemanticCache::CompactShard(Shard& shard) {
   }
   shard.metrics.reclaimed_slots->Add(shard.dead_count);
   shard.entries = std::move(survivors);
-  // Rebuild the index over the remapped ids. The compaction is stable, so
-  // live entries keep their relative order: every id-based tie-break
-  // (search ordering, eviction scans) behaves exactly as before.
-  shard.index = vectordb::FlatIndex({.quantize = options_.quantize});
-  for (size_t i = 0; i < shard.entries.size(); ++i) {
-    shard.index.Add(i, shard.entries[i].embedding).ok();
-  }
+  // Refill a fresh index under the remapped ids. The old index holds exactly
+  // the live slots, and ForEach visits them in ascending id order — the
+  // order `survivors` kept — so the n-th vector belongs to new slot n. The
+  // compaction is stable: every id-based tie-break (search ordering,
+  // eviction scans) behaves exactly as before.
+  vectordb::FlatIndex fresh({.quantize = options_.quantize});
+  uint64_t next = 0;
+  shard.index.ForEach([&fresh, &next](uint64_t, const embed::Vector& v) {
+    fresh.Add(next++, v).ok();
+  });
+  shard.index = std::move(fresh);
   BumpIndexVersion(shard);
   shard.dead_count = 0;
   ++shard.generation;
@@ -414,13 +422,12 @@ void SemanticCache::Insert(const std::string& query,
   Entry entry;
   entry.query = query;
   entry.response = response;
-  entry.embedding = std::move(q);
   entry.response_tokens = text::CountTokens(response);
   entry.cost_to_produce = cost_to_produce;
   entry.last_used_tick = shard.tick;
   size_t id = shard.entries.size();
   shard.entries.push_back(std::move(entry));
-  shard.index.Add(id, shard.entries.back().embedding).ok();
+  shard.index.Add(id, std::move(q)).ok();
   BumpIndexVersion(shard);
   ++shard.live_count;
   shard.metrics.live_entries->Set(static_cast<int64_t>(shard.live_count));
@@ -475,8 +482,7 @@ size_t SemanticCache::RetainedBytes() const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (const Entry& entry : shard->entries) {
-      total += entry.query.capacity() + entry.response.capacity() +
-               entry.embedding.capacity() * sizeof(float);
+      total += entry.query.capacity() + entry.response.capacity();
     }
   }
   return total;
@@ -542,7 +548,9 @@ common::Status SemanticCache::LoadSnapshot(durability::ByteReader& in) {
     BumpIndexVersion(shard);  // before any Add, so an early return is covered
     uint64_t slots = 0;
     LLMDM_RETURN_IF_ERROR(in.ReadU64(&slots));
-    shard.entries.reserve(slots);
+    // The count is untrusted: every slot takes at least one byte, so a count
+    // past the bytes left is corrupt and must not size an allocation.
+    shard.entries.reserve(std::min<uint64_t>(slots, in.remaining()));
     for (uint64_t i = 0; i < slots; ++i) {
       uint8_t live = 0;
       LLMDM_RETURN_IF_ERROR(in.ReadU8(&live));
@@ -556,17 +564,16 @@ common::Status SemanticCache::LoadSnapshot(durability::ByteReader& in) {
         // Derived state is recomputed, not stored: the embedder and
         // tokenizer are deterministic, so the rebuilt entry matches the one
         // that was saved.
-        embedder_.EmbedInto(entry.query, &entry.embedding);
+        embed::Vector embedding;
+        embedder_.EmbedInto(entry.query, &embedding);
+        shard.index.Add(i, std::move(embedding)).ok();
+        ++shard.live_count;
         entry.response_tokens = text::CountTokens(entry.response);
         entry.cost_to_produce = common::Money::FromMicros(cost_micros);
-      }
-      shard.entries.push_back(std::move(entry));
-      if (shard.entries.back().live) {
-        shard.index.Add(i, shard.entries.back().embedding).ok();
-        ++shard.live_count;
       } else {
         ++shard.dead_count;
       }
+      shard.entries.push_back(std::move(entry));
     }
     shard.metrics.live_entries->Set(static_cast<int64_t>(shard.live_count));
     shard.metrics.slots->Set(static_cast<int64_t>(shard.entries.size()));
@@ -607,12 +614,13 @@ common::Status SemanticCache::ApplyInsertRecord(durability::ByteReader& in) {
   }
   Shard& shard = *shards_[shard_id];
   std::lock_guard<std::mutex> lock(shard.mu);
-  embedder_.EmbedInto(entry.query, &entry.embedding);
+  embed::Vector embedding;
+  embedder_.EmbedInto(entry.query, &embedding);
   entry.response_tokens = text::CountTokens(entry.response);
   entry.cost_to_produce = common::Money::FromMicros(cost_micros);
   size_t id = shard.entries.size();
   shard.entries.push_back(std::move(entry));
-  shard.index.Add(id, shard.entries.back().embedding).ok();
+  shard.index.Add(id, std::move(embedding)).ok();
   BumpIndexVersion(shard);
   ++shard.live_count;
   shard.metrics.insertions->Add(1);

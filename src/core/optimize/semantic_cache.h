@@ -81,9 +81,6 @@ class SemanticCache : public durability::DurableState {
     double similarity_threshold = 0.9;
     size_t capacity = 256;
     EvictionPolicy policy = EvictionPolicy::kCostAware;
-    /// kCostAware scoring weights for the two hit kinds.
-    double reuse_weight = 2.0;
-    double augment_weight = 1.0;
     /// Predictive admission (the paper's "predict the probability of future
     /// access ... or refrain from caching"): a query is only admitted on its
     /// second sighting (TinyLFU-doorkeeper style), so one-off queries never
@@ -231,9 +228,9 @@ class SemanticCache : public durability::DurableState {
   /// insert-evict cycles have run.
   size_t TotalSlots() const;
 
-  /// Approximate payload bytes retained across shards (query + response +
-  /// embedding capacities). Evicted entries release their payloads, so this
-  /// too is bounded under churn.
+  /// Approximate payload bytes retained across shards (query + response
+  /// capacities; each embedding lives once, in its shard's index). Evicted
+  /// entries release their payloads, so this too is bounded under churn.
   size_t RetainedBytes() const;
 
   /// The registry holding the cache's instruments (the injected one, or the
@@ -267,10 +264,11 @@ class SemanticCache : public durability::DurableState {
     kCompact = 4,  // shard                        -> stable-compact
   };
 
+  /// One cached pair. Its embedding lives only in the shard's index, under
+  /// the entry's slot id.
   struct Entry {
     std::string query;
     std::string response;
-    embed::Vector embedding;
     common::Money cost_to_produce;
     /// Token count of `response`, memoized at insert so a hit can credit
     /// the output half of the avoided bill without re-tokenizing.
@@ -342,8 +340,8 @@ class SemanticCache : public durability::DurableState {
                      const durability::MutationGuard& guard);  // requires mu
   /// Stable-compacts `shard.entries` down to its live entries (preserving
   /// relative id order, so tie-breaks and eviction scans behave exactly as
-  /// before) and rebuilds the index over the remapped ids. Requires
-  /// shard.mu.
+  /// before) and refills a fresh index from the old one under the remapped
+  /// ids. Requires shard.mu.
   void CompactShard(Shard& shard);
   /// The post-embedding body of Lookup (tick, probe, threshold, credit) —
   /// shared with LookupBatch. A non-null `top_score` receives the probe's

@@ -42,15 +42,6 @@ void AppendString(std::string* out, std::string_view s) {
   out->append(s.data(), s.size());
 }
 
-void AppendFloats(std::string* out, const std::vector<float>& v) {
-  AppendU32(out, static_cast<uint32_t>(v.size()));
-  for (float f : v) {
-    uint32_t bits;
-    std::memcpy(&bits, &f, sizeof(bits));
-    AppendU32(out, bits);
-  }
-}
-
 common::Status ByteReader::Take(size_t n, const char** p) {
   if (n > remaining()) {
     return common::Status::OutOfRange(
@@ -116,25 +107,6 @@ common::Status ByteReader::ReadString(std::string* s) {
   const char* p = nullptr;
   LLMDM_RETURN_IF_ERROR(Take(len, &p));
   s->assign(p, len);
-  return common::Status::Ok();
-}
-
-common::Status ByteReader::ReadFloats(std::vector<float>* v) {
-  uint32_t count = 0;
-  LLMDM_RETURN_IF_ERROR(ReadU32(&count));
-  if (count > kMaxLength / sizeof(float)) {
-    return common::Status::OutOfRange("float count " + std::to_string(count) +
-                                      " exceeds sanity cap");
-  }
-  v->clear();
-  v->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t bits = 0;
-    LLMDM_RETURN_IF_ERROR(ReadU32(&bits));
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    v->push_back(f);
-  }
   return common::Status::Ok();
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 
@@ -14,19 +13,17 @@ namespace llmdm::durability {
 /// explicit little-endian fixed width, so files written on one platform
 /// replay on any other and two serializations of the same state are
 /// byte-identical — the property every crash-consistency assertion in the
-/// durability suite rests on. Floats are written as raw IEEE-754 bit
+/// durability suite rests on. Doubles are written as raw IEEE-754 bit
 /// patterns (bit-stable, no text round-trip).
 
 void AppendU8(std::string* out, uint8_t v);
 void AppendU32(std::string* out, uint32_t v);
 void AppendU64(std::string* out, uint64_t v);
 void AppendI64(std::string* out, int64_t v);
-/// Raw IEEE-754 double bit pattern (bit-stable, like AppendFloats).
+/// Raw IEEE-754 double bit pattern.
 void AppendF64(std::string* out, double v);
 /// u32 length prefix + raw bytes.
 void AppendString(std::string* out, std::string_view s);
-/// u32 count prefix + raw 4-byte IEEE-754 floats.
-void AppendFloats(std::string* out, const std::vector<float>& v);
 
 /// Bounds-checked sequential reader over a serialized buffer. Every Read
 /// fails with kOutOfRange instead of reading past the end, so a truncated or
@@ -42,7 +39,6 @@ class ByteReader {
   common::Status ReadI64(int64_t* v);
   common::Status ReadF64(double* v);
   common::Status ReadString(std::string* s);
-  common::Status ReadFloats(std::vector<float>* v);
 
   size_t remaining() const { return data_.size() - offset_; }
   bool empty() const { return remaining() == 0; }

@@ -145,7 +145,6 @@ common::Status DurableStore::Recover() {
   // records and is recreated empty.
   obs::Span* wal_span = recovery_trace_->StartSpan("wal_replay", 1.0);
   const std::string wal_file = wal_path(epoch_);
-  bool wal_exists = true;
   bool wal_usable = false;
   {
     auto mapped = MappedFile::Open(wal_file);
@@ -171,9 +170,7 @@ common::Status DurableStore::Recover() {
         recovery_.wal_discarded_bytes = mapped.value().size();
         recovery_.torn_tail = mapped.value().size() > 0;
       }
-    } else if (mapped.status().code() == common::StatusCode::kNotFound) {
-      wal_exists = false;
-    } else {
+    } else if (mapped.status().code() != common::StatusCode::kNotFound) {
       return mapped.status();
     }
   }
@@ -186,8 +183,6 @@ common::Status DurableStore::Recover() {
     LLMDM_ASSIGN_OR_RETURN(
         writer_, WalWriter::Create(wal_file, epoch_, options_.fsync));
   }
-  writer_->set_group_commit_bytes(options_.group_commit_bytes);
-  (void)wal_exists;
   recovery_trace_->SetAttr(wal_span, "records",
                            std::to_string(recovery_.wal_records_replayed));
   recovery_trace_->SetAttr(wal_span, "discarded_bytes",
@@ -270,7 +265,6 @@ common::Status DurableStore::Checkpoint() {
   LLMDM_ASSIGN_OR_RETURN(
       auto next_writer, WalWriter::Create(wal_path(next), next,
                                           options_.fsync));
-  next_writer->set_group_commit_bytes(options_.group_commit_bytes);
   const std::string old_wal = wal_path(epoch_);
   writer_ = std::move(next_writer);
   epoch_ = next;

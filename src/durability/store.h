@@ -38,13 +38,6 @@ class DurableStore {
     std::string dir;        // must exist
     std::string name;       // file stem; also the {store=...} metric label
     bool fsync = true;      // false for tmpfs-heavy tests
-    /// Group commit: batch WAL appends in memory and issue them as one
-    /// write(2) once at least this many bytes are buffered (Sync and
-    /// Checkpoint flush regardless). 0 = one write per record. The on-disk
-    /// byte stream is identical either way; what changes is the write-call
-    /// count and the crash window — buffered records are lost by a crash
-    /// until the next flush/sync, which is the classic group-commit trade.
-    size_t group_commit_bytes = 0;
     obs::Registry* registry = nullptr;  // shared registry, or private if null
   };
 

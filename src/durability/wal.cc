@@ -54,7 +54,6 @@ WalWriter::WalWriter(std::string path, int fd, uint64_t epoch, uint64_t size,
 
 WalWriter::~WalWriter() {
   if (fd_ >= 0) {
-    (void)FlushLocked();  // best effort; a clean close loses nothing
     if (fsync_) ::fdatasync(fd_);
     ::close(fd_);
   }
@@ -122,46 +121,32 @@ common::Status WalWriter::Append(std::string_view payload) {
   record.append(payload.data(), payload.size());
 
   std::lock_guard<std::mutex> lock(mu_);
-  pending_.append(record);
-  if (group_commit_bytes_ == 0 || pending_.size() >= group_commit_bytes_) {
-    return FlushLocked();
-  }
-  return common::Status::Ok();
-}
-
-common::Status WalWriter::FlushLocked() {
-  size_t to_write = pending_.size();
+  LLMDM_RETURN_IF_ERROR(CrashedLocked());
+  size_t to_write = record.size();
   if (crash_after_bytes_ >= 0) {
-    uint64_t limit = static_cast<uint64_t>(crash_after_bytes_);
-    if (size_ >= limit) {
-      // The simulated power cut already happened; the writer stays dead
-      // even for empty flushes (Sync after a torn batch must not report ok).
-      pending_.clear();
-      return common::Status::Aborted("simulated crash: WAL write limit hit");
-    }
-    to_write = std::min<size_t>(to_write, limit - size_);
+    to_write = std::min<size_t>(
+        to_write, static_cast<uint64_t>(crash_after_bytes_) - size_);
   }
-  if (pending_.empty()) return common::Status::Ok();
-  common::Status written = WriteFully(fd_, pending_.data(), to_write);
-  if (!written.ok()) return written;
+  LLMDM_RETURN_IF_ERROR(WriteFully(fd_, record.data(), to_write));
   size_ += to_write;
-  bool torn = to_write < pending_.size();
-  pending_.clear();
-  if (torn) {
+  if (to_write < record.size()) {
     return common::Status::Aborted("simulated crash: record torn at byte " +
                                    std::to_string(size_));
   }
   return common::Status::Ok();
 }
 
-common::Status WalWriter::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return FlushLocked();
+common::Status WalWriter::CrashedLocked() const {
+  if (crash_after_bytes_ >= 0 &&
+      size_ >= static_cast<uint64_t>(crash_after_bytes_)) {
+    return common::Status::Aborted("simulated crash: WAL write limit hit");
+  }
+  return common::Status::Ok();
 }
 
 common::Status WalWriter::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
-  LLMDM_RETURN_IF_ERROR(FlushLocked());
+  LLMDM_RETURN_IF_ERROR(CrashedLocked());
   if (::fdatasync(fd_) != 0) {
     return common::Status::Internal("fdatasync(" + path_ +
                                     "): " + std::strerror(errno));
@@ -171,12 +156,7 @@ common::Status WalWriter::Sync() {
 
 uint64_t WalWriter::size_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return size_ + pending_.size();
-}
-
-void WalWriter::set_group_commit_bytes(size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  group_commit_bytes_ = n;
+  return size_;
 }
 
 void WalWriter::set_crash_after_bytes(int64_t n) {

@@ -45,29 +45,14 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one length-prefixed checksummed record. Without group commit
-  /// (the default) the whole record is issued as one write call; with it,
-  /// records accumulate in an in-memory buffer that Flush/Sync/destruction
-  /// — or the buffer crossing the threshold — pushes out as one write(2).
-  /// Thread-safe.
+  /// Appends one length-prefixed checksummed record with a single write
+  /// call. Thread-safe.
   common::Status Append(std::string_view payload);
 
-  /// Group commit: batch appended records in memory and write them as a
-  /// single write(2) once the buffer holds at least `n` bytes. 0 (default)
-  /// writes each record immediately. Buffered records are *not* durable
-  /// until flushed — a real crash loses them, which is the usual group
-  /// commit trade (bounded-loss window for fewer syscalls). The byte stream
-  /// that reaches the file is identical to the unbatched one.
-  void set_group_commit_bytes(size_t n);
-
-  /// Writes out any buffered records (group commit). No-op when empty.
-  common::Status Flush();
-
-  /// Flushes buffered records, then fdatasync(2) the file.
+  /// fdatasync(2) the file.
   common::Status Sync();
 
-  /// Logical size in bytes: header + appended records, including records
-  /// still sitting in the group-commit buffer.
+  /// Bytes written: header + appended records.
   uint64_t size_bytes() const;
   uint64_t epoch() const { return epoch_; }
   const std::string& path() const { return path_; }
@@ -75,28 +60,26 @@ class WalWriter {
   /// Crash-injection hook for the durability harness: once the file would
   /// grow past `n` bytes, Append writes only the bytes up to the limit
   /// (possibly tearing a record mid-header or mid-payload) and then fails
-  /// every subsequent write with kAborted — the exact shape a power cut
-  /// leaves behind, made deterministic. Negative disables (default).
+  /// every subsequent Append and Sync with kAborted — the exact shape a
+  /// power cut leaves behind, made deterministic. Negative disables
+  /// (default).
   void set_crash_after_bytes(int64_t n);
 
  private:
   WalWriter(std::string path, int fd, uint64_t epoch, uint64_t size,
             bool fsync);
 
-  /// Writes pending_ to the file. Crash injection (crash_after_bytes)
-  /// applies here, against the *durable* size — exactly where a real power
-  /// cut would tear a batched write.
-  common::Status FlushLocked();
+  /// kAborted once crash injection has cut the file at its limit: the
+  /// simulated power cut already happened and the writer stays dead.
+  common::Status CrashedLocked() const;
 
   std::string path_;
   mutable std::mutex mu_;
   int fd_ = -1;
   uint64_t epoch_ = 0;
-  uint64_t size_ = 0;  // durable bytes (written, possibly not yet synced)
+  uint64_t size_ = 0;  // bytes written (possibly not yet synced)
   bool fsync_ = true;
   int64_t crash_after_bytes_ = -1;
-  size_t group_commit_bytes_ = 0;  // 0 = write through
-  std::string pending_;            // buffered records awaiting one write(2)
 };
 
 /// Outcome of scanning one WAL file.

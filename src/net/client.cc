@@ -9,7 +9,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <map>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -101,20 +101,9 @@ common::Status Client::ReadMore() {
   }
 }
 
-common::Status Client::NextFrame(Frame* out) {
-  for (;;) {
-    if (decoder_.Next(out)) return common::Status::Ok();
-    LLMDM_RETURN_IF_ERROR(ReadMore());
-  }
-}
-
-void Client::AccumulateChunk(const WireChunk& chunk) {
-  auto& slot = partial_[chunk.id];
-  slot.first += chunk.data;
-  slot.second += 1;
-}
-
-common::Result<ClientResult> Client::MakeResult(const Frame& frame) {
+common::Result<ClientResult> Client::ReceiveFromWire() {
+  Frame frame;
+  while (!decoder_.Next(&frame)) LLMDM_RETURN_IF_ERROR(ReadMore());
   ClientResult result;
   if (frame.type == FrameType::kError) {
     auto error = DecodeError(frame.payload);
@@ -125,7 +114,6 @@ common::Result<ClientResult> Client::MakeResult(const Frame& frame) {
     result.shed_cause = static_cast<serve::ShedCause>(error->shed_cause);
     result.shed = result.shed_cause != serve::ShedCause::kNone;
     result.retry_after_vms = error->retry_after_vms;
-    partial_.erase(result.id);
     return result;
   }
   auto response = DecodeResponse(frame.payload);
@@ -137,7 +125,8 @@ common::Result<ClientResult> Client::MakeResult(const Frame& frame) {
           : common::Status(
                 static_cast<common::StatusCode>(response->status_code),
                 response->status_message);
-  result.model = response->model;
+  result.text = std::move(response->text);
+  result.model = std::move(response->model);
   result.cost = common::Money::FromMicros(response->cost_micros);
   result.queue_wait_vms = response->queue_wait_vms;
   result.service_vms = response->service_vms;
@@ -146,32 +135,7 @@ common::Result<ClientResult> Client::MakeResult(const Frame& frame) {
   result.hedged = response->hedged;
   result.hedge_won = response->hedge_won;
   result.coalesced = response->coalesced;
-  if ((frame.flags & kFlagStreamed) != 0) {
-    auto it = partial_.find(result.id);
-    if (it != partial_.end()) {
-      result.text = std::move(it->second.first);
-      result.chunks = it->second.second;
-      partial_.erase(it);
-    }
-    result.streamed = true;
-  } else {
-    result.text = response->text;
-  }
   return result;
-}
-
-common::Result<ClientResult> Client::ReceiveFromWire() {
-  for (;;) {
-    Frame frame;
-    LLMDM_RETURN_IF_ERROR(NextFrame(&frame));
-    if (frame.type == FrameType::kStreamChunk) {
-      auto chunk = DecodeChunk(frame.payload);
-      if (!chunk.ok()) return chunk.status();
-      AccumulateChunk(*chunk);
-      continue;
-    }
-    return MakeResult(frame);
-  }
 }
 
 common::Result<ClientResult> Client::Receive() {
@@ -199,30 +163,6 @@ common::Result<ClientResult> Client::Call(const WireRequest& request) {
     if (!result.ok()) return result.status();
     if (result->id == request.id) return std::move(*result);
     completed_.push_back(std::move(*result));
-  }
-}
-
-common::Result<ClientResult> Client::CallWithRetry(
-    WireRequest request, const RetryOptions& options) {
-  // Strictly-after margin: the server's hint is the instant the bucket
-  // refills / the slot frees, so arriving exactly then can still lose to
-  // floating-point rounding at the admission boundary.
-  constexpr double kEpsilonVms = 1e-3;
-  const size_t max_attempts = std::max<size_t>(1, options.max_attempts);
-  for (size_t attempt = 1;; ++attempt) {
-    auto result = Call(request);
-    if (!result.ok()) return result.status();
-    result->attempts = attempt;
-    const bool retryable =
-        result->shed && (result->shed_cause == serve::ShedCause::kQueue ||
-                         result->shed_cause == serve::ShedCause::kQuota);
-    if (!retryable || attempt >= max_attempts) return result;
-    const double wait = result->retry_after_vms > 0.0
-                            ? result->retry_after_vms
-                            : options.backoff_without_hint_vms;
-    // The hint is relative to the shed attempt's arrival, so advance from
-    // the arrival the server just judged, not from zero.
-    request.arrival_vms += wait + kEpsilonVms;
   }
 }
 
@@ -258,68 +198,6 @@ common::Result<std::vector<ClientResult>> Client::CallBatch(
     out.push_back(std::move(by_id[request.id]));
   }
   return out;
-}
-
-common::Result<Client::StreamHandle> Client::CallStreaming(
-    const WireRequest& request) {
-  LLMDM_RETURN_IF_ERROR(Send(request));
-  return StreamHandle(this, request.id);
-}
-
-bool Client::StreamHandle::Next(std::string* chunk) {
-  if (done_ || !error_.ok()) return false;
-  for (;;) {
-    Frame frame;
-    common::Status st = client_->NextFrame(&frame);
-    if (!st.ok()) {
-      error_ = st;
-      done_ = true;
-      return false;
-    }
-    if (frame.type == FrameType::kStreamChunk) {
-      auto decoded = DecodeChunk(frame.payload);
-      if (!decoded.ok()) {
-        error_ = decoded.status();
-        done_ = true;
-        return false;
-      }
-      if (decoded->id == id_) {
-        text_ += decoded->data;
-        ++chunks_;
-        if (chunk != nullptr) *chunk = decoded->data;
-        return true;
-      }
-      client_->AccumulateChunk(*decoded);
-      continue;
-    }
-    auto result = client_->MakeResult(frame);
-    if (!result.ok()) {
-      error_ = result.status();
-      done_ = true;
-      return false;
-    }
-    if (result->id != id_) {
-      client_->completed_.push_back(std::move(*result));
-      continue;
-    }
-    final_ = std::move(*result);
-    if (final_.streamed) {
-      // Our own chunks were consumed by Next() rather than the client's
-      // reassembly buffer; attach them here.
-      final_.text = text_;
-      final_.chunks = chunks_;
-    }
-    done_ = true;
-    return false;
-  }
-}
-
-common::Result<ClientResult> Client::StreamHandle::Finish() {
-  std::string sink;
-  while (!done_ && Next(&sink)) {
-  }
-  if (!error_.ok()) return error_;
-  return final_;
 }
 
 }  // namespace llmdm::net

@@ -2,7 +2,6 @@
 #define LLMDM_NET_CLIENT_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -36,18 +35,12 @@ struct ClientResult {
   bool hedged = false;
   bool hedge_won = false;
   bool coalesced = false;
-  bool streamed = false;  // text was reassembled from stream chunks
-  size_t chunks = 0;      // chunk frames that carried it
-  /// Wire round trips this result took (1 = no retry). Only CallWithRetry
-  /// ever sets it above 1.
-  size_t attempts = 1;
 };
 
 /// Blocking client for the llmdm wire protocol.
 ///
 /// Three usage levels, from convenient to manual:
-///   - Call(request): one round trip, returns the result (streaming
-///     requests are reassembled transparently).
+///   - Call(request): one round trip, returns the result.
 ///   - CallBatch(requests): writes the whole batch pipelined, then collects
 ///     every result; returned in request order.
 ///   - Send()/Receive(): raw pipelining for loadgen-style callers. Send()
@@ -56,9 +49,8 @@ struct ClientResult {
 ///     driving); neither call is itself safe to race with a same-direction
 ///     call.
 ///
-/// Streaming: pass stream_chunk_bytes > 0 on the request and either let
-/// Call()/Receive() reassemble, or use CallStreaming() to observe chunks as
-/// they arrive through StreamHandle::Next().
+/// A shed result carries the server's retry_after_vms hint; a caller that
+/// retries re-sends at an arrival past it.
 class Client {
  public:
   struct Options {
@@ -82,38 +74,12 @@ class Client {
   /// Writes one request frame. Does not wait for the response.
   common::Status Send(const WireRequest& request);
 
-  /// Blocks for the next completed result in server completion order,
-  /// reassembling any stream chunks that precede it. Interleaved chunk
-  /// frames for other ids (pipelined streaming) are accumulated and
-  /// attached to their own results when those arrive.
+  /// Blocks for the next completed result in server completion order.
   common::Result<ClientResult> Receive();
 
   /// Send + Receive-until-this-id. With no pipelining in flight, this is
   /// one round trip.
   common::Result<ClientResult> Call(const WireRequest& request);
-
-  struct RetryOptions {
-    /// Total wire attempts, first try included. 1 degenerates to Call().
-    size_t max_attempts = 3;
-    /// Virtual-ms backoff when a shed carries no usable hint
-    /// (retry_after_vms <= 0).
-    double backoff_without_hint_vms = 1.0;
-  };
-
-  /// Call() that honors the server's shed metadata: a refusal whose cause
-  /// is retryable (queue full, quota exhausted) is re-sent with
-  /// `arrival_vms` advanced just past the shed's `retry_after_vms` hint —
-  /// in virtual time the client waits exactly as long as the server said a
-  /// retry needs (bucket refilled / queue slot free), instead of hammering
-  /// an exhausted quota and burning admission work. Deadline sheds are
-  /// terminal (the estimated wait already exceeded the request's own
-  /// budget; arriving later cannot help), as is any transport error.
-  /// `attempts` on the returned result counts the round trips taken.
-  common::Result<ClientResult> CallWithRetry(WireRequest request,
-                                             const RetryOptions& options);
-  common::Result<ClientResult> CallWithRetry(WireRequest request) {
-    return CallWithRetry(std::move(request), RetryOptions());
-  }
 
   /// Pipelined batch: every request frame is written back to back, then
   /// results are collected (they arrive in completion order) and returned
@@ -122,51 +88,15 @@ class Client {
   common::Result<std::vector<ClientResult>> CallBatch(
       const std::vector<WireRequest>& requests);
 
-  /// Incremental view of one streamed call. Next() yields each chunk as it
-  /// arrives; Finish() returns the final result (with the reassembled
-  /// text). Only valid while no other Receive()-side call interleaves.
-  class StreamHandle {
-   public:
-    /// True and fills `chunk` while chunks keep arriving; false once the
-    /// final response (or an error frame) has been consumed.
-    bool Next(std::string* chunk);
-    /// The final result; call after Next() returns false.
-    common::Result<ClientResult> Finish();
-
-   private:
-    friend class Client;
-    explicit StreamHandle(Client* client, uint64_t id)
-        : client_(client), id_(id) {}
-    Client* client_;
-    uint64_t id_;
-    bool done_ = false;
-    std::string text_;
-    size_t chunks_ = 0;
-    ClientResult final_;
-    common::Status error_;
-  };
-
-  /// Sends `request` (stream_chunk_bytes must be > 0 for chunks to appear)
-  /// and returns a handle iterating the response stream.
-  common::Result<StreamHandle> CallStreaming(const WireRequest& request);
-
  private:
-  /// Reads frames until one *final* frame (response or error) is decoded;
-  /// chunk frames feed the per-id reassembly buffers.
+  /// Reads the next frame off the socket and decodes it into a result.
   common::Result<ClientResult> ReceiveFromWire();
-  /// Blocks for the next whole frame (reads more bytes as needed).
-  common::Status NextFrame(Frame* out);
   common::Status ReadMore();
-  /// Builds a ClientResult from a final (response/error) frame, consuming
-  /// any reassembly buffer accumulated for its id.
-  common::Result<ClientResult> MakeResult(const Frame& frame);
-  void AccumulateChunk(const WireChunk& chunk);
 
   int fd_ = -1;
   Options options_;
   // Receive-side state (owned by whichever single thread is receiving).
   FrameDecoder decoder_;
-  std::map<uint64_t, std::pair<std::string, size_t>> partial_;  // id -> text
   std::vector<ClientResult> completed_;  // decoded while awaiting another id
 };
 

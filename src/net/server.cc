@@ -46,8 +46,6 @@ NetServer::NetServer(serve::Server* backend, const Options& options)
   metrics_.bytes_tx = registry_->GetCounter("llmdm_net_bytes_tx_total");
   metrics_.requests_rx = registry_->GetCounter("llmdm_net_requests_rx_total");
   metrics_.responses_tx = registry_->GetCounter("llmdm_net_responses_tx_total");
-  metrics_.chunks_tx =
-      registry_->GetCounter("llmdm_net_stream_chunks_tx_total");
   metrics_.errors_tx = registry_->GetCounter("llmdm_net_errors_tx_total");
   metrics_.shed_tx = registry_->GetCounter("llmdm_net_shed_tx_total");
   metrics_.protocol_errors =
@@ -268,7 +266,6 @@ void NetServer::HandleRequest(Conn* conn, const WireRequest& request) {
   metrics_.requests_rx->Add(1);
   Route route;
   route.conn_id = conn->conn_id;
-  route.stream_chunk_bytes = request.stream_chunk_bytes;
   route.accepted_us = NowUs();
   routes_.emplace(request.id, route);
   metrics_.inflight_requests->Set(static_cast<int64_t>(routes_.size()));
@@ -335,28 +332,9 @@ void NetServer::DeliverResponse(const serve::Response& response) {
   wire.hedged = response.hedged;
   wire.hedge_won = response.hedge_won;
   wire.coalesced = response.coalesced;
-
-  const bool stream = route.stream_chunk_bytes > 0 && response.status.ok() &&
-                      !response.text.empty();
-  if (stream) {
-    uint32_t seq = 0;
-    for (size_t off = 0; off < response.text.size();
-         off += route.stream_chunk_bytes) {
-      WireChunk chunk;
-      chunk.id = response.id;
-      chunk.seq = seq++;
-      chunk.data =
-          response.text.substr(off, route.stream_chunk_bytes);
-      metrics_.chunks_tx->Add(1);
-      AppendFrame(conn, EncodeChunkFrame(chunk));
-      // AppendFrame may close a dead peer; stop touching the conn then.
-      if (conn_by_id_.find(route.conn_id) == conn_by_id_.end()) return;
-    }
-  } else {
-    wire.text = response.text;
-  }
+  wire.text = response.text;
   metrics_.responses_tx->Add(1);
-  AppendFrame(conn, EncodeResponseFrame(wire, stream));
+  AppendFrame(conn, EncodeResponseFrame(wire));
 }
 
 void NetServer::SendError(Conn* conn, const WireError& error) {
@@ -456,7 +434,6 @@ NetStats NetServer::stats() const {
   s.bytes_tx = metrics_.bytes_tx->value();
   s.requests_rx = metrics_.requests_rx->value();
   s.responses_tx = metrics_.responses_tx->value();
-  s.chunks_tx = metrics_.chunks_tx->value();
   s.errors_tx = metrics_.errors_tx->value();
   s.shed_tx = metrics_.shed_tx->value();
   s.protocol_errors = metrics_.protocol_errors->value();

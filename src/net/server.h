@@ -29,7 +29,6 @@ struct NetStats {
   uint64_t bytes_tx = 0;
   uint64_t requests_rx = 0;
   uint64_t responses_tx = 0;
-  uint64_t chunks_tx = 0;
   uint64_t errors_tx = 0;
   uint64_t shed_tx = 0;  // subset of errors_tx that are admission sheds
   uint64_t protocol_errors = 0;
@@ -123,10 +122,9 @@ class NetServer {
     size_t pending() const { return outbuf.size() - out_off; }
   };
 
-  /// Where a completed request's frames go, plus how to render them.
+  /// Where a completed request's frame goes.
   struct Route {
     uint64_t conn_id = 0;
-    uint32_t stream_chunk_bytes = 0;
     int64_t accepted_us = 0;  // wall clock, for the service histogram
   };
 
@@ -139,7 +137,6 @@ class NetServer {
     obs::Counter* bytes_tx = nullptr;
     obs::Counter* requests_rx = nullptr;
     obs::Counter* responses_tx = nullptr;
-    obs::Counter* chunks_tx = nullptr;
     obs::Counter* errors_tx = nullptr;
     obs::Counter* shed_tx = nullptr;
     obs::Counter* protocol_errors = nullptr;
@@ -156,7 +153,7 @@ class NetServer {
   void OnConnEvent(int fd, uint32_t events);
   void HandleFrame(Conn* conn, const Frame& frame);
   void HandleRequest(Conn* conn, const WireRequest& request);
-  /// Encodes one serve outcome into response/chunk/error frames on its
+  /// Encodes one serve outcome as a response or error frame on its
   /// connection's outbound buffer (dropping it if the connection is gone).
   void DeliverResponse(const serve::Response& response);
   void SendError(Conn* conn, const WireError& error);

@@ -27,8 +27,13 @@ uint64_t FrameChecksum(std::string_view header12, std::string_view payload) {
 }
 
 bool ValidFrameType(uint8_t t) {
-  return t >= static_cast<uint8_t>(FrameType::kRequest) &&
-         t <= static_cast<uint8_t>(FrameType::kError);
+  switch (static_cast<FrameType>(t)) {
+    case FrameType::kRequest:
+    case FrameType::kResponse:
+    case FrameType::kError:
+      return true;
+  }
+  return false;
 }
 
 /// All payload decoders must consume the payload exactly: trailing bytes
@@ -69,11 +74,10 @@ std::string EncodeRequestFrame(const WireRequest& request) {
   AppendU8(&payload, request.priority);
   AppendF64(&payload, request.deadline_ms);
   AppendF64(&payload, request.arrival_vms);
-  AppendU32(&payload, request.stream_chunk_bytes);
   return EncodeFrame(FrameType::kRequest, 0, payload);
 }
 
-std::string EncodeResponseFrame(const WireResponse& response, bool streamed) {
+std::string EncodeResponseFrame(const WireResponse& response) {
   std::string payload;
   AppendU64(&payload, response.id);
   AppendU8(&payload, response.status_code);
@@ -90,16 +94,7 @@ std::string EncodeResponseFrame(const WireResponse& response, bool streamed) {
   if (response.hedge_won) bits |= 1u << 2;
   if (response.coalesced) bits |= 1u << 3;
   AppendU8(&payload, bits);
-  return EncodeFrame(FrameType::kResponse, streamed ? kFlagStreamed : 0,
-                     payload);
-}
-
-std::string EncodeChunkFrame(const WireChunk& chunk) {
-  std::string payload;
-  AppendU64(&payload, chunk.id);
-  AppendU32(&payload, chunk.seq);
-  AppendString(&payload, chunk.data);
-  return EncodeFrame(FrameType::kStreamChunk, 0, payload);
+  return EncodeFrame(FrameType::kResponse, 0, payload);
 }
 
 std::string EncodeErrorFrame(const WireError& error) {
@@ -122,7 +117,6 @@ common::Result<WireRequest> DecodeRequest(std::string_view payload) {
   LLMDM_RETURN_IF_ERROR(reader.ReadU8(&r.priority));
   LLMDM_RETURN_IF_ERROR(reader.ReadF64(&r.deadline_ms));
   LLMDM_RETURN_IF_ERROR(reader.ReadF64(&r.arrival_vms));
-  LLMDM_RETURN_IF_ERROR(reader.ReadU32(&r.stream_chunk_bytes));
   LLMDM_RETURN_IF_ERROR(CheckFullyConsumed(reader, "request"));
   if (r.priority > 2) {
     return common::Status::InvalidArgument(
@@ -160,16 +154,6 @@ common::Result<WireResponse> DecodeResponse(std::string_view payload) {
   r.hedge_won = (bits & (1u << 2)) != 0;
   r.coalesced = (bits & (1u << 3)) != 0;
   return r;
-}
-
-common::Result<WireChunk> DecodeChunk(std::string_view payload) {
-  ByteReader reader(payload);
-  WireChunk c;
-  LLMDM_RETURN_IF_ERROR(reader.ReadU64(&c.id));
-  LLMDM_RETURN_IF_ERROR(reader.ReadU32(&c.seq));
-  LLMDM_RETURN_IF_ERROR(reader.ReadString(&c.data));
-  LLMDM_RETURN_IF_ERROR(CheckFullyConsumed(reader, "chunk"));
-  return c;
 }
 
 common::Result<WireError> DecodeError(std::string_view payload) {
@@ -212,8 +196,9 @@ common::Status FrameDecoder::Feed(std::string_view data) {
       return error_;
     }
     if (version != kWireVersion) {
-      error_ = common::Status::InvalidArgument(
-          common::StrFormat("unsupported wire version %u", version));
+      error_ = common::Status::InvalidArgument(common::StrFormat(
+          "unsupported wire version %u (this build speaks %u)", version,
+          kWireVersion));
       return error_;
     }
     if (!ValidFrameType(type)) {

@@ -18,7 +18,8 @@ namespace llmdm::net {
 ///   0       4     magic    "LDMN" (little-endian u32)
 ///   4       1     version  kWireVersion
 ///   5       1     type     FrameType
-///   6       2     flags    FrameFlags bitset
+///   6       2     flags    reserved: always 0 for now; the decoder
+///                          passes it through in Frame::flags
 ///   8       4     length   payload bytes (u32, little-endian)
 ///   12      8     checksum FNV-1a over the payload, seeded with the FNV-1a
 ///                          of header bytes [0, 12) — one checksum covers
@@ -34,37 +35,32 @@ namespace llmdm::net {
 /// torn-frame sweep rest on.
 ///
 /// A conversation is: client writes kRequest frames (pipelining allowed);
-/// the server answers each with either
-///   - zero or more kStreamChunk frames followed by one kResponse frame
-///     carrying kFlagStreamed and an empty text (the client reassembles), or
+/// the server answers each with exactly one frame, either
 ///   - one kResponse frame with the full completion text, or
 ///   - one kError frame (shed, draining, or protocol violation) carrying the
 ///     shed cause and the QoS retry_after_vms hint.
 /// Responses come back in completion order, not request order; the `id`
-/// field is the correlation key. Chunk frames for one id are contiguous.
+/// field is the correlation key.
+///
+/// Version 2 dropped version 1's streamed rendering (type 3 chunk frames
+/// and the request's chunk-size field); a version-1 frame, or a frame of
+/// type 3, is rejected like any other unknown header.
 
 inline constexpr uint32_t kWireMagic = 0x4E4D444Cu;  // "LDMN" on the wire
-inline constexpr uint8_t kWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 20;
 
+/// Type codes keep their version-1 values; 3 is unassigned.
 enum class FrameType : uint8_t {
   kRequest = 1,
   kResponse = 2,
-  kStreamChunk = 3,
   kError = 4,
 };
 
-/// Frame-level flags (u16 on the wire).
-enum FrameFlags : uint16_t {
-  /// On a kResponse: the completion text travelled as kStreamChunk frames
-  /// and the response's own text field is empty.
-  kFlagStreamed = 1u << 0,
-};
-
-/// One submitted request. Mirrors serve::Request plus the client's streaming
-/// preference. `arrival_vms` rides the wire so a network workload replays
-/// the exact admission sequence a direct Submit() of the same requests
-/// would — the virtual clock is the workload's, not the transport's.
+/// One submitted request. Mirrors serve::Request. `arrival_vms` rides the
+/// wire so a network workload replays the exact admission sequence a
+/// direct Submit() of the same requests would — the virtual clock is the
+/// workload's, not the transport's.
 struct WireRequest {
   uint64_t id = 0;
   std::string tenant;
@@ -74,9 +70,6 @@ struct WireRequest {
   /// Both finite and >= 0; DecodeRequest rejects anything else.
   double deadline_ms = 0.0;
   double arrival_vms = 0.0;
-  /// 0 = whole completion in the kResponse frame; >0 = stream the text back
-  /// as kStreamChunk frames of at most this many bytes.
-  uint32_t stream_chunk_bytes = 0;
 
   bool operator==(const WireRequest&) const = default;
 };
@@ -100,16 +93,6 @@ struct WireResponse {
   bool coalesced = false;
 
   bool operator==(const WireResponse&) const = default;
-};
-
-/// One piece of a streamed completion text. Chunks for an id arrive in
-/// `seq` order, contiguously, and are followed by the final kResponse frame.
-struct WireChunk {
-  uint64_t id = 0;
-  uint32_t seq = 0;
-  std::string data;
-
-  bool operator==(const WireChunk&) const = default;
 };
 
 /// A refusal: admission shed (kResourceExhausted + shed cause + the
@@ -142,8 +125,7 @@ std::string EncodeFrame(FrameType type, uint16_t flags,
                         std::string_view payload);
 
 std::string EncodeRequestFrame(const WireRequest& request);
-std::string EncodeResponseFrame(const WireResponse& response, bool streamed);
-std::string EncodeChunkFrame(const WireChunk& chunk);
+std::string EncodeResponseFrame(const WireResponse& response);
 std::string EncodeErrorFrame(const WireError& error);
 
 // ---- Payload decoding (bounds-checked; kOutOfRange on truncation,
@@ -151,7 +133,6 @@ std::string EncodeErrorFrame(const WireError& error);
 
 common::Result<WireRequest> DecodeRequest(std::string_view payload);
 common::Result<WireResponse> DecodeResponse(std::string_view payload);
-common::Result<WireChunk> DecodeChunk(std::string_view payload);
 common::Result<WireError> DecodeError(std::string_view payload);
 
 /// Incremental frame decoder over an arbitrary chunking of the byte stream.

@@ -24,13 +24,37 @@ constexpr double kInteractiveReserveFraction = 0.25;
 // and retry storms burn time even when nothing is returned).
 constexpr double kFailedAttemptPenaltyMs = 1000.0;
 
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  double rank = p * static_cast<double>(sorted.size() - 1);
+/// Linearly interpolated percentile of `n` ascending values, the i-th read
+/// through `at(i)`.
+template <typename At>
+double InterpolatedPercentile(size_t n, double p, const At& at) {
+  if (n == 0) return 0.0;
+  double rank = p * static_cast<double>(n - 1);
   size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
+  size_t hi = std::min(lo + 1, n - 1);
   double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const double lo_value = at(lo);
+  return lo_value + frac * (at(hi) - lo_value);
+}
+
+double Percentile(const std::vector<double>& sorted, double p) {
+  return InterpolatedPercentile(sorted.size(), p,
+                                [&sorted](size_t i) { return sorted[i]; });
+}
+
+/// Percentile() of the multiset held in `counts` (value -> occurrences),
+/// read off the map without expanding it: the same ranks and arithmetic,
+/// so the result is bit-identical to Percentile() over the sorted values.
+double CountedPercentile(const std::map<double, size_t>& counts, double p) {
+  size_t n = 0;
+  for (const auto& entry : counts) n += entry.second;
+  return InterpolatedPercentile(n, p, [&counts](size_t pos) {
+    for (const auto& [value, count] : counts) {
+      if (pos < count) return value;
+      pos -= count;
+    }
+    return 0.0;  // unreachable: pos < n
+  });
 }
 }  // namespace
 
@@ -410,12 +434,9 @@ void Server::Shed(const Request& request, TenantState* tenant_state,
 void Server::StartWork(Work work) {
   work.queue_wait_vms = work.est_start_vms - work.request.arrival_vms;
   if (options_.hedging) {
-    est_services_.insert(std::upper_bound(est_services_.begin(),
-                                          est_services_.end(),
-                                          work.est_service_vms),
-                         work.est_service_vms);
+    ++est_service_counts_[work.est_service_vms];
     work.hedge_trigger_vms =
-        Percentile(est_services_, options_.hedge_percentile);
+        CountedPercentile(est_service_counts_, options_.hedge_percentile);
   }
   if (options_.single_flight) {
     // This request leads a new flight; later identical arrivals inside
@@ -898,6 +919,11 @@ std::vector<Response> Server::Drain() {
 size_t Server::inflight_flights() const {
   std::lock_guard<std::mutex> lock(admission_mu_);
   return inflight_.size();
+}
+
+size_t Server::hedge_history_entries() const {
+  std::lock_guard<std::mutex> lock(admission_mu_);
+  return est_service_counts_.size();
 }
 
 ServerStats Server::stats() const {

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -383,6 +384,10 @@ class Server {
   /// a later arrival. For tests of the expiry bound.
   size_t inflight_flights() const;
 
+  /// Distinct estimated service times in the hedge history. For tests of
+  /// its bound.
+  size_t hedge_history_entries() const;
+
   /// The registry holding the server's instruments (the injected one, or
   /// the private per-instance registry).
   obs::Registry* registry() const { return registry_; }
@@ -581,7 +586,11 @@ class Server {
   std::vector<double> slot_free_vms_;  // per virtual slot
   std::priority_queue<double, std::vector<double>, std::greater<double>>
       pending_starts_;                  // est_start of not-yet-started work
-  std::vector<double> est_services_;    // hedging: est service times, sorted
+  /// Hedging: every admitted estimate so far, as value -> count.
+  /// Estimates are spec latency x estimated tokens, so there are few
+  /// distinct values however many requests arrive; the trigger percentile
+  /// reads the same ranks a sorted vector of all of them would.
+  std::map<double, size_t> est_service_counts_;
   /// Next virtual-time boundary at which the maintenance hook fires.
   double next_maintenance_vms_ = 0.0;
   bool draining_ = false;

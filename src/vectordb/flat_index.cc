@@ -123,7 +123,7 @@ std::vector<SearchResult> FlatIndex::Search(const Vector& query,
     std::vector<int32_t> idots(slots);
     kernels::DotBatchI8(qcodes.data(), codes_.data(), slots, dim_,
                         idots.data());
-    kernels::TopKSelector shortlist(k * options_.rescore_factor + 8);
+    kernels::TopKSelector shortlist(k * kRescoreFactor + 8);
     for (size_t s = 0; s < slots; ++s) {
       if (!live_[s]) continue;
       float approx = (norms_[s] == 0.0f || qnorm == 0.0f)

@@ -20,7 +20,7 @@ namespace llmdm::vectordb {
 /// kernels::DotBatch sweep plus a bounded top-k selection — no per-row
 /// virtual calls, no scoring vector, no full sort. With Options::quantize
 /// the arena additionally holds int8 codes (symmetric per-vector scale); the
-/// sweep then runs over the codes and only the top k·rescore_factor
+/// sweep then runs over the codes and only the top k·kRescoreFactor + 8
 /// candidates are rescored with exact float32, so returned scores are always
 /// exact while the O(n·d) inner loop is 4-byte→1-byte.
 class FlatIndex {
@@ -30,9 +30,10 @@ class FlatIndex {
     /// scores are exact; only *which* rows make the short list is
     /// approximate (recall gate: ≥0.99 on the Table III workload).
     bool quantize = false;
-    /// Short-list size = k * rescore_factor + 8.
-    size_t rescore_factor = 3;
   };
+
+  /// Quantized short-list size is k * kRescoreFactor + 8.
+  static constexpr size_t kRescoreFactor = 3;
 
   FlatIndex() = default;
   explicit FlatIndex(const Options& options) : options_(options) {}
@@ -46,10 +47,10 @@ class FlatIndex {
   /// return fewer than k.
   std::vector<SearchResult> Search(const Vector& query, size_t k) const;
 
-  /// Invokes `fn(id, vector)` once per live vector, in ascending id order.
-  /// The ordering is part of the contract: durability snapshots consume
-  /// this iteration and need two indexes holding the same vectors to
-  /// enumerate them identically.
+  /// Invokes `fn(id, vector)` once per live vector, in ascending id order,
+  /// with the vector at its original length. The ordering is part of the
+  /// contract: SemanticCache's stable compaction refills a fresh index from
+  /// this iteration and relies on ids arriving in their old relative order.
   void ForEach(const std::function<void(uint64_t, const Vector&)>& fn) const;
 
  private:

@@ -135,9 +135,11 @@ TEST(ConcurrentSoak, ResilientCachedModelInvariantsAt30PercentFaults) {
   // one shared SemanticCache, all metering into one ledger. Interleaving is
   // scheduling-dependent, so the assertions are conservation laws.
   auto cache = std::make_unique<optimize::SemanticCache>(
-      optimize::SemanticCache::Options{0.95, 4096,
-                                       optimize::EvictionPolicy::kCostAware,
-                                       2.0, 1.0, false});
+      optimize::SemanticCache::Options{
+          .similarity_threshold = 0.95,
+          .capacity = 4096,
+          .policy = optimize::EvictionPolicy::kCostAware,
+          .predictive_admission = false});
   auto faulty = std::make_shared<llm::FaultInjectingLlm>(
       MakeModel("sim-endpoint", 100.0, 1), llm::FaultProfile::Uniform(0.3), 7);
   llm::ResilientLlm::Options resilience;
@@ -521,6 +523,27 @@ TEST(Serve, SingleFlightGroupsExpireWithVirtualTime) {
     EXPECT_TRUE(responses[kDistinct + k].coalesced) << "duplicate " << k;
     EXPECT_EQ(responses[kDistinct + k].text, responses[kDistinct].text);
   }
+}
+
+TEST(Serve, HedgeHistoryKeepsOneEntryPerDistinctEstimate) {
+  // The hedge trigger is a percentile over the estimated service time of
+  // every admission so far. An estimate depends only on the request's token
+  // count, so the history holds one counted entry per distinct estimate:
+  // N admissions over k input lengths leave k entries, not N.
+  serve::Server::Options options;
+  options.worker_threads = 2;
+  options.shed_policy = serve::ShedPolicy::kNone;
+  options.hedging = true;
+  serve::Server server(MakeModel("sim-serve", 100.0, 3), options);
+  constexpr size_t kLengths = 7;
+  constexpr size_t kAdmissions = 2000;
+  for (size_t i = 0; i < kAdmissions; ++i) {
+    std::string input = "question";
+    for (size_t w = 0; w < i % kLengths; ++w) input += " again";
+    server.Submit(MakeRequest(i, static_cast<double>(i) * 1000.0, input));
+  }
+  EXPECT_EQ(server.hedge_history_entries(), kLengths);
+  EXPECT_EQ(server.Drain().size(), kAdmissions);
 }
 
 std::string RunSingleFlightWorkload(size_t worker_threads) {

@@ -22,13 +22,12 @@
 //     the in-process shape of a power cut — then recover from whatever
 //     actually reached the file and run the same comparison.
 //
-// Units: --unit=cache (SemanticCache: insert/refresh/evict/compact),
-// prompts (PromptStore: add/evict/outcome), flat (DurableVectorIndex:
-// add/remove). Exit 0 when every offset agrees; 1 on the first divergence;
-// 2 on usage errors.
+// Units: --unit=cache (SemanticCache: insert/refresh/evict/compact) and
+// prompts (PromptStore: add/evict/outcome). Exit 0 when every offset
+// agrees; 1 on the first divergence; 2 on usage errors.
 //
-// scripts/verify.sh runs the cache, prompts and flat sweeps as its
-// crash-sweep stage.
+// scripts/verify.sh runs the cache and prompts sweeps as its crash-sweep
+// stage.
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -51,7 +50,6 @@
 #include "durability/snapshot.h"
 #include "durability/store.h"
 #include "durability/wal.h"
-#include "vectordb/durable_index.h"
 
 namespace llmdm {
 namespace {
@@ -127,35 +125,9 @@ class PromptUnit : public Unit {
   optimize::PromptStore store_;
 };
 
-class IndexUnit : public Unit {
- public:
-  IndexUnit() : index_({}) {}
-
-  durability::DurableState* state() override { return &index_; }
-  void Attach(durability::DurableStore* store) override {
-    index_.AttachDurability(store);
-  }
-
-  void ApplyOp(size_t i) override {
-    if (i % 5 == 4 && index_.Contains(i / 2)) {
-      index_.Remove(i / 2).ok();
-      return;
-    }
-    vectordb::Vector v(8);
-    for (size_t j = 0; j < v.size(); ++j) {
-      v[j] = static_cast<float>((i * 7 + j * 3) % 13) * 0.25f - 1.0f;
-    }
-    index_.Add(i, std::move(v)).ok();
-  }
-
- private:
-  vectordb::DurableVectorIndex index_;
-};
-
 std::unique_ptr<Unit> MakeUnit(const std::string& name) {
   if (name == "cache") return std::make_unique<CacheUnit>();
   if (name == "prompts") return std::make_unique<PromptUnit>();
-  if (name == "flat") return std::make_unique<IndexUnit>();
   return nullptr;
 }
 
@@ -494,7 +466,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: llmdm_durability_harness --mode=sweep|point "
-      "--unit=cache|prompts|flat --dir=DIR\n"
+      "--unit=cache|prompts --dir=DIR\n"
       "        [--ops=N] [--stride=N] [--crash-after-bytes=N]\n"
       "  sweep: truncate the WAL at every (stride-sampled) byte offset and\n"
       "         assert recovery equals snapshot + clean record prefix\n"

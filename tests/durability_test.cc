@@ -1,13 +1,15 @@
 // Durability suite (ctest label `durability`): the WAL and snapshot formats,
 // DurableStore recovery policy, and crash-consistent recovery of the durable
-// components (semantic cache, prompt store, vector indexes). The exhaustive
+// components (semantic cache, prompt store). The exhaustive
 // every-byte crash sweep lives in durability_harness.cc; these tests pin the
 // individual format and policy contracts the sweep's guarantee rests on.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,7 +27,6 @@
 #include "llm/simulated.h"
 #include "llm/skills.h"
 #include "serve/server.h"
-#include "vectordb/durable_index.h"
 
 namespace llmdm {
 namespace {
@@ -95,7 +96,7 @@ TEST(DurabilityFormat, RoundtripsEveryType) {
   durability::AppendString(&buf, "hello\0world");  // embedded NUL survives? no:
   // string_view from a literal stops at the NUL — use an explicit view.
   durability::AppendString(&buf, std::string_view("a\0b", 3));
-  durability::AppendFloats(&buf, {1.5f, -0.25f, 3.0f});
+  durability::AppendF64(&buf, -0.25);
 
   durability::ByteReader in(buf);
   uint8_t u8 = 0;
@@ -103,21 +104,21 @@ TEST(DurabilityFormat, RoundtripsEveryType) {
   uint64_t u64 = 0;
   int64_t i64 = 0;
   std::string s1, s2;
-  std::vector<float> floats;
+  double f64 = 0.0;
   ASSERT_TRUE(in.ReadU8(&u8).ok());
   ASSERT_TRUE(in.ReadU32(&u32).ok());
   ASSERT_TRUE(in.ReadU64(&u64).ok());
   ASSERT_TRUE(in.ReadI64(&i64).ok());
   ASSERT_TRUE(in.ReadString(&s1).ok());
   ASSERT_TRUE(in.ReadString(&s2).ok());
-  ASSERT_TRUE(in.ReadFloats(&floats).ok());
+  ASSERT_TRUE(in.ReadF64(&f64).ok());
   EXPECT_EQ(u8, 7);
   EXPECT_EQ(u32, 0xDEADBEEFu);
   EXPECT_EQ(u64, 0x0123456789ABCDEFull);
   EXPECT_EQ(i64, -42);
   EXPECT_EQ(s1, "hello");
   EXPECT_EQ(s2, std::string("a\0b", 3));
-  EXPECT_EQ(floats, (std::vector<float>{1.5f, -0.25f, 3.0f}));
+  EXPECT_EQ(f64, -0.25);
   EXPECT_TRUE(in.empty());
 }
 
@@ -290,6 +291,7 @@ TEST(DurabilityWal, CrashInjectionTearsExactlyAtTheLimit) {
     // The third record would cross the limit: partial write, then kAborted.
     EXPECT_FALSE(writer.value()->Append("cccc").ok());
     EXPECT_FALSE(writer.value()->Append("dddd").ok());  // stays dead
+    EXPECT_FALSE(writer.value()->Sync().ok());  // a dead writer never syncs
   }
   const std::string bytes = ReadFileBytes(path);
   EXPECT_EQ(bytes.size(), static_cast<size_t>(limit));  // torn mid-record
@@ -300,74 +302,6 @@ TEST(DurabilityWal, CrashInjectionTearsExactlyAtTheLimit) {
   });
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(seen, (std::vector<std::string>{"aaaa", "bbbb"}));
-  EXPECT_TRUE(result.value().torn_tail);
-}
-
-TEST(DurabilityWal, GroupCommitByteStreamMatchesUnbatched) {
-  TempDir dir;
-  const std::string plain_path = dir.path() + "/plain.wal.1";
-  const std::string grouped_path = dir.path() + "/grouped.wal.1";
-  dir.Track("plain.wal.1");
-  dir.Track("grouped.wal.1");
-  auto write_all = [](durability::WalWriter* w) {
-    for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(w->Append("group commit record " + std::to_string(i)).ok());
-    }
-  };
-  {
-    auto writer = durability::WalWriter::Create(plain_path, 1, false);
-    ASSERT_TRUE(writer.ok());
-    write_all(writer.value().get());
-  }
-  {
-    auto writer = durability::WalWriter::Create(grouped_path, 1, false);
-    ASSERT_TRUE(writer.ok());
-    writer.value()->set_group_commit_bytes(256);
-    write_all(writer.value().get());
-    // Buffering is really happening: the logical size runs ahead of the
-    // bytes on disk between flushes...
-    EXPECT_GT(writer.value()->size_bytes(),
-              ReadFileBytes(grouped_path).size());
-    // ...and Sync pushes the remainder out.
-    ASSERT_TRUE(writer.value()->Sync().ok());
-    EXPECT_EQ(writer.value()->size_bytes(),
-              ReadFileBytes(grouped_path).size());
-  }
-  // Batched or not, the committed byte stream is identical.
-  EXPECT_EQ(ReadFileBytes(plain_path), ReadFileBytes(grouped_path));
-}
-
-TEST(DurabilityWal, GroupCommitCrashTearsAtTheFlushBoundary) {
-  TempDir dir;
-  const std::string path = dir.path() + "/t.wal.1";
-  dir.Track("t.wal.1");
-  const size_t record = durability::kWalRecordOverhead + 4;
-  // Crash limit sits mid-way through the second flushed batch.
-  const int64_t limit = static_cast<int64_t>(durability::kWalHeaderSize) +
-                        static_cast<int64_t>(3 * record) + 5;
-  {
-    auto writer = durability::WalWriter::Create(path, 1, false);
-    ASSERT_TRUE(writer.ok());
-    writer.value()->set_crash_after_bytes(limit);
-    writer.value()->set_group_commit_bytes(2 * record);  // 2 records a batch
-    // First batch: buffered, then flushed whole under the limit.
-    ASSERT_TRUE(writer.value()->Append("aaaa").ok());
-    ASSERT_TRUE(writer.value()->Append("bbbb").ok());
-    // Second batch: buffered ok, torn when the flush crosses the limit.
-    ASSERT_TRUE(writer.value()->Append("cccc").ok());
-    EXPECT_FALSE(writer.value()->Append("dddd").ok());
-    EXPECT_FALSE(writer.value()->Sync().ok());  // the writer stays dead
-  }
-  const std::string bytes = ReadFileBytes(path);
-  EXPECT_EQ(bytes.size(), static_cast<size_t>(limit));
-  std::vector<std::string> seen;
-  auto result = durability::ReplayWalFile(path, [&](std::string_view p) {
-    seen.emplace_back(p);
-    return common::Status::Ok();
-  });
-  ASSERT_TRUE(result.ok());
-  // The committed prefix is exactly the records fully under the limit.
-  EXPECT_EQ(seen, (std::vector<std::string>{"aaaa", "bbbb", "cccc"}));
   EXPECT_TRUE(result.value().torn_tail);
 }
 
@@ -420,8 +354,8 @@ TEST(DurabilitySnapshot, NoTruncationOrBitFlipEverValidates) {
 }
 
 // ---------------------------------------------------------------------------
-// DurableStore recovery policy (exercised through the flat durable index —
-// the simplest DurableState).
+// DurableStore recovery policy, exercised through StringList — the smallest
+// DurableState that has both snapshot and WAL records.
 
 durability::DurableStore::Options StoreOptions(const std::string& dir,
                                                const std::string& name) {
@@ -432,23 +366,86 @@ durability::DurableStore::Options StoreOptions(const std::string& dir,
   return options;
 }
 
-vectordb::Vector TestVector(uint64_t seed) {
-  vectordb::Vector v(4);
-  for (size_t j = 0; j < v.size(); ++j) {
-    v[j] = static_cast<float>((seed * 5 + j) % 11) - 5.0f;
+/// An ordered list of strings. Add appends, Remove drops the first equal
+/// item; each logs one record ([u8 op][string item]) once a store is
+/// attached. The image is the count then every item.
+class StringList : public durability::DurableState {
+ public:
+  enum Op : uint8_t { kAdd = 1, kRemove = 2 };
+
+  void AttachDurability(durability::DurableStore* store) { store_ = store; }
+  common::Status Add(const std::string& item) { return Mutate(kAdd, item); }
+  common::Status Remove(const std::string& item) {
+    return Mutate(kRemove, item);
   }
-  return v;
-}
+  const std::vector<std::string>& items() const { return items_; }
+
+  void ResetToEmpty() override { items_.clear(); }
+  common::Status SaveSnapshot(std::string* out) const override {
+    durability::AppendU64(out, items_.size());
+    for (const std::string& item : items_) durability::AppendString(out, item);
+    return common::Status::Ok();
+  }
+  common::Status LoadSnapshot(durability::ByteReader& in) override {
+    uint64_t count = 0;
+    LLMDM_RETURN_IF_ERROR(in.ReadU64(&count));
+    for (uint64_t i = 0; i < count; ++i) {
+      std::string item;
+      LLMDM_RETURN_IF_ERROR(in.ReadString(&item));
+      items_.push_back(std::move(item));
+    }
+    return common::Status::Ok();
+  }
+  common::Status ApplyWalRecord(std::string_view payload) override {
+    durability::ByteReader in(payload);
+    uint8_t op = 0;
+    std::string item;
+    LLMDM_RETURN_IF_ERROR(in.ReadU8(&op));
+    LLMDM_RETURN_IF_ERROR(in.ReadString(&item));
+    return Apply(op, item);
+  }
+
+ private:
+  common::Status Apply(uint8_t op, const std::string& item) {
+    if (op == kAdd) {
+      items_.push_back(item);
+      return common::Status::Ok();
+    }
+    auto it = std::find(items_.begin(), items_.end(), item);
+    if (op != kRemove || it == items_.end()) {
+      return common::Status::InvalidArgument("bad StringList record");
+    }
+    items_.erase(it);
+    return common::Status::Ok();
+  }
+
+  common::Status Mutate(uint8_t op, const std::string& item) {
+    durability::MutationGuard guard = store_ != nullptr
+                                          ? store_->BeginMutation()
+                                          : durability::MutationGuard();
+    LLMDM_RETURN_IF_ERROR(Apply(op, item));
+    if (store_ == nullptr) return common::Status::Ok();
+    std::string record;
+    durability::AppendU8(&record, op);
+    durability::AppendString(&record, item);
+    return store_->Append(guard, record);
+  }
+
+  std::vector<std::string> items_;
+  durability::DurableStore* store_ = nullptr;  // not owned; may be null
+};
+
+std::string Item(int i) { return "item " + std::to_string(i); }
 
 TEST(DurableStore, ColdOpenStartsEmptyAtEpochZero) {
   TempDir dir;
   dir.Track("ix.snap");
   dir.Track("ix.wal.0");
-  vectordb::DurableVectorIndex index({});
+  StringList list;
   auto store = durability::DurableStore::Open(StoreOptions(dir.path(), "ix"),
-                                              &index);
+                                              &list);
   ASSERT_TRUE(store.ok());
-  EXPECT_EQ(index.Size(), 0u);
+  EXPECT_TRUE(list.items().empty());
   EXPECT_EQ(store.value()->epoch(), 0u);
   EXPECT_FALSE(store.value()->recovery_info().snapshot_loaded);
   EXPECT_FALSE(store.value()->recovery_info().snapshot_corrupt);
@@ -463,9 +460,9 @@ TEST(DurableStore, AppendRequiresAGuardFromBeginMutation) {
   TempDir dir;
   dir.Track("ix.snap");
   dir.Track("ix.wal.0");
-  vectordb::DurableVectorIndex index({});
+  StringList list;
   auto store = durability::DurableStore::Open(StoreOptions(dir.path(), "ix"),
-                                              &index);
+                                              &list);
   ASSERT_TRUE(store.ok());
   durability::MutationGuard empty;  // not from BeginMutation
   EXPECT_EQ(store.value()->Append(empty, "rec").code(),
@@ -479,72 +476,29 @@ TEST(DurableStore, ReopenReplaysTheWalAndIsIdempotent) {
   dir.Track("ix.snap");
   dir.Track("ix.wal.0");
   std::string image;
+  std::vector<std::string> expected;
   {
-    vectordb::DurableVectorIndex index({});
+    StringList list;
     auto store = durability::DurableStore::Open(StoreOptions(dir.path(), "ix"),
-                                                &index);
+                                                &list);
     ASSERT_TRUE(store.ok());
-    index.AttachDurability(store.value().get());
-    for (uint64_t i = 0; i < 8; ++i) {
-      ASSERT_TRUE(index.Add(i, TestVector(i)).ok());
-    }
-    ASSERT_TRUE(index.Remove(3).ok());
-    image = Image(index);
+    list.AttachDurability(store.value().get());
+    for (int i = 0; i < 8; ++i) ASSERT_TRUE(list.Add(Item(i)).ok());
+    ASSERT_TRUE(list.Remove(Item(3)).ok());
+    image = Image(list);
+    expected = list.items();
   }
+  ASSERT_EQ(expected.size(), 7u);
   for (int round = 0; round < 2; ++round) {  // double recovery: idempotent
-    vectordb::DurableVectorIndex recovered({});
+    StringList recovered;
     auto store = durability::DurableStore::Open(StoreOptions(dir.path(), "ix"),
                                                 &recovered);
     ASSERT_TRUE(store.ok()) << "round " << round;
     EXPECT_EQ(Image(recovered), image) << "round " << round;
     EXPECT_EQ(store.value()->recovery_info().wal_records_replayed, 9u);
     EXPECT_EQ(store.value()->recovery_info().wal_discarded_bytes, 0u);
-    EXPECT_EQ(recovered.Size(), 7u);
-    EXPECT_FALSE(recovered.Contains(3));
+    EXPECT_EQ(recovered.items(), expected);  // item 3 stays removed
   }
-}
-
-TEST(DurableStore, GroupCommitRecoversIdenticallyToUnbatched) {
-  TempDir dir;
-  dir.Track("plain.snap");
-  dir.Track("plain.wal.0");
-  dir.Track("grp.snap");
-  dir.Track("grp.wal.0");
-  // Same mutation stream through a write-through store and a group-commit
-  // store; Sync flushes the batch, so the WALs must be byte-identical.
-  auto run = [&](const std::string& name, size_t group_bytes) {
-    vectordb::DurableVectorIndex index({});
-    auto options = StoreOptions(dir.path(), name);
-    options.group_commit_bytes = group_bytes;
-    auto store = durability::DurableStore::Open(options, &index);
-    EXPECT_TRUE(store.ok());
-    index.AttachDurability(store.value().get());
-    for (uint64_t i = 0; i < 12; ++i) {
-      EXPECT_TRUE(index.Add(i, TestVector(i)).ok());
-    }
-    EXPECT_TRUE(index.Remove(5).ok());
-    EXPECT_TRUE(store.value()->Sync().ok());
-    return ReadFileBytes(store.value()->wal_path(0));
-  };
-  const std::string plain_wal = run("plain", 0);
-  const std::string grouped_wal = run("grp", 1 << 20);  // one giant batch
-  // Only the embedded epoch-bearing headers could differ — they don't: both
-  // are epoch 0 — so the streams must match byte for byte.
-  EXPECT_EQ(plain_wal, grouped_wal);
-
-  // And recovery agrees: the grouped store replays to the same image.
-  vectordb::DurableVectorIndex plain({}), grouped({});
-  auto plain_store =
-      durability::DurableStore::Open(StoreOptions(dir.path(), "plain"), &plain);
-  auto grouped_options = StoreOptions(dir.path(), "grp");
-  grouped_options.group_commit_bytes = 1 << 20;
-  auto grouped_store =
-      durability::DurableStore::Open(grouped_options, &grouped);
-  ASSERT_TRUE(plain_store.ok());
-  ASSERT_TRUE(grouped_store.ok());
-  EXPECT_EQ(Image(plain), Image(grouped));
-  EXPECT_EQ(grouped_store.value()->recovery_info().wal_records_replayed, 13u);
-  EXPECT_EQ(grouped_store.value()->recovery_info().wal_discarded_bytes, 0u);
 }
 
 TEST(DurableStore, CheckpointRetiresTheWalAndAdvancesTheEpoch) {
@@ -552,14 +506,12 @@ TEST(DurableStore, CheckpointRetiresTheWalAndAdvancesTheEpoch) {
   dir.Track("ix.snap");
   dir.Track("ix.wal.0");
   dir.Track("ix.wal.1");
-  vectordb::DurableVectorIndex index({});
+  StringList list;
   auto store = durability::DurableStore::Open(StoreOptions(dir.path(), "ix"),
-                                              &index);
+                                              &list);
   ASSERT_TRUE(store.ok());
-  index.AttachDurability(store.value().get());
-  for (uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(index.Add(i, TestVector(i)).ok());
-  }
+  list.AttachDurability(store.value().get());
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(list.Add(Item(i)).ok());
   const std::string wal0 = store.value()->wal_path(0);
   ASSERT_TRUE(store.value()->Checkpoint().ok());
   EXPECT_EQ(store.value()->epoch(), 1u);
@@ -570,10 +522,10 @@ TEST(DurableStore, CheckpointRetiresTheWalAndAdvancesTheEpoch) {
   EXPECT_EQ(store.value()->wal_size_bytes(), durability::kWalHeaderSize);
 
   // Recovery from snapshot alone (plus post-checkpoint appends).
-  ASSERT_TRUE(index.Add(100, TestVector(100)).ok());
-  const std::string image = Image(index);
+  ASSERT_TRUE(list.Add(Item(100)).ok());
+  const std::string image = Image(list);
   store.value().reset();
-  vectordb::DurableVectorIndex recovered({});
+  StringList recovered;
   auto reopened = durability::DurableStore::Open(
       StoreOptions(dir.path(), "ix"), &recovered);
   ASSERT_TRUE(reopened.ok());
@@ -588,16 +540,16 @@ TEST(DurableStore, CorruptSnapshotFallsBackToEmptyButValid) {
   dir.Track("ix.snap");
   dir.Track("ix.wal.0");
   WriteFileBytes(dir.path() + "/ix.snap", "garbage, not a snapshot");
-  vectordb::DurableVectorIndex index({});
+  StringList list;
   auto store = durability::DurableStore::Open(StoreOptions(dir.path(), "ix"),
-                                              &index);
+                                              &list);
   ASSERT_TRUE(store.ok());  // never a startup error
   EXPECT_TRUE(store.value()->recovery_info().snapshot_corrupt);
   EXPECT_FALSE(store.value()->recovery_info().snapshot_loaded);
-  EXPECT_EQ(index.Size(), 0u);
+  EXPECT_TRUE(list.items().empty());
   // The store is fully usable after the fallback.
-  index.AttachDurability(store.value().get());
-  EXPECT_TRUE(index.Add(1, TestVector(1)).ok());
+  list.AttachDurability(store.value().get());
+  EXPECT_TRUE(list.Add(Item(1)).ok());
   EXPECT_TRUE(store.value()->Checkpoint().ok());
 }
 
@@ -608,7 +560,7 @@ TEST(DurableStore, WalWithMismatchedEmbeddedEpochIsNeverReplayed) {
   // Publish a valid empty snapshot at epoch 1...
   std::string empty_image;
   {
-    vectordb::DurableVectorIndex scratch({});
+    StringList scratch;
     ASSERT_TRUE(scratch.SaveSnapshot(&empty_image).ok());
   }
   ASSERT_TRUE(durability::WriteSnapshotFile(dir.path() + "/ix.snap", 1,
@@ -618,9 +570,8 @@ TEST(DurableStore, WalWithMismatchedEmbeddedEpochIsNeverReplayed) {
   // structurally valid record. Recovery must not apply it: the record
   // belongs on a different base image.
   std::string payload;
-  durability::AppendU8(&payload, 1);  // DurableVectorIndex WalOp::kAdd
-  durability::AppendU64(&payload, 9);
-  durability::AppendFloats(&payload, TestVector(9));
+  durability::AppendU8(&payload, StringList::kAdd);
+  durability::AppendString(&payload, "foreign item");
   std::string wal = "LDMWAL01";
   durability::AppendU32(&wal, durability::kWalVersion);
   durability::AppendU64(&wal, 2);  // lies about its epoch
@@ -629,13 +580,13 @@ TEST(DurableStore, WalWithMismatchedEmbeddedEpochIsNeverReplayed) {
   wal += payload;
   WriteFileBytes(dir.path() + "/ix.wal.1", wal);
 
-  vectordb::DurableVectorIndex index({});
+  StringList list;
   auto store = durability::DurableStore::Open(StoreOptions(dir.path(), "ix"),
-                                              &index);
+                                              &list);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(store.value()->recovery_info().wal_records_replayed, 0u);
   EXPECT_EQ(store.value()->recovery_info().wal_discarded_bytes, wal.size());
-  EXPECT_EQ(index.Size(), 0u);  // the foreign record never reached the index
+  EXPECT_TRUE(list.items().empty());  // the foreign record never landed
 }
 
 TEST(DurableStore, SweepsOrphanWalsAndSnapshotTmps) {
@@ -647,9 +598,9 @@ TEST(DurableStore, SweepsOrphanWalsAndSnapshotTmps) {
   WriteFileBytes(dir.path() + "/ix.wal.12", "another stale wal");
   WriteFileBytes(dir.path() + "/ix.snap.tmp", "unpublished snapshot");
   WriteFileBytes(dir.path() + "/other.keep", "unrelated file");
-  vectordb::DurableVectorIndex index({});
+  StringList list;
   auto store = durability::DurableStore::Open(StoreOptions(dir.path(), "ix"),
-                                              &index);
+                                              &list);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(store.value()->recovery_info().orphans_removed, 3u);
   EXPECT_FALSE(FileExists(dir.path() + "/ix.wal.7"));
@@ -664,14 +615,14 @@ TEST(DurableStore, TornTailIsTruncatedOnceAndStaysGone) {
   dir.Track("ix.wal.0");
   std::string image_before_tear;
   {
-    vectordb::DurableVectorIndex index({});
+    StringList list;
     auto store = durability::DurableStore::Open(StoreOptions(dir.path(), "ix"),
-                                                &index);
+                                                &list);
     ASSERT_TRUE(store.ok());
-    index.AttachDurability(store.value().get());
-    for (uint64_t i = 0; i < 6; ++i) {
-      ASSERT_TRUE(index.Add(i, TestVector(i)).ok());
-      if (i == 4) image_before_tear = Image(index);
+    list.AttachDurability(store.value().get());
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(list.Add(Item(i)).ok());
+      if (i == 4) image_before_tear = Image(list);
     }
   }
   // Tear the last record: cut 3 bytes off the file.
@@ -679,7 +630,7 @@ TEST(DurableStore, TornTailIsTruncatedOnceAndStaysGone) {
   std::string bytes = ReadFileBytes(wal_file);
   WriteFileBytes(wal_file, std::string_view(bytes).substr(0, bytes.size() - 3));
 
-  vectordb::DurableVectorIndex first({});
+  StringList first;
   auto open1 = durability::DurableStore::Open(StoreOptions(dir.path(), "ix"),
                                               &first);
   ASSERT_TRUE(open1.ok());
@@ -688,7 +639,7 @@ TEST(DurableStore, TornTailIsTruncatedOnceAndStaysGone) {
   EXPECT_EQ(Image(first), image_before_tear);  // the clean 5-record prefix
   open1.value().reset();
 
-  vectordb::DurableVectorIndex second({});
+  StringList second;
   auto open2 = durability::DurableStore::Open(StoreOptions(dir.path(), "ix"),
                                               &second);
   ASSERT_TRUE(open2.ok());
@@ -895,6 +846,33 @@ TEST(DurableComponents, SemanticCacheRejectsSnapshotWithWrongShardCount) {
   EXPECT_EQ(reshaped.Size(), 0u);
 }
 
+// A snapshot is checksummed, not trusted: a valid file whose slot count
+// claims far more slots than its payload holds must fall back to an empty
+// cache, not size an allocation from the count (a throw out of Open, or an
+// allocation-size abort under ASan).
+TEST(DurableComponents, SemanticCacheSnapshotWithHugeSlotCountFallsBackToEmpty) {
+  for (uint64_t slots : {uint64_t{1} << 40,
+                         std::numeric_limits<uint64_t>::max()}) {
+    TempDir dir;
+    dir.Track("cache.snap");
+    dir.Track("cache.wal.0");
+    std::string payload;
+    durability::AppendU32(&payload, 1);  // shards, as configured below
+    durability::AppendU64(&payload, slots);
+    durability::AppendU8(&payload, 0);   // one dead slot, then nothing
+    ASSERT_TRUE(durability::WriteSnapshotFile(dir.path() + "/cache.snap", 3,
+                                              payload, false)
+                    .ok());
+    optimize::SemanticCache cache({});
+    auto store = durability::DurableStore::Open(
+        StoreOptions(dir.path(), "cache"), &cache);
+    ASSERT_TRUE(store.ok()) << slots;
+    EXPECT_TRUE(store.value()->recovery_info().snapshot_corrupt) << slots;
+    EXPECT_EQ(cache.Size(), 0u) << slots;
+    EXPECT_EQ(cache.TotalSlots(), 0u) << slots;
+  }
+}
+
 TEST(DurableComponents, PromptStoreRecoversUtilityTallies) {
   TempDir dir;
   dir.Track("ps.snap");
@@ -931,6 +909,28 @@ TEST(DurableComponents, PromptStoreRecoversUtilityTallies) {
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->uses, 2u);
   EXPECT_EQ(p->successes, 2u);
+}
+
+// The prompt-store half of the untrusted-count check above.
+TEST(DurableComponents, PromptStoreSnapshotWithHugeCountFallsBackToEmpty) {
+  for (uint64_t count : {uint64_t{1} << 40,
+                         std::numeric_limits<uint64_t>::max()}) {
+    TempDir dir;
+    dir.Track("ps.snap");
+    dir.Track("ps.wal.0");
+    std::string payload;
+    durability::AppendU64(&payload, count);
+    durability::AppendU8(&payload, 1);  // the first slot starts, then stops
+    ASSERT_TRUE(durability::WriteSnapshotFile(dir.path() + "/ps.snap", 3,
+                                              payload, false)
+                    .ok());
+    optimize::PromptStore prompts({});
+    auto store = durability::DurableStore::Open(
+        StoreOptions(dir.path(), "ps"), &prompts);
+    ASSERT_TRUE(store.ok()) << count;
+    EXPECT_TRUE(store.value()->recovery_info().snapshot_corrupt) << count;
+    EXPECT_EQ(prompts.Size(), 0u) << count;
+  }
 }
 
 // ---------------------------------------------------------------------------

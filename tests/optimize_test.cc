@@ -599,11 +599,16 @@ TEST(SemanticCache, ChurnedShardsStayBoundedAndCompact) {
   // Payload bytes: a generous per-slot envelope (256-float embedding plus
   // short strings), nowhere near the ~kInserts entries the leak retained.
   EXPECT_LE(cache.RetainedBytes(), slot_bound * 8192);
-  // The survivors are still found after all that index rebuilding.
-  auto hit = cache.Lookup("churn query 199 topic 597",
-                          common::Money::FromDollars(0.01));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->response, "answer 199");
+  // Every survivor is still found after all that index rebuilding — also
+  // the ones inserted before the last compaction, whose index rows were
+  // carried over under remapped ids.
+  for (size_t i = kInserts - options.capacity; i < kInserts; ++i) {
+    auto hit = cache.Lookup(
+        "churn query " + std::to_string(i) + " topic " + std::to_string(i * 3),
+        common::Money::FromDollars(0.01));
+    ASSERT_TRUE(hit.has_value()) << "survivor " << i;
+    EXPECT_EQ(hit->response, "answer " + std::to_string(i));
+  }
 }
 
 TEST(SemanticCache, ChurnStatsAreByteStableAcrossRuns) {

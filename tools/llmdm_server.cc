@@ -123,13 +123,12 @@ int main(int argc, char** argv) {
   serve::ServerStats serve_stats = backend.stats();
   std::fprintf(stderr,
                "llmdm_server: done. conns=%llu requests=%llu responses=%llu "
-               "shed=%llu chunks=%llu forced_closes=%llu | submitted=%zu "
+               "shed=%llu forced_closes=%llu | submitted=%zu "
                "completed=%zu failed=%zu\n",
                static_cast<unsigned long long>(net_stats.connections_accepted),
                static_cast<unsigned long long>(net_stats.requests_rx),
                static_cast<unsigned long long>(net_stats.responses_tx),
                static_cast<unsigned long long>(net_stats.shed_tx),
-               static_cast<unsigned long long>(net_stats.chunks_tx),
                static_cast<unsigned long long>(net_stats.drain_forced_closes),
                serve_stats.submitted, serve_stats.completed,
                serve_stats.failed);
