@@ -1,6 +1,6 @@
 #include "core/optimize/batch_probe.h"
 
-#include <string_view>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -21,26 +21,20 @@ serve::BatchCacheProbe MakeBatchCacheProbe(SemanticCache* cache,
   return [cache, spec = std::move(spec), input_price](
              const std::vector<const serve::Request*>& batch)
              -> std::vector<serve::BatchProbeOutcome> {
-    std::vector<std::string_view> queries;
-    std::vector<common::Money> avoided;
-    queries.reserve(batch.size());
-    avoided.reserve(batch.size());
-    for (const serve::Request* req : batch) {
-      queries.push_back(req->input);
+    std::vector<serve::BatchProbeOutcome> out(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const serve::Request& req = *batch[i];
       // The avoided input cost of a hit, priced exactly as CachedLlm's
       // per-call probe prices it — so the savings ledger doesn't depend on
       // whether a request went through the batched or the per-call path.
-      size_t input_tokens =
-          llm::MakePrompt(req->skill, req->input).CountInputTokens();
-      avoided.push_back(llm::PriceTokens(input_price, input_tokens));
-    }
-    std::vector<std::optional<SemanticCache::Hit>> hits =
-        cache->LookupBatch(queries, avoided, spec.output_price_per_1k);
-    std::vector<serve::BatchProbeOutcome> out(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!hits[i].has_value()) continue;
+      const size_t input_tokens =
+          llm::MakePrompt(req.skill, req.input).CountInputTokens();
+      std::optional<SemanticCache::Hit> hit =
+          cache->Lookup(req.input, llm::PriceTokens(input_price, input_tokens),
+                        spec.output_price_per_1k);
+      if (!hit.has_value()) continue;
       out[i].hit = true;
-      out[i].response = std::move(hits[i]->response);
+      out[i].response = std::move(hit->response);
       out[i].model = spec.name + "+cache";
     }
     return out;

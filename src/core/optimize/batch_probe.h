@@ -9,10 +9,9 @@ namespace llmdm::optimize {
 class SemanticCache;
 
 /// Builds a serve::BatchCacheProbe over `cache`: one SubmitBatch worth of
-/// requests is embedded into a contiguous arena and scored through the SIMD
-/// distance kernels in a single pass (SemanticCache::LookupBatch), instead
-/// of paying per-request embedding + lock + probe overhead. Hit responses
-/// are labeled `spec.name + "+cache"` and the cache's savings ledger is
+/// requests is looked up with SemanticCache::Lookup, one request at a time
+/// in arrival order, before any of them is admitted. Hit responses are
+/// labeled `spec.name + "+cache"` and the cache's savings ledger is
 /// credited with the avoided input cost priced from `spec`, mirroring what
 /// CachedLlm::Complete books on a hit.
 ///

@@ -189,95 +189,46 @@ std::optional<SemanticCache::Hit> SemanticCache::Lookup(
   embed::Vector q;
   embedder_.EmbedInto(query, &q);
   Shard& shard = *shards_[ShardIndexFor(query)];
-  float top_score = 0.0f;
+  float top_score = -std::numeric_limits<float>::infinity();
   uint64_t version = 0;
-  std::optional<Hit> hit;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    hit = ProbeShardLocked(shard, q, avoided_cost, output_price_per_1k,
-                           &top_score);
+    shard.metrics.lookups->Add(1);
+    ++shard.tick;
     version = shard.index_version;
+    if (shard.live_count > 0) {
+      // Probe a few neighbours and take the best *live* one (see
+      // kLookupProbeWidth); results come best first.
+      const std::vector<vectordb::SearchResult> results =
+          shard.index.Search(q, kLookupProbeWidth);
+      if (!results.empty()) top_score = results.front().score;
+      for (const vectordb::SearchResult& r : results) {
+        if (r.id >= shard.entries.size() || !shard.entries[r.id].live) {
+          continue;
+        }
+        if (r.score < options_.similarity_threshold) break;
+        Entry& entry = shard.entries[r.id];
+        entry.last_used_tick = shard.tick;
+        ++entry.reuse_hits;
+        // Credit both halves of the avoided bill: the caller's input-side
+        // estimate, plus the output tokens the cached response replaces.
+        common::Money saved =
+            avoided_cost +
+            llm::PriceTokens(output_price_per_1k, entry.response_tokens);
+        shard.metrics.hits->Add(1);
+        shard.metrics.saved_micros->Add(static_cast<uint64_t>(saved.micros()));
+        return Hit{entry.query, entry.response, r.score, saved};
+      }
+    }
   }
-  if (!hit.has_value() && miss != nullptr) {
+  if (miss != nullptr) {
     miss->cache = this;
     miss->query = query;
     miss->embedding = std::move(q);
     miss->version = version;
     miss->best_score = top_score;
   }
-  return hit;
-}
-
-std::vector<std::optional<SemanticCache::Hit>> SemanticCache::LookupBatch(
-    const std::vector<std::string_view>& queries,
-    const std::vector<common::Money>& avoided_costs,
-    common::Money output_price_per_1k) {
-  std::vector<std::optional<Hit>> out(queries.size());
-  if (queries.empty()) return out;
-  // Phase 1, lock-free: embed every query into one contiguous arena and
-  // bucket the indices by shard (arrival order is preserved within a shard,
-  // so per-shard tick sequences match the sequential-Lookup ones exactly).
-  const size_t dim = embedder_.dimension();
-  std::vector<float> arena(queries.size() * dim);
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    embedder_.EmbedInto(queries[i], arena.data() + i * dim);
-    by_shard[ShardIndexFor(queries[i])].push_back(i);
-  }
-  // Phase 2: one lock per touched shard, probing its queries in order.
-  embed::Vector q;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (size_t i : by_shard[s]) {
-      const float* row = arena.data() + i * dim;
-      q.assign(row, row + dim);
-      common::Money avoided = avoided_costs.empty() ? common::Money::Zero()
-                                                    : avoided_costs[i];
-      out[i] = ProbeShardLocked(shard, q, avoided, output_price_per_1k);
-    }
-  }
-  return out;
-}
-
-std::optional<SemanticCache::Hit> SemanticCache::ProbeShardLocked(
-    Shard& shard, const embed::Vector& q, common::Money avoided_cost,
-    common::Money output_price_per_1k, float* top_score) {
-  shard.metrics.lookups->Add(1);
-  ++shard.tick;
-  if (top_score != nullptr) {
-    *top_score = -std::numeric_limits<float>::infinity();
-  }
-  if (shard.live_count == 0) return std::nullopt;
-  // Probe a few neighbours and take the best *live* one (see
-  // kLookupProbeWidth).
-  const std::vector<vectordb::SearchResult> results =
-      shard.index.Search(q, kLookupProbeWidth);
-  if (top_score != nullptr && !results.empty()) {
-    *top_score = results.front().score;
-  }
-  const vectordb::SearchResult* best = nullptr;
-  for (const auto& r : results) {
-    if (r.id < shard.entries.size() && shard.entries[r.id].live) {
-      best = &r;
-      break;
-    }
-  }
-  if (best == nullptr || best->score < options_.similarity_threshold) {
-    return std::nullopt;
-  }
-  Entry& entry = shard.entries[best->id];
-  entry.last_used_tick = shard.tick;
-  ++entry.reuse_hits;
-  // Credit both halves of the avoided bill: the caller's input-side
-  // estimate, plus the output tokens the cached response replaces.
-  common::Money saved =
-      avoided_cost +
-      llm::PriceTokens(output_price_per_1k, entry.response_tokens);
-  shard.metrics.hits->Add(1);
-  shard.metrics.saved_micros->Add(static_cast<uint64_t>(saved.micros()));
-  return Hit{entry.query, entry.response, best->score, saved};
+  return std::nullopt;
 }
 
 std::optional<SemanticCache::Hit> SemanticCache::LookupStale(

@@ -169,18 +169,6 @@ class SemanticCache : public durability::DurableState {
       common::Money output_price_per_1k = common::Money::Zero(),
       Miss* miss = nullptr);
 
-  /// Batched reuse lookup: semantically identical to calling Lookup() once
-  /// per query in order (same hits, same stats, same tick sequence per
-  /// shard), but amortized for the serving admission path — all queries are
-  /// embedded first into one contiguous arena (no per-query Vector churn),
-  /// then each shard is locked once and probed for every query that hashes
-  /// to it, in arrival order. `avoided_costs` must be empty (all zero) or
-  /// one entry per query.
-  std::vector<std::optional<Hit>> LookupBatch(
-      const std::vector<std::string_view>& queries,
-      const std::vector<common::Money>& avoided_costs = {},
-      common::Money output_price_per_1k = common::Money::Zero());
-
   /// Augmentation lookup: top-k similar cached (query, response) pairs below
   /// or above threshold, for use as extra few-shot examples (hit case (2)).
   /// Searches every shard and merges.
@@ -343,13 +331,6 @@ class SemanticCache : public durability::DurableState {
   /// before) and refills a fresh index from the old one under the remapped
   /// ids. Requires shard.mu.
   void CompactShard(Shard& shard);
-  /// The post-embedding body of Lookup (tick, probe, threshold, credit) —
-  /// shared with LookupBatch. A non-null `top_score` receives the probe's
-  /// best score (-inf when the shard is empty). Requires shard.mu.
-  std::optional<Hit> ProbeShardLocked(Shard& shard, const embed::Vector& q,
-                                      common::Money avoided_cost,
-                                      common::Money output_price_per_1k,
-                                      float* top_score = nullptr);
   /// Stamps `shard` with a fresh index version (see Shard::index_version).
   /// Requires shard.mu once the shard is reachable from other threads.
   void BumpIndexVersion(Shard& shard);

@@ -59,10 +59,9 @@ class HashingEmbedder {
   /// common::Fnv1aByte).
   void EmbedInto(std::string_view text, Vector* out) const;
 
-  /// EmbedInto() against a raw buffer of dimension() floats — the batch
-  /// variant for callers that embed many texts into one contiguous arena
-  /// (SemanticCache::LookupBatch) without a Vector per query. Bit-identical
-  /// to Embed().
+  /// EmbedInto() against a raw buffer of dimension() floats, for callers
+  /// that embed many texts into one contiguous arena without a Vector per
+  /// text (perfbench's scan replay). Bit-identical to Embed().
   void EmbedInto(std::string_view text, float* out) const;
 
   /// Convenience: cosine similarity of two texts under this embedder.

@@ -440,67 +440,6 @@ TEST(SemanticCache, ShardedEvictionIsDeterministicAcrossRuns) {
   EXPECT_GT(a.evictions, 0u);
 }
 
-TEST(SemanticCache, LookupBatchMatchesSequentialLookups) {
-  // The batched probe (arena embedding + per-shard grouping) must be
-  // semantically identical to calling Lookup() once per query in order —
-  // same hits, same saved credit, same stats — with and without int8.
-  common::Rng rng(20240706);
-  data::Nl2SqlWorkloadOptions wopts;
-  wopts.num_queries = 40;
-  wopts.condition_pool = 6;
-  wopts.compound_rate = 0.8;
-  auto base = data::GenerateNl2SqlWorkload(wopts, rng);
-  std::vector<std::string> stream;
-  for (const auto& q : base) stream.push_back(q.ToNaturalLanguage());
-
-  for (bool quantize : {false, true}) {
-    auto make_cache = [&] {
-      SemanticCache::Options options;
-      options.similarity_threshold = 0.95;
-      options.capacity = 256;
-      options.num_shards = 4;
-      options.quantize = quantize;
-      auto cache = std::make_unique<SemanticCache>(options);
-      for (size_t i = 0; i + 1 < stream.size(); i += 2) {
-        cache->Insert(stream[i], "sql", common::Money::FromDollars(0.002));
-      }
-      return cache;
-    };
-
-    auto sequential = make_cache();
-    std::vector<std::optional<SemanticCache::Hit>> seq_hits;
-    for (const auto& q : stream) {
-      seq_hits.push_back(
-          sequential->Lookup(q, common::Money::FromDollars(0.003)));
-    }
-
-    auto batched = make_cache();
-    std::vector<std::string_view> views(stream.begin(), stream.end());
-    std::vector<common::Money> avoided(stream.size(),
-                                       common::Money::FromDollars(0.003));
-    auto batch_hits = batched->LookupBatch(views, avoided);
-
-    ASSERT_EQ(batch_hits.size(), seq_hits.size());
-    size_t hits = 0;
-    for (size_t i = 0; i < seq_hits.size(); ++i) {
-      ASSERT_EQ(batch_hits[i].has_value(), seq_hits[i].has_value())
-          << "quantize=" << quantize << " i=" << i;
-      if (!seq_hits[i].has_value()) continue;
-      ++hits;
-      EXPECT_EQ(batch_hits[i]->query, seq_hits[i]->query);
-      EXPECT_EQ(batch_hits[i]->response, seq_hits[i]->response);
-      EXPECT_EQ(batch_hits[i]->similarity, seq_hits[i]->similarity);
-      EXPECT_EQ(batch_hits[i]->saved, seq_hits[i]->saved);
-    }
-    EXPECT_GT(hits, 0u) << "quantize=" << quantize;
-    auto s1 = sequential->stats();
-    auto s2 = batched->stats();
-    EXPECT_EQ(s1.lookups, s2.lookups);
-    EXPECT_EQ(s1.hits, s2.hits);
-    EXPECT_EQ(s1.saved, s2.saved);
-  }
-}
-
 TEST(CachedLlm, HitAvoidsCostMissPopulates) {
   common::Rng rng(11);
   auto kb = data::KnowledgeBase::Generate(30, rng);
