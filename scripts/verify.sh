@@ -149,6 +149,13 @@ cmake --build "${tsan_dir}" -j "$(nproc)" \
   --target llmdm_concurrency_tests llmdm_net_tests
 TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_concurrency_tests" \
   --gtest_brief=1
+# A coalesced follower attaches to its flight on the submitting thread
+# while the leader's worker may be publishing; which side answers it is
+# real thread timing. Repeat the tests that coalesce to run that handoff
+# under many interleavings.
+TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_concurrency_tests" \
+  --gtest_brief=1 --gtest_repeat=20 \
+  --gtest_filter='Serve.SingleFlight*:ServeQos.CoalescedFollower*:ServeBatching.*'
 TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_net_tests" \
   --gtest_brief=1
 echo "ok: concurrency and net suites race-free under ThreadSanitizer"
