@@ -7,14 +7,9 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "durability/durable.h"
 #include "embed/embedder.h"
 #include "llm/prompt.h"
 #include "vectordb/flat_index.h"
-
-namespace llmdm::durability {
-class DurableStore;
-}  // namespace llmdm::durability
 
 namespace llmdm::optimize {
 
@@ -45,7 +40,7 @@ struct StoredPrompt {
 /// last_selected_ids() means the most recent across *all* threads — callers
 /// that need per-request feedback routing should capture the ids right after
 /// their own Select() call.
-class PromptStore : public durability::DurableState {
+class PromptStore {
  public:
   enum class Selection {
     kSimilarity,          // plain nearest-neighbour
@@ -88,32 +83,8 @@ class PromptStore : public durability::DurableState {
   /// Snapshot copy of the stored prompt, or nullopt if absent/evicted.
   std::optional<StoredPrompt> Get(uint64_t id) const;
 
-  /// Attaches a DurableStore: adds, evictions, and outcome feedback are
-  /// logged as physical WAL records from here on. Call during setup (after
-  /// recovery), not while other threads use the store. Outcome tallies are
-  /// part of the durable image — they are learned from paid LLM calls and
-  /// drive both selection and retention, so losing them would cost real
-  /// money to re-learn.
-  void AttachDurability(durability::DurableStore* store);
-
-  // DurableState implementation. The image preserves the full slot layout
-  // (evicted prompts keep their slot so WAL ids written after a snapshot
-  // stay valid); the exploration rng and last_selected_ids_ are
-  // process-local and reset on recovery.
-  void ResetToEmpty() override;
-  common::Status SaveSnapshot(std::string* out) const override;
-  common::Status LoadSnapshot(durability::ByteReader& in) override;
-  common::Status ApplyWalRecord(std::string_view payload) override;
-
  private:
-  enum class WalOp : uint8_t {
-    kAdd = 1,      // input, output          -> append a new prompt slot
-    kEvict = 2,    // id                     -> mark dead
-    kOutcome = 3,  // id, success            -> bump the utility tallies
-  };
-
-  void LogWal(const durability::MutationGuard& guard, std::string payload);
-  void EvictIfNeeded(const durability::MutationGuard& guard);  // requires mu_
+  void EvictIfNeeded();  // requires mu_
 
   mutable std::mutex mu_;
   Options options_;
@@ -124,7 +95,6 @@ class PromptStore : public durability::DurableState {
   std::vector<bool> live_;
   std::vector<uint64_t> last_selected_ids_;
   size_t live_count_ = 0;
-  durability::DurableStore* durable_ = nullptr;  // not owned; may be null
 };
 
 }  // namespace llmdm::optimize

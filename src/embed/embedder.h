@@ -12,12 +12,6 @@ using Vector = std::vector<float>;
 /// Cosine similarity in [-1, 1]. Zero vectors yield 0.
 float CosineSimilarity(const Vector& a, const Vector& b);
 
-/// Squared Euclidean distance.
-float L2DistanceSquared(const Vector& a, const Vector& b);
-
-/// Dot product.
-float DotProduct(const Vector& a, const Vector& b);
-
 /// Normalizes to unit length in place (no-op on the zero vector).
 void L2Normalize(Vector* v);
 

@@ -2,40 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <string>
 
 namespace llmdm::vectordb {
 
-void FlatIndex::GrowDim(size_t new_dim) {
-  const size_t slots = ids_.size();
-  std::vector<float> base(slots * new_dim, 0.0f);
-  for (size_t s = 0; s < slots; ++s) {
-    std::memcpy(base.data() + s * new_dim, base_.data() + s * dim_,
-                dim_ * sizeof(float));
-  }
-  base_.swap(base);
-  if (options_.quantize) {
-    std::vector<int8_t> codes(slots * new_dim, 0);
-    for (size_t s = 0; s < slots; ++s) {
-      std::memcpy(codes.data() + s * new_dim, codes_.data() + s * dim_, dim_);
-    }
-    codes_.swap(codes);
-  }
-  dim_ = new_dim;
-}
-
-void FlatIndex::PackRow(size_t slot, const Vector& v) {
-  float* row = base_.data() + slot * dim_;
-  std::memcpy(row, v.data(), v.size() * sizeof(float));
-  std::fill(row + v.size(), row + dim_, 0.0f);
-  if (options_.quantize) {
-    kernels::QuantizeSymmetric(row, dim_, codes_.data() + slot * dim_,
-                               &scales_[slot]);
-  }
-}
-
 common::Status FlatIndex::Add(uint64_t id, Vector vector) {
-  if (vector.size() > dim_) GrowDim(vector.size());
+  if (ids_.empty()) {
+    dim_ = vector.size();
+  } else if (vector.size() != dim_) {
+    return common::Status::InvalidArgument(
+        "vector of length " + std::to_string(vector.size()) +
+        " added to an index of length " + std::to_string(dim_));
+  }
   size_t slot;
   auto it = id_to_slot_.find(id);
   if (it != id_to_slot_.end()) {
@@ -46,23 +24,25 @@ common::Status FlatIndex::Add(uint64_t id, Vector vector) {
     id_to_slot_[id] = slot;
   } else {
     slot = ids_.size();
-    base_.resize((slot + 1) * dim_, 0.0f);
-    if (options_.quantize) codes_.resize((slot + 1) * dim_, 0);
+    base_.resize((slot + 1) * dim_);
+    if (options_.quantize) codes_.resize((slot + 1) * dim_);
     scales_.push_back(0.0f);
     norms_.push_back(0.0f);
-    lens_.push_back(0);
     ids_.push_back(0);
     live_.push_back(0);
     id_to_slot_[id] = slot;
   }
   ids_[slot] = id;
   live_[slot] = 1;
-  lens_[slot] = static_cast<uint32_t>(vector.size());
-  // Norm over the *original* length: bit-matches what CosineSimilarity
-  // computes for this vector, so arena scores equal the brute-force path.
-  norms_[slot] =
-      std::sqrt(kernels::Dot(vector.data(), vector.data(), vector.size()));
-  PackRow(slot, vector);
+  // Bit-matches the norm CosineSimilarity computes for this vector, so
+  // arena scores equal the brute-force path.
+  norms_[slot] = std::sqrt(kernels::Dot(vector.data(), vector.data(), dim_));
+  float* row = base_.data() + slot * dim_;
+  std::copy(vector.begin(), vector.end(), row);
+  if (options_.quantize) {
+    kernels::QuantizeSymmetric(row, dim_, codes_.data() + slot * dim_,
+                               &scales_[slot]);
+  }
   return common::Status::Ok();
 }
 
@@ -83,22 +63,15 @@ bool FlatIndex::Contains(uint64_t id) const {
 
 std::vector<SearchResult> FlatIndex::Search(const Vector& query,
                                             size_t k) const {
-  if (id_to_slot_.empty() || k == 0) return {};
+  if (id_to_slot_.empty() || k == 0 || query.size() != dim_) return {};
   const size_t slots = ids_.size();
-  const size_t n = std::min(query.size(), dim_);
   const float qnorm =
-      std::sqrt(kernels::Dot(query.data(), query.data(), query.size()));
+      std::sqrt(kernels::Dot(query.data(), query.data(), dim_));
 
   kernels::TopKSelector selected(k);
   if (!options_.quantize) {
     std::vector<float> dots(slots);
-    if (n == dim_) {
-      kernels::DotBatch(query.data(), base_.data(), slots, dim_, dots.data());
-    } else {
-      for (size_t s = 0; s < slots; ++s) {
-        dots[s] = kernels::Dot(query.data(), base_.data() + s * dim_, n);
-      }
-    }
+    kernels::DotBatch(query.data(), base_.data(), slots, dim_, dots.data());
     for (size_t s = 0; s < slots; ++s) {
       if (!live_[s]) continue;
       float score = (norms_[s] == 0.0f || qnorm == 0.0f)
@@ -113,13 +86,7 @@ std::vector<SearchResult> FlatIndex::Search(const Vector& query,
     // reproducible across runs and dispatch levels.
     std::vector<int8_t> qcodes(dim_);
     float qscale = 0.0f;
-    if (query.size() >= dim_) {
-      kernels::QuantizeSymmetric(query.data(), dim_, qcodes.data(), &qscale);
-    } else {
-      std::vector<float> padded(dim_, 0.0f);
-      std::memcpy(padded.data(), query.data(), query.size() * sizeof(float));
-      kernels::QuantizeSymmetric(padded.data(), dim_, qcodes.data(), &qscale);
-    }
+    kernels::QuantizeSymmetric(query.data(), dim_, qcodes.data(), &qscale);
     std::vector<int32_t> idots(slots);
     kernels::DotBatchI8(qcodes.data(), codes_.data(), slots, dim_,
                         idots.data());
@@ -134,7 +101,7 @@ std::vector<SearchResult> FlatIndex::Search(const Vector& query,
     }
     for (const kernels::ScoredId& c : shortlist.TakeSorted()) {
       size_t s = id_to_slot_.at(c.id);
-      float dot = kernels::Dot(query.data(), base_.data() + s * dim_, n);
+      float dot = kernels::Dot(query.data(), base_.data() + s * dim_, dim_);
       float score = (norms_[s] == 0.0f || qnorm == 0.0f)
                         ? 0.0f
                         : dot / (qnorm * norms_[s]);
@@ -161,7 +128,7 @@ void FlatIndex::ForEach(
   for (uint64_t id : ids) {
     size_t slot = id_to_slot_.at(id);
     const float* data = base_.data() + slot * dim_;
-    row.assign(data, data + lens_[slot]);
+    row.assign(data, data + dim_);
     fn(id, row);
   }
 }

@@ -1,20 +1,33 @@
 #ifndef LLMDM_VECTORDB_FLAT_INDEX_H_
 #define LLMDM_VECTORDB_FLAT_INDEX_H_
 
+#include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "vectordb/index.h"
+#include "embed/embedder.h"
 #include "vectordb/kernels.h"
 
 namespace llmdm::vectordb {
 
+using embed::Vector;
+
+/// One nearest-neighbour hit. `score` is cosine similarity (higher = closer);
+/// all library embeddings are unit-normalized so this equals the dot product.
+struct SearchResult {
+  uint64_t id = 0;
+  float score = 0.0f;
+
+  bool operator==(const SearchResult&) const = default;
+};
+
 /// The library's vector index: exact brute force, O(n·d) per query. The
 /// semantic cache shards, the prompt store and the data lake's VectorStore
 /// each hold one by value. Vectors are keyed by caller-chosen 64-bit ids;
-/// adding an existing id replaces it.
+/// adding an existing id replaces it. Every row has the length of the first
+/// one added.
 ///
 /// Vectors live in one contiguous row-major arena so a query is a single
 /// kernels::DotBatch sweep plus a bounded top-k selection — no per-row
@@ -38,37 +51,33 @@ class FlatIndex {
   FlatIndex() = default;
   explicit FlatIndex(const Options& options) : options_(options) {}
 
+  /// InvalidArgument when `vector`'s length differs from the first row's.
   common::Status Add(uint64_t id, Vector vector);
   common::Status Remove(uint64_t id);
   bool Contains(uint64_t id) const;
   size_t Size() const { return id_to_slot_.size(); }
 
   /// Top-k by cosine similarity, best first (score desc, id asc). May
-  /// return fewer than k.
+  /// return fewer than k; returns nothing for a query whose length differs
+  /// from the rows'.
   std::vector<SearchResult> Search(const Vector& query, size_t k) const;
 
-  /// Invokes `fn(id, vector)` once per live vector, in ascending id order,
-  /// with the vector at its original length. The ordering is part of the
-  /// contract: SemanticCache's stable compaction refills a fresh index from
-  /// this iteration and relies on ids arriving in their old relative order.
+  /// Invokes `fn(id, vector)` once per live vector, in ascending id order.
+  /// The ordering is part of the contract: SemanticCache's stable compaction
+  /// refills a fresh index from this iteration and relies on ids arriving in
+  /// their old relative order.
   void ForEach(const std::function<void(uint64_t, const Vector&)>& fn) const;
 
  private:
-  // Grows the row stride to `new_dim`, zero-padding existing rows in place
-  // (zero padding never changes a dot product or a norm).
-  void GrowDim(size_t new_dim);
-  void PackRow(size_t slot, const Vector& v);
-
   Options options_;
-  size_t dim_ = 0;  // row stride; set by the first Add, grows as needed
+  size_t dim_ = 0;  // row length; fixed by the first Add
 
   // Parallel per-slot arrays. Dead slots stay in the arena (scanned but
   // filtered) until reused via free_slots_.
   std::vector<float> base_;     // slot-major rows, stride dim_
   std::vector<int8_t> codes_;   // int8 rows, stride dim_ (quantize only)
   std::vector<float> scales_;   // per-slot quantization scale
-  std::vector<float> norms_;    // per-slot L2 norm of the original vector
-  std::vector<uint32_t> lens_;  // original (pre-padding) vector length
+  std::vector<float> norms_;    // per-slot L2 norm
   std::vector<uint64_t> ids_;
   std::vector<uint8_t> live_;
 

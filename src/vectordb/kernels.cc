@@ -41,27 +41,6 @@ float DotScalar(const float* a, const float* b, size_t n) {
   return total;
 }
 
-float L2SqScalar(const float* a, const float* b, size_t n) {
-  float s[16] = {0.0f};
-  const size_t n16 = n & ~static_cast<size_t>(15);
-  for (size_t i = 0; i < n16; i += 16) {
-    for (size_t j = 0; j < 16; ++j) {
-      float d = a[i + j] - b[i + j];
-      s[j] += d * d;
-    }
-  }
-  float t[8];
-  for (size_t j = 0; j < 8; ++j) t[j] = s[j] + s[j + 8];
-  float u[4];
-  for (size_t m = 0; m < 4; ++m) u[m] = t[m] + t[m + 4];
-  float total = (u[0] + u[2]) + (u[1] + u[3]);
-  for (size_t i = n16; i < n; ++i) {
-    float d = a[i] - b[i];
-    total += d * d;
-  }
-  return total;
-}
-
 int32_t DotI8Scalar(const int8_t* a, const int8_t* b, size_t n) {
   int32_t acc = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -155,31 +134,6 @@ __attribute__((target("avx2"))) void DotBatchAvx2(const float* query,
   for (; r < count; ++r) out[r] = DotAvx2(query, base + r * dim, dim);
 }
 
-__attribute__((target("avx2"))) float L2SqAvx2(const float* a, const float* b,
-                                               size_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  const size_t n16 = n & ~static_cast<size_t>(15);
-  for (size_t i = 0; i < n16; i += 16) {
-    __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(a + i + 8),
-                              _mm256_loadu_ps(b + i + 8));
-    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(d0, d0));
-    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(d1, d1));
-  }
-  __m256 t = _mm256_add_ps(acc0, acc1);
-  __m128 w = _mm_add_ps(_mm256_castps256_ps128(t),
-                        _mm256_extractf128_ps(t, 1));
-  alignas(16) float u[4];
-  _mm_store_ps(u, w);
-  float total = (u[0] + u[2]) + (u[1] + u[3]);
-  for (size_t i = n16; i < n; ++i) {
-    float d = a[i] - b[i];
-    total += d * d;
-  }
-  return total;
-}
-
 __attribute__((target("avx2"))) int32_t DotI8Avx2(const int8_t* a,
                                                   const int8_t* b, size_t n) {
   __m256i acc = _mm256_setzero_si256();
@@ -233,31 +187,6 @@ float DotNeon(const float* a, const float* b, size_t n) {
   return total;
 }
 
-float L2SqNeon(const float* a, const float* b, size_t n) {
-  float32x4_t acc0 = vdupq_n_f32(0), acc1 = vdupq_n_f32(0);
-  float32x4_t acc2 = vdupq_n_f32(0), acc3 = vdupq_n_f32(0);
-  const size_t n16 = n & ~static_cast<size_t>(15);
-  for (size_t i = 0; i < n16; i += 16) {
-    float32x4_t d0 = vsubq_f32(vld1q_f32(a + i), vld1q_f32(b + i));
-    float32x4_t d1 = vsubq_f32(vld1q_f32(a + i + 4), vld1q_f32(b + i + 4));
-    float32x4_t d2 = vsubq_f32(vld1q_f32(a + i + 8), vld1q_f32(b + i + 8));
-    float32x4_t d3 = vsubq_f32(vld1q_f32(a + i + 12), vld1q_f32(b + i + 12));
-    acc0 = vaddq_f32(acc0, vmulq_f32(d0, d0));
-    acc1 = vaddq_f32(acc1, vmulq_f32(d1, d1));
-    acc2 = vaddq_f32(acc2, vmulq_f32(d2, d2));
-    acc3 = vaddq_f32(acc3, vmulq_f32(d3, d3));
-  }
-  float32x4_t w = vaddq_f32(vaddq_f32(acc0, acc2), vaddq_f32(acc1, acc3));
-  float u[4];
-  vst1q_f32(u, w);
-  float total = (u[0] + u[2]) + (u[1] + u[3]);
-  for (size_t i = n16; i < n; ++i) {
-    float d = a[i] - b[i];
-    total += d * d;
-  }
-  return total;
-}
-
 int32_t DotI8Neon(const int8_t* a, const int8_t* b, size_t n) {
   int32x4_t acc = vdupq_n_s32(0);
   const size_t n16 = n & ~static_cast<size_t>(15);
@@ -294,7 +223,6 @@ DispatchLevel DetectDispatch() {
 std::atomic<int> g_pinned{-1};
 
 using DotFn = float (*)(const float*, const float*, size_t);
-using L2Fn = float (*)(const float*, const float*, size_t);
 using DotI8Fn = int32_t (*)(const int8_t*, const int8_t*, size_t);
 using DotBatchFn = void (*)(const float*, const float*, size_t, size_t,
                             float*);
@@ -335,21 +263,6 @@ DotBatchFn ResolveDotBatch(DispatchLevel level) {
 #endif
     default:
       return DotBatchPerRow<DotScalar>;
-  }
-}
-
-L2Fn ResolveL2(DispatchLevel level) {
-  switch (level) {
-#if LLMDM_KERNELS_X86
-    case DispatchLevel::kAvx2:
-      return L2SqAvx2;
-#endif
-#if LLMDM_KERNELS_NEON
-    case DispatchLevel::kNeon:
-      return L2SqNeon;
-#endif
-    default:
-      return L2SqScalar;
   }
 }
 
@@ -431,10 +344,6 @@ void ExportDispatchMetrics(obs::Registry* registry) {
 
 float Dot(const float* a, const float* b, size_t n) {
   return ResolveDot(ActiveDispatch())(a, b, n);
-}
-
-float L2Sq(const float* a, const float* b, size_t n) {
-  return ResolveL2(ActiveDispatch())(a, b, n);
 }
 
 void DotBatch(const float* query, const float* base, size_t count, size_t dim,

@@ -65,9 +65,6 @@ void ExportDispatchMetrics(obs::Registry* registry);
 /// Dot product of a[0..n) · b[0..n) under the lane-equivalent contract.
 float Dot(const float* a, const float* b, size_t n);
 
-/// Squared L2 distance of a[0..n) vs b[0..n), same contract.
-float L2Sq(const float* a, const float* b, size_t n);
-
 /// out[r] = Dot(query, base + r*dim, dim) for r in [0, count). `base` is a
 /// contiguous row-major matrix. The dispatch branch is resolved once for the
 /// whole batch — this is the hot entry point for flat index scans. On AVX2

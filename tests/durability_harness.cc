@@ -9,7 +9,7 @@
 //     then for every truncation offset B of the resulting WAL — each byte
 //     with --stride=1, sampled plus all record boundaries otherwise —
 //     simulate the crash by copying the files with the WAL cut at B,
-//     recover a fresh component, and compare its serialized image against a
+//     recover a fresh cache, and compare its serialized image against a
 //     reference built *independently*: this file re-parses the WAL's record
 //     framing with its own scanner (lengths + FNV-1a checksums) and applies
 //     the surviving payloads on top of the parsed snapshot. Recovery and
@@ -22,12 +22,11 @@
 //     the in-process shape of a power cut — then recover from whatever
 //     actually reached the file and run the same comparison.
 //
-// Units: --unit=cache (SemanticCache: insert/refresh/evict/compact) and
-// prompts (PromptStore: add/evict/outcome). Exit 0 when every offset
-// agrees; 1 on the first divergence; 2 on usage errors.
+// The component under test is the semantic cache (insert/refresh/evict/
+// compact), the one durable component. Exit 0 when every offset agrees; 1
+// on the first divergence; 2 on usage errors.
 //
-// scripts/verify.sh runs the cache and prompts sweeps as its crash-sweep
-// stage.
+// scripts/verify.sh runs the sweep as its crash-sweep stage.
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -37,14 +36,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/money.h"
-#include "core/optimize/prompt_store.h"
 #include "core/optimize/semantic_cache.h"
 #include "durability/format.h"
 #include "durability/snapshot.h"
@@ -55,80 +52,23 @@ namespace llmdm {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Units: one scripted, deterministic workload per durable component.
+// The scripted, deterministic workload.
 
-class Unit {
- public:
-  virtual ~Unit() = default;
-  virtual durability::DurableState* state() = 0;
-  virtual void Attach(durability::DurableStore* store) = 0;
-  virtual void ApplyOp(size_t i) = 0;
-};
+optimize::SemanticCache::Options CacheOptions() {
+  optimize::SemanticCache::Options options;
+  options.capacity = 6;
+  options.num_shards = 2;
+  options.compact_min_dead = 2;
+  return options;
+}
 
-class CacheUnit : public Unit {
- public:
-  CacheUnit() : cache_(MakeOptions()) {}
-
-  durability::DurableState* state() override { return &cache_; }
-  void Attach(durability::DurableStore* store) override {
-    cache_.AttachDurability(store);
-  }
-
-  // Cycles through a query set larger than capacity, so the stream exercises
-  // fresh inserts, refreshes of resident queries, evictions, and (with the
-  // low compact_min_dead) shard compactions — every WAL op kind.
-  void ApplyOp(size_t i) override {
-    const std::string query = "harness query " + std::to_string(i % 11);
-    cache_.Insert(query, "response for op " + std::to_string(i),
-                  common::Money::FromMicros(250 + static_cast<int64_t>(i) * 13));
-  }
-
- private:
-  static optimize::SemanticCache::Options MakeOptions() {
-    optimize::SemanticCache::Options options;
-    options.capacity = 6;
-    options.num_shards = 2;
-    options.compact_min_dead = 2;
-    return options;
-  }
-
-  optimize::SemanticCache cache_;
-};
-
-class PromptUnit : public Unit {
- public:
-  PromptUnit() : store_(MakeOptions()) {}
-
-  durability::DurableState* state() override { return &store_; }
-  void Attach(durability::DurableStore* store) override {
-    store_.AttachDurability(store);
-  }
-
-  void ApplyOp(size_t i) override {
-    if (i % 3 == 2) {
-      // Feedback on an id that certainly exists by now (adds outnumber
-      // outcomes), alternating success/failure.
-      store_.RecordOutcome(i % (i / 3 * 2 + 1), i % 2 == 0);
-    } else {
-      store_.Add("worked example " + std::to_string(i),
-                 "its answer " + std::to_string(i * 31 % 17));
-    }
-  }
-
- private:
-  static optimize::PromptStore::Options MakeOptions() {
-    optimize::PromptStore::Options options;
-    options.capacity = 5;
-    return options;
-  }
-
-  optimize::PromptStore store_;
-};
-
-std::unique_ptr<Unit> MakeUnit(const std::string& name) {
-  if (name == "cache") return std::make_unique<CacheUnit>();
-  if (name == "prompts") return std::make_unique<PromptUnit>();
-  return nullptr;
+// Cycles through a query set larger than capacity, so the stream exercises
+// fresh inserts, refreshes of resident queries, evictions, and (with the
+// low compact_min_dead) shard compactions — every WAL op kind.
+void ApplyOp(optimize::SemanticCache& cache, size_t i) {
+  const std::string query = "harness query " + std::to_string(i % 11);
+  cache.Insert(query, "response for op " + std::to_string(i),
+               common::Money::FromMicros(250 + static_cast<int64_t>(i) * 13));
 }
 
 // ---------------------------------------------------------------------------
@@ -228,16 +168,15 @@ std::vector<uint64_t> RecordBoundaries(std::string_view bytes) {
 
 struct HarnessConfig {
   std::string mode = "sweep";
-  std::string unit = "cache";
   std::string dir;
   size_t ops = 30;
   size_t stride = 1;
   int64_t crash_after_bytes = -1;
 };
 
-std::string Serialize(Unit& unit) {
+std::string Serialize(const optimize::SemanticCache& cache) {
   std::string image;
-  unit.state()->SaveSnapshot(&image).ok();
+  cache.SaveSnapshot(&image).ok();
   return image;
 }
 
@@ -248,7 +187,7 @@ int Fail(const std::string& what) {
 
 /// Runs the scripted workload with a checkpoint a third of the way in (so
 /// recovery must combine snapshot and WAL). Returns false on setup errors.
-bool RunWorkload(const HarnessConfig& config, Unit& unit,
+bool RunWorkload(const HarnessConfig& config, optimize::SemanticCache& cache,
                  durability::DurableStore* store) {
   for (size_t i = 0; i < config.ops; ++i) {
     if (i == config.ops / 3) {
@@ -257,50 +196,49 @@ bool RunWorkload(const HarnessConfig& config, Unit& unit,
         store->set_crash_after_bytes(config.crash_after_bytes);
       }
     }
-    unit.ApplyOp(i);
+    ApplyOp(cache, i);
   }
   store->Sync().ok();  // fails under point-mode injection, by design
   return true;
 }
 
-/// Recovers a fresh unit from `work_dir`, checks it against the
+/// Recovers a fresh cache from `work_dir`, checks it against the
 /// independently built reference for `wal_bytes`, and checks that a second
 /// recovery of the now-repaired directory is a no-op. `label` names the
 /// crash point in failure messages.
-int CheckRecovery(const HarnessConfig& config, const std::string& work_dir,
-                  const std::string& snap_bytes, std::string_view wal_bytes,
-                  const std::string& label) {
+int CheckRecovery(const std::string& work_dir, const std::string& snap_bytes,
+                  std::string_view wal_bytes, const std::string& label) {
   // Reference: parsed snapshot + clean WAL prefix, applied directly.
   WalScan scan = ScanWalBytes(wal_bytes);
-  std::unique_ptr<Unit> ref = MakeUnit(config.unit);
-  ref->state()->ResetToEmpty();
+  optimize::SemanticCache ref(CacheOptions());
+  ref.ResetToEmpty();
   durability::SnapshotView view = durability::ParseSnapshot(snap_bytes);
   if (!view.valid) return Fail(label + ": pristine snapshot failed to parse");
   durability::ByteReader reader(view.payload);
-  if (!ref->state()->LoadSnapshot(reader).ok()) {
+  if (!ref.LoadSnapshot(reader).ok()) {
     return Fail(label + ": reference LoadSnapshot failed");
   }
   for (size_t k = 0; k < scan.payloads.size(); ++k) {
-    if (!ref->state()->ApplyWalRecord(scan.payloads[k]).ok()) {
+    if (!ref.ApplyWalRecord(scan.payloads[k]).ok()) {
       return Fail(label + ": reference replay failed at record " +
                   std::to_string(k));
     }
   }
-  const std::string want = Serialize(*ref);
+  const std::string want = Serialize(ref);
 
   // Recovery under test.
-  std::unique_ptr<Unit> recovered = MakeUnit(config.unit);
+  optimize::SemanticCache recovered(CacheOptions());
   durability::DurableStore::Options options;
   options.dir = work_dir;
-  options.name = "unit";
+  options.name = "cache";
   options.fsync = false;
-  auto store = durability::DurableStore::Open(options, recovered->state());
+  auto store = durability::DurableStore::Open(options, &recovered);
   if (!store.ok()) {
     return Fail(label + ": recovery errored: " + store.status().ToString());
   }
   const durability::DurableStore::RecoveryInfo& info =
       store.value()->recovery_info();
-  if (Serialize(*recovered) != want) {
+  if (Serialize(recovered) != want) {
     return Fail(label + ": recovered state != snapshot + clean WAL prefix (" +
                 std::to_string(scan.payloads.size()) + " surviving records)");
   }
@@ -324,13 +262,13 @@ int CheckRecovery(const HarnessConfig& config, const std::string& work_dir,
 
   // Idempotence: recovery already truncated the torn tail, so recovering
   // again must land on the identical image with nothing left to discard.
-  std::unique_ptr<Unit> again = MakeUnit(config.unit);
-  auto store2 = durability::DurableStore::Open(options, again->state());
+  optimize::SemanticCache again(CacheOptions());
+  auto store2 = durability::DurableStore::Open(options, &again);
   if (!store2.ok()) {
     return Fail(label + ": second recovery errored: " +
                 store2.status().ToString());
   }
-  if (Serialize(*again) != want) {
+  if (Serialize(again) != want) {
     return Fail(label + ": second recovery diverged (not idempotent)");
   }
   if (store2.value()->recovery_info().wal_discarded_bytes != 0) {
@@ -360,15 +298,15 @@ int RunSweep(const HarnessConfig& config, const std::string& snap_bytes,
       std::fprintf(stderr, "cannot create %s\n", work_dir.c_str());
       return 2;
     }
-    if (!WriteFileBytes(work_dir + "/unit.snap", snap_bytes) ||
-        !WriteFileBytes(work_dir + "/unit.wal." + std::to_string(epoch),
+    if (!WriteFileBytes(work_dir + "/cache.snap", snap_bytes) ||
+        !WriteFileBytes(work_dir + "/cache.wal." + std::to_string(epoch),
                         std::string_view(wal_bytes).substr(0, b))) {
       std::fprintf(stderr, "cannot stage crash files in %s\n",
                    work_dir.c_str());
       return 2;
     }
     const std::string label = "truncate@" + std::to_string(b);
-    int rc = CheckRecovery(config, work_dir, snap_bytes,
+    int rc = CheckRecovery(work_dir, snap_bytes,
                            std::string_view(wal_bytes).substr(0, b), label);
     if (rc != 0) return rc;
 
@@ -382,13 +320,13 @@ int RunSweep(const HarnessConfig& config, const std::string& snap_bytes,
 
     if (b == wal_bytes.size()) {
       // The uncut file must recover to exactly the pre-crash image.
-      std::unique_ptr<Unit> whole = MakeUnit(config.unit);
+      optimize::SemanticCache whole(CacheOptions());
       durability::DurableStore::Options options;
       options.dir = work_dir;
-      options.name = "unit";
+      options.name = "cache";
       options.fsync = false;
-      auto store = durability::DurableStore::Open(options, whole->state());
-      if (!store.ok() || Serialize(*whole) != final_image) {
+      auto store = durability::DurableStore::Open(options, &whole);
+      if (!store.ok() || Serialize(whole) != final_image) {
         return Fail("full WAL does not recover the pre-crash state");
       }
       full_file_checked = true;
@@ -396,9 +334,9 @@ int RunSweep(const HarnessConfig& config, const std::string& snap_bytes,
   }
   if (!full_file_checked) return Fail("sweep never reached the full file");
   std::printf(
-      "sweep unit=%s: %zu crash points over %zu WAL bytes "
+      "sweep: %zu crash points over %zu WAL bytes "
       "(%zu records) all recover to the clean prefix\n",
-      config.unit.c_str(), offsets.size(), wal_bytes.size(), prev_records);
+      offsets.size(), wal_bytes.size(), prev_records);
   return 0;
 }
 
@@ -410,32 +348,32 @@ int RunHarness(const HarnessConfig& config) {
                  config.dir.c_str());
     return 2;
   }
-  std::unique_ptr<Unit> unit = MakeUnit(config.unit);
+  optimize::SemanticCache cache(CacheOptions());
   std::string final_image;
   uint64_t epoch = 0;
   {
     durability::DurableStore::Options options;
     options.dir = pristine_dir;
-    options.name = "unit";
+    options.name = "cache";
     options.fsync = false;
-    auto store = durability::DurableStore::Open(options, unit->state());
+    auto store = durability::DurableStore::Open(options, &cache);
     if (!store.ok()) {
       std::fprintf(stderr, "pristine open failed: %s\n",
                    store.status().ToString().c_str());
       return 2;
     }
-    unit->Attach(store.value().get());
-    if (!RunWorkload(config, *unit, store.value().get())) {
+    cache.AttachDurability(store.value().get());
+    if (!RunWorkload(config, cache, store.value().get())) {
       std::fprintf(stderr, "pristine workload failed\n");
       return 2;
     }
-    final_image = Serialize(*unit);
+    final_image = Serialize(cache);
     epoch = store.value()->epoch();
   }
 
   std::string snap_bytes, wal_bytes;
-  if (!ReadFileBytes(pristine_dir + "/unit.snap", &snap_bytes) ||
-      !ReadFileBytes(pristine_dir + "/unit.wal." + std::to_string(epoch),
+  if (!ReadFileBytes(pristine_dir + "/cache.snap", &snap_bytes) ||
+      !ReadFileBytes(pristine_dir + "/cache.wal." + std::to_string(epoch),
                      &wal_bytes)) {
     std::fprintf(stderr, "pristine run left no snapshot/WAL pair\n");
     return 2;
@@ -446,18 +384,17 @@ int RunHarness(const HarnessConfig& config) {
   }
 
   // Point mode: the workload above ran with set_crash_after_bytes armed, so
-  // unit.wal.<epoch> on disk IS the crash artifact — recover it in place.
+  // cache.wal.<epoch> on disk IS the crash artifact — recover it in place.
   // (final_image is the in-memory state the crash cut short; the recovered
   // state must instead match the clean prefix that reached the file.)
   int rc = CheckRecovery(
-      config, pristine_dir, snap_bytes, wal_bytes,
+      pristine_dir, snap_bytes, wal_bytes,
       "crash-after-bytes=" + std::to_string(config.crash_after_bytes));
   if (rc != 0) return rc;
   WalScan scan = ScanWalBytes(wal_bytes);
   std::printf(
-      "point unit=%s crash-after-bytes=%lld: %zu of the workload's records "
+      "point crash-after-bytes=%lld: %zu of the workload's records "
       "survived and recover cleanly\n",
-      config.unit.c_str(),
       static_cast<long long>(config.crash_after_bytes), scan.payloads.size());
   return 0;
 }
@@ -465,8 +402,7 @@ int RunHarness(const HarnessConfig& config) {
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: llmdm_durability_harness --mode=sweep|point "
-      "--unit=cache|prompts --dir=DIR\n"
+      "usage: llmdm_durability_harness --mode=sweep|point --dir=DIR\n"
       "        [--ops=N] [--stride=N] [--crash-after-bytes=N]\n"
       "  sweep: truncate the WAL at every (stride-sampled) byte offset and\n"
       "         assert recovery equals snapshot + clean record prefix\n"
@@ -491,8 +427,6 @@ int main(int argc, char** argv) {
     };
     if (const char* v = value("--mode")) {
       config.mode = v;
-    } else if (const char* v = value("--unit")) {
-      config.unit = v;
     } else if (const char* v = value("--dir")) {
       config.dir = v;
     } else if (const char* v = value("--ops")) {
@@ -511,10 +445,9 @@ int main(int argc, char** argv) {
   if (config.mode != "sweep" && config.mode != "point") return llmdm::Usage();
   if (config.mode == "point" && config.crash_after_bytes < 0) {
     // Default leaves room for a few committed records, then tears one
-    // mid-payload (every unit's records are well under 150 bytes).
+    // mid-payload (the cache's records are well under 150 bytes).
     config.crash_after_bytes =
         static_cast<int64_t>(llmdm::durability::kWalHeaderSize) + 150;
   }
-  if (llmdm::MakeUnit(config.unit) == nullptr) return llmdm::Usage();
   return llmdm::RunHarness(config);
 }

@@ -1,8 +1,8 @@
 // Durability suite (ctest label `durability`): the WAL and snapshot formats,
 // DurableStore recovery policy, and crash-consistent recovery of the durable
-// components (semantic cache, prompt store). The exhaustive
-// every-byte crash sweep lives in durability_harness.cc; these tests pin the
-// individual format and policy contracts the sweep's guarantee rests on.
+// semantic cache. The exhaustive every-byte crash sweep lives in
+// durability_harness.cc; these tests pin the individual format and policy
+// contracts the sweep's guarantee rests on.
 
 #include <unistd.h>
 
@@ -16,7 +16,6 @@
 
 #include "common/hash.h"
 #include "common/money.h"
-#include "core/optimize/prompt_store.h"
 #include "core/optimize/semantic_cache.h"
 #include "durability/format.h"
 #include "durability/mmap_file.h"
@@ -870,66 +869,6 @@ TEST(DurableComponents, SemanticCacheSnapshotWithHugeSlotCountFallsBackToEmpty) 
     EXPECT_TRUE(store.value()->recovery_info().snapshot_corrupt) << slots;
     EXPECT_EQ(cache.Size(), 0u) << slots;
     EXPECT_EQ(cache.TotalSlots(), 0u) << slots;
-  }
-}
-
-TEST(DurableComponents, PromptStoreRecoversUtilityTallies) {
-  TempDir dir;
-  dir.Track("ps.snap");
-  dir.Track("ps.wal.0");
-  optimize::PromptStore::Options options;
-  options.capacity = 4;
-  std::string image;
-  size_t live = 0;
-  {
-    optimize::PromptStore store(options);
-    auto durable = durability::DurableStore::Open(
-        StoreOptions(dir.path(), "ps"), &store);
-    ASSERT_TRUE(durable.ok());
-    store.AttachDurability(durable.value().get());
-    std::vector<uint64_t> ids;
-    for (int i = 0; i < 7; ++i) {  // over capacity: evictions logged too
-      ids.push_back(store.Add("example input " + std::to_string(i),
-                              "example output " + std::to_string(i)));
-      // Reward even prompts so retention keeps them over odd ones.
-      store.RecordOutcome(ids.back(), i % 2 == 0);
-      store.RecordOutcome(ids.back(), i % 2 == 0);
-    }
-    image = Image(store);
-    live = store.Size();
-  }
-  optimize::PromptStore recovered(options);
-  auto durable = durability::DurableStore::Open(StoreOptions(dir.path(), "ps"),
-                                                &recovered);
-  ASSERT_TRUE(durable.ok());
-  EXPECT_EQ(Image(recovered), image);
-  EXPECT_EQ(recovered.Size(), live);
-  // The learned tallies came back: prompt 6 earned two successes.
-  auto p = recovered.Get(6);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->uses, 2u);
-  EXPECT_EQ(p->successes, 2u);
-}
-
-// The prompt-store half of the untrusted-count check above.
-TEST(DurableComponents, PromptStoreSnapshotWithHugeCountFallsBackToEmpty) {
-  for (uint64_t count : {uint64_t{1} << 40,
-                         std::numeric_limits<uint64_t>::max()}) {
-    TempDir dir;
-    dir.Track("ps.snap");
-    dir.Track("ps.wal.0");
-    std::string payload;
-    durability::AppendU64(&payload, count);
-    durability::AppendU8(&payload, 1);  // the first slot starts, then stops
-    ASSERT_TRUE(durability::WriteSnapshotFile(dir.path() + "/ps.snap", 3,
-                                              payload, false)
-                    .ok());
-    optimize::PromptStore prompts({});
-    auto store = durability::DurableStore::Open(
-        StoreOptions(dir.path(), "ps"), &prompts);
-    ASSERT_TRUE(store.ok()) << count;
-    EXPECT_TRUE(store.value()->recovery_info().snapshot_corrupt) << count;
-    EXPECT_EQ(prompts.Size(), 0u) << count;
   }
 }
 

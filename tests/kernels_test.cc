@@ -61,9 +61,6 @@ TEST(Kernels, DotParityAcrossLengthsAndOffsets) {
       EXPECT_TRUE(SameBits(scalar, active))
           << "Dot len=" << len << " offset=" << offset << " scalar=" << scalar
           << " active=" << active;
-      auto [ls, la] = ScalarVsActive([&] { return L2Sq(a, b, len); });
-      EXPECT_TRUE(SameBits(ls, la))
-          << "L2Sq len=" << len << " offset=" << offset;
     }
   }
 }

@@ -99,6 +99,28 @@ TEST_P(IndexConformanceTest, ReplaceExistingId) {
   EXPECT_NEAR(res[0].score, 1.0f, 1e-5f);
 }
 
+TEST_P(IndexConformanceTest, RowsAndQueriesOfAnotherLengthAreRefused) {
+  FlatIndex index = MakeIndex(GetParam());
+  ASSERT_TRUE(index.Add(1, Vector{1.0f, 0.0f, 0.0f}).ok());
+  // The first row fixed the length at 3. A shorter or longer row is
+  // refused, as a new id or as a replacement, and the index is unchanged.
+  EXPECT_EQ(index.Add(2, Vector{0.0f, 1.0f}).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.Add(3, Vector{0.0f, 1.0f, 0.0f, 0.0f}).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.Add(1, Vector{0.0f, 1.0f}).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.Size(), 1u);
+  EXPECT_FALSE(index.Contains(2));
+  // A query of another length has no neighbours.
+  EXPECT_TRUE(index.Search(Vector{1.0f, 0.0f}, 5).empty());
+  EXPECT_TRUE(index.Search(Vector{1.0f, 0.0f, 0.0f, 0.0f}, 5).empty());
+  auto results = index.Search(Vector{1.0f, 0.0f, 0.0f}, 5);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].id, 1u);
+  EXPECT_NEAR(results[0].score, 1.0f, 1e-5f);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllIndexes, IndexConformanceTest,
                          ::testing::Values(IndexKind::kFlat,
                                            IndexKind::kFlatInt8),
@@ -134,6 +156,16 @@ TEST_F(VectorStoreTest, GetAndRemove) {
   EXPECT_TRUE(store_.Remove(5).ok());
   EXPECT_EQ(store_.Get(5), nullptr);
   EXPECT_FALSE(store_.Remove(5).ok());
+}
+
+TEST_F(VectorStoreTest, InsertOfAnotherLengthStoresNothing) {
+  StoredItem item;
+  item.id = 1000;
+  item.vector = Vector(16, 0.25f);  // the store's rows have 32 elements
+  EXPECT_EQ(store_.Insert(std::move(item)).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.Get(1000), nullptr);
+  EXPECT_EQ(store_.Size(), 200u);
 }
 
 TEST_F(VectorStoreTest, HybridStrategiesAgreeOnResults) {
