@@ -103,7 +103,7 @@ class TokenBucket {
 class WeightedFairScheduler {
  public:
   struct Entry {
-    uint64_t id = 0;             // caller's request id (dispatch handle)
+    uint64_t id = 0;             // caller's handle, returned as Dispatch::id
     double arrival_vms = 0.0;
     double cost_tokens = 0.0;    // DRR charge (estimated tokens)
     double service_vms = 0.0;    // estimated service time, occupies the slot
