@@ -877,7 +877,9 @@ TEST(GeneratePopulation, DeterministicSortedAndZipfSkewed) {
     EXPECT_DOUBLE_EQ(a[i].arrival_vms, b[i].arrival_vms);
     // Sorted by arrival, ids dense in arrival order.
     EXPECT_EQ(a[i].id, i);
-    if (i > 0) EXPECT_GE(a[i].arrival_vms, a[i - 1].arrival_vms);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival_vms, a[i - 1].arrival_vms);
+    }
     ++per_tenant[a[i].tenant];
   }
   // Zipf skew: the head tenant strictly dominates the mid and tail.
