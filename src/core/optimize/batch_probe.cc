@@ -11,14 +11,8 @@
 namespace llmdm::optimize {
 
 serve::BatchCacheProbe MakeBatchCacheProbe(SemanticCache* cache,
-                                           llm::ModelSpec spec,
-                                           bool price_at_cached_tier) {
-  // The effective price a hit's avoided call would have paid for input:
-  // list for per-call serving, the cached tier when the deployment batches
-  // (an exact-duplicate prompt in a batch bills its whole input cached).
-  const common::Money input_price =
-      llm::EffectiveInputPrice(spec, price_at_cached_tier);
-  return [cache, spec = std::move(spec), input_price](
+                                           llm::ModelSpec spec) {
+  return [cache, spec = std::move(spec)](
              const std::vector<const serve::Request*>& batch)
              -> std::vector<serve::BatchProbeOutcome> {
     std::vector<serve::BatchProbeOutcome> out(batch.size());
@@ -30,7 +24,8 @@ serve::BatchCacheProbe MakeBatchCacheProbe(SemanticCache* cache,
       const size_t input_tokens =
           llm::MakePrompt(req.skill, req.input).CountInputTokens();
       std::optional<SemanticCache::Hit> hit =
-          cache->Lookup(req.input, llm::PriceTokens(input_price, input_tokens),
+          cache->Lookup(req.input,
+                        llm::PriceTokens(spec.input_price_per_1k, input_tokens),
                         spec.output_price_per_1k);
       if (!hit.has_value()) continue;
       out[i].hit = true;

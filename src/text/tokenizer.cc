@@ -30,10 +30,8 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view input) const {
       std::string_view word = input.substr(start, i - start);
       // Chunk long words into fixed-size pieces, approximating how BPE breaks
       // rare words into several sub-words.
-      for (size_t off = 0; off < word.size(); off += options_.max_piece_len) {
-        std::string piece(word.substr(off, options_.max_piece_len));
-        if (options_.lowercase) piece = common::ToLower(piece);
-        out.push_back(std::move(piece));
+      for (size_t off = 0; off < word.size(); off += kMaxPieceLen) {
+        out.emplace_back(word.substr(off, kMaxPieceLen));
       }
     } else {
       out.emplace_back(1, c);
@@ -56,7 +54,7 @@ size_t Tokenizer::CountTokens(std::string_view input) const {
       size_t start = i;
       while (i < input.size() && IsWordChar(input[i])) ++i;
       size_t len = i - start;
-      count += (len + options_.max_piece_len - 1) / options_.max_piece_len;
+      count += (len + kMaxPieceLen - 1) / kMaxPieceLen;
     } else {
       ++count;
       ++i;

@@ -21,21 +21,13 @@ inline bool IsWordByte(char c) {
 ///
 /// The scheme approximates BPE statistics without a learned merge table:
 /// words and punctuation are split lexically, then words longer than
-/// `max_piece_len` are chunked. On English-like text this yields roughly
+/// `kMaxPieceLen` are chunked. On English-like text this yields roughly
 /// 1.3 tokens per word, matching the ~4 chars/token rule of thumb that the
 /// paper's quoted per-1k-token prices assume.
 class Tokenizer {
  public:
-  struct Options {
-    /// Maximum characters per word piece before chunking.
-    size_t max_piece_len = 6;
-    /// Lowercase pieces (embedding features want case folding; cost metering
-    /// does not care).
-    bool lowercase = false;
-  };
-
-  Tokenizer() : Tokenizer(Options{}) {}
-  explicit Tokenizer(const Options& options) : options_(options) {}
+  /// Maximum characters per word piece before chunking.
+  static constexpr size_t kMaxPieceLen = 6;
 
   /// Splits `input` into word pieces and punctuation tokens.
   std::vector<std::string> Tokenize(std::string_view input) const;
@@ -44,10 +36,10 @@ class Tokenizer {
   size_t CountTokens(std::string_view input) const;
 
   /// Visits every token as a `string_view` into `input`, in Tokenize()
-  /// order, without allocating. Word pieces are NOT case-folded (they alias
-  /// the input bytes); callers that need `lowercase` semantics fold bytes as
-  /// they consume them (see HashingEmbedder::EmbedInto). `visitor` is
-  /// invoked as `visitor(piece, is_word)`.
+  /// order, without allocating. Word pieces alias the input bytes; callers
+  /// that want case folding fold bytes as they consume them (see
+  /// HashingEmbedder::EmbedInto). `visitor` is invoked as
+  /// `visitor(piece, is_word)`.
   template <typename Visitor>
   void VisitTokens(std::string_view input, Visitor&& visitor) const {
     size_t i = 0;
@@ -61,8 +53,8 @@ class Tokenizer {
         size_t start = i;
         while (i < input.size() && IsWordByte(input[i])) ++i;
         std::string_view word = input.substr(start, i - start);
-        for (size_t off = 0; off < word.size(); off += options_.max_piece_len) {
-          visitor(word.substr(off, options_.max_piece_len), true);
+        for (size_t off = 0; off < word.size(); off += kMaxPieceLen) {
+          visitor(word.substr(off, kMaxPieceLen), true);
         }
       } else {
         visitor(input.substr(i, 1), false);
@@ -70,9 +62,6 @@ class Tokenizer {
       }
     }
   }
-
- private:
-  Options options_;
 };
 
 /// Counts tokens with the default tokenizer; convenience for cost metering.
