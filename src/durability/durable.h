@@ -12,9 +12,9 @@ namespace llmdm::durability {
 
 /// A component whose state can be captured as a point-in-time byte image and
 /// restored from one. The image is the component's *durable* state — the
-/// bytes that cost money to rebuild (queries, responses, costs, outcome
-/// tallies). Process-local heat (ticks, hit counters, doorkeeper windows,
-/// metric counters) is deliberately excluded: it is cheap to re-learn, and
+/// bytes that cost money to rebuild (queries, responses, costs).
+/// Process-local heat (ticks, hit counters, doorkeeper windows, metric
+/// counters) is deliberately excluded: it is cheap to re-learn, and
 /// excluding it makes "recovered state == reference state" a byte-equality
 /// check (two stores that applied the same operations serialize identically
 /// even if one of them also served lookups).

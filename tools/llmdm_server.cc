@@ -1,11 +1,11 @@
 // llmdm_server — the network front door as a deployable binary.
 //
 // Stands up the simulated model ladder behind a serve::Server (bounded
-// admission, shedding, optional hedging/QoS) and serves the llmdm wire
-// protocol on a TCP port via net::NetServer. SIGINT/SIGTERM triggers a
-// graceful drain: stop accepting, refuse new requests with kUnavailable
-// error frames, flush every in-flight response, then exit — bounded by
-// --drain-deadline-ms of wall time.
+// admission and load shedding) and serves the llmdm wire protocol on a TCP
+// port via net::NetServer. SIGINT/SIGTERM triggers a graceful drain: stop
+// accepting, refuse new requests with kUnavailable error frames, flush every
+// in-flight response, then exit — bounded by --drain-deadline-ms of wall
+// time.
 //
 //   ./build/tools/llmdm_server --port=7421 --workers=8 --queue-depth=64
 //
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // One registry aggregates both layers: llmdm_serve_* (admission, QoS,
-  // latency) and llmdm_net_* (transport) series side by side.
+  // One registry aggregates both layers: llmdm_serve_* (admission,
+  // shedding, latency) and llmdm_net_* (transport) series side by side.
   obs::Registry registry;
   auto models = llm::CreatePaperModelLadder(nullptr, 2024);
 
