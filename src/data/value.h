@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 
 namespace llmdm::data {
@@ -39,13 +40,15 @@ class Value {
  public:
   Value() : v_(std::monostate{}) {}
   static Value Null() { return Value(); }
-  static Value Bool(bool b) { return Value(Payload(b)); }
-  static Value Int(int64_t i) { return Value(Payload(i)); }
-  static Value Real(double d) { return Value(Payload(d)); }
-  static Value Text(std::string s) { return Value(Payload(std::move(s))); }
-  static Value MakeDate(Date d) { return Value(Payload(d)); }
+  static Value Bool(bool b) { return Value(std::in_place_type<bool>, b); }
+  static Value Int(int64_t i) { return Value(std::in_place_type<int64_t>, i); }
+  static Value Real(double d) { return Value(std::in_place_type<double>, d); }
+  static Value Text(std::string s) {
+    return Value(std::in_place_type<std::string>, std::move(s));
+  }
+  static Value MakeDate(Date d) { return Value(std::in_place_type<Date>, d); }
   static Value MakeDate(int32_t y, int32_t m, int32_t day) {
-    return Value(Payload(Date{y, m, day}));
+    return Value(std::in_place_type<Date>, Date{y, m, day});
   }
 
   bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
@@ -82,7 +85,12 @@ class Value {
  private:
   using Payload =
       std::variant<std::monostate, bool, int64_t, double, std::string, Date>;
-  explicit Value(Payload v) : v_(std::move(v)) {}
+  /// Builds the alternative in place: moving a Payload temporary in made
+  /// GCC 12 report its untouched storage as maybe-uninitialized under the
+  /// sanitizers.
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> type, Arg&& arg)
+      : v_(type, std::forward<Arg>(arg)) {}
 
   Payload v_;
 };
