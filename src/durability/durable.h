@@ -10,17 +10,24 @@
 
 namespace llmdm::durability {
 
-/// A component whose state can be captured as a point-in-time byte image and
-/// restored from one. The image is the component's *durable* state — the
-/// bytes that cost money to rebuild (queries, responses, costs).
-/// Process-local heat (ticks, hit counters, doorkeeper windows, metric
-/// counters) is deliberately excluded: it is cheap to re-learn, and
-/// excluding it makes "recovered state == reference state" a byte-equality
-/// check (two stores that applied the same operations serialize identically
-/// even if one of them also served lookups).
-class Snapshottable {
+/// What DurableStore manages: one component's point-in-time byte image
+/// (snapshot) and the WAL records that extend it.
+///
+/// The image is the component's *durable* state — the bytes that cost money
+/// to rebuild (queries, responses, costs). Process-local heat (ticks, hit
+/// counters, doorkeeper windows, metric counters) is deliberately excluded:
+/// it is cheap to re-learn, and excluding it makes "recovered state ==
+/// reference state" a byte-equality check (two stores that applied the same
+/// operations serialize identically even if one of them also served
+/// lookups).
+///
+/// WAL records are *physical* (insert this entry, evict this id) rather than
+/// logical, so replay bypasses admission/eviction heuristics and lands in
+/// exactly the state the original process reached — heuristics may consult
+/// non-durable heat, and re-running them on replay would diverge.
+class DurableState {
  public:
-  virtual ~Snapshottable() = default;
+  virtual ~DurableState() = default;
 
   /// Drops all state, returning the component to its freshly constructed
   /// (empty) form. Recovery-time only: not thread-safe against concurrent
@@ -35,26 +42,13 @@ class Snapshottable {
   /// empty component (after ResetToEmpty); derived data (embeddings, token
   /// counts, int8 index codes) is recomputed deterministically.
   virtual common::Status LoadSnapshot(ByteReader& in) = 0;
-};
-
-/// A component that can re-apply its own WAL records. Records are *physical*
-/// (insert this entry, evict this slot, compact this shard) rather than
-/// logical, so replay bypasses admission/eviction heuristics and lands in
-/// exactly the state the original process reached — heuristics may consult
-/// non-durable heat, and re-running them on replay would diverge.
-class WalReplayable {
- public:
-  virtual ~WalReplayable() = default;
 
   /// Applies one record payload (as passed to DurableStore::Append). Returns
   /// an error only for structurally impossible records (a checksummed-valid
-  /// record referencing a missing slot means a format bug or a WAL from an
+  /// record naming a missing entry means a format bug or a WAL from an
   /// incompatible configuration) — torn/corrupt tails never reach here.
   virtual common::Status ApplyWalRecord(std::string_view payload) = 0;
 };
-
-/// What DurableStore manages: snapshot + WAL over one component.
-class DurableState : public Snapshottable, public WalReplayable {};
 
 /// Shared-side handle on a store's commit gate. A component holds one across
 /// "mutate state, then append the WAL record" so a concurrent Checkpoint
