@@ -15,6 +15,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Weight floor: every configured tenant owns a real share (see
 // TenantConfig::weight).
 constexpr double kMinWeight = 0.01;
+// "No tenant" for PickTenant's aged-head search.
+constexpr size_t kNpos = static_cast<size_t>(-1);
 }  // namespace
 
 TokenBucket::TokenBucket(double tokens_per_vs, double burst_tokens) {
@@ -59,13 +61,6 @@ WeightedFairScheduler::WeightedFairScheduler(const QosOptions& options,
     q.config.weight = std::max(kMinWeight, config.weight);
     tenants_.push_back(std::move(q));
   }
-}
-
-size_t WeightedFairScheduler::TenantIndex(const TenantId& id) const {
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    if (tenants_[i].config.id == id) return i;
-  }
-  return kNpos;
 }
 
 void WeightedFairScheduler::Enqueue(size_t tenant_idx, const Entry& entry) {

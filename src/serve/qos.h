@@ -117,10 +117,6 @@ class WeightedFairScheduler {
 
   WeightedFairScheduler(const QosOptions& options, size_t num_slots);
 
-  /// Index of a configured tenant id, or npos.
-  static constexpr size_t kNpos = static_cast<size_t>(-1);
-  size_t TenantIndex(const TenantId& id) const;
-
   /// Appends to tenant `tenant_idx`'s FIFO. Depth policy is the caller's
   /// (check QueueLen first); the scheduler itself never refuses work.
   void Enqueue(size_t tenant_idx, const Entry& entry);
