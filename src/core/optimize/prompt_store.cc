@@ -6,37 +6,28 @@ namespace llmdm::optimize {
 
 uint64_t PromptStore::Add(const std::string& input, const std::string& output) {
   std::lock_guard<std::mutex> lock(mu_);
-  StoredPrompt p;
-  p.id = prompts_.size();
-  p.input = input;
-  p.output = output;
-  prompts_.push_back(p);
-  live_.push_back(true);
-  index_.Add(p.id, embedder_.Embed(input)).ok();
-  ++live_count_;
+  const uint64_t id = next_id_++;
+  // Ids only grow, so the new prompt goes at the end of the map.
+  prompts_.emplace_hint(
+      prompts_.end(), id,
+      StoredPrompt{.id = id, .input = input, .output = output});
+  index_.Add(id, embedder_.Embed(input)).ok();
   EvictIfNeeded();
-  return p.id;
+  return id;
 }
 
 void PromptStore::EvictIfNeeded() {
-  while (live_count_ > options_.capacity) {
-    double worst = 1e300;
-    size_t victim = prompts_.size();
-    for (size_t i = 0; i < prompts_.size(); ++i) {
-      if (!live_[i]) continue;
-      // Budgeted retention by smoothed success rate: proven failures
-      // (rate << 0.5) go first, fresh prompts sit at the 0.5 prior and
-      // outrank them, proven earners stay.
-      double score = prompts_[i].success_rate();
-      if (score < worst) {
-        worst = score;
-        victim = i;
-      }
-    }
-    if (victim == prompts_.size()) return;
-    live_[victim] = false;
-    index_.Remove(victim).ok();
-    --live_count_;
+  while (prompts_.size() > options_.capacity) {
+    // Budgeted retention by smoothed success rate: proven failures
+    // (rate << 0.5) go first, fresh prompts sit at the 0.5 prior and
+    // outrank them, proven earners stay. Ties evict the oldest (the first
+    // minimum in id order).
+    auto victim = std::min_element(
+        prompts_.begin(), prompts_.end(), [](const auto& a, const auto& b) {
+          return a.second.success_rate() < b.second.success_rate();
+        });
+    index_.Remove(victim->first).ok();
+    prompts_.erase(victim);
   }
 }
 
@@ -46,10 +37,10 @@ std::vector<llm::FewShotExample> PromptStore::Select(const std::string& query,
   std::lock_guard<std::mutex> lock(mu_);
   last_selected_ids_.clear();
   std::vector<llm::FewShotExample> out;
-  if (live_count_ == 0 || k == 0) return out;
+  if (prompts_.empty() || k == 0) return out;
 
   // Over-fetch then re-rank by the strategy's score.
-  size_t fetch = std::min(live_count_, k * 4 + 4);
+  size_t fetch = std::min(prompts_.size(), k * 4 + 4);
   auto candidates = index_.Search(embedder_.Embed(query), fetch);
 
   struct Ranked {
@@ -58,8 +49,7 @@ std::vector<llm::FewShotExample> PromptStore::Select(const std::string& query,
   };
   std::vector<Ranked> ranked;
   for (const auto& c : candidates) {
-    if (!live_[c.id]) continue;
-    const StoredPrompt& p = prompts_[c.id];
+    const StoredPrompt& p = prompts_.at(c.id);
     double score = c.score;
     if (strategy != Selection::kSimilarity) {
       score = c.score * p.success_rate();
@@ -81,7 +71,7 @@ std::vector<llm::FewShotExample> PromptStore::Select(const std::string& query,
   }
 
   for (size_t i = 0; i < ranked.size() && out.size() < k; ++i) {
-    const StoredPrompt& p = prompts_[ranked[i].id];
+    const StoredPrompt& p = prompts_.at(ranked[i].id);
     out.push_back(llm::FewShotExample{p.input, p.output});
     last_selected_ids_.push_back(p.id);
   }
@@ -90,15 +80,17 @@ std::vector<llm::FewShotExample> PromptStore::Select(const std::string& query,
 
 void PromptStore::RecordOutcome(uint64_t id, bool success) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (id >= prompts_.size()) return;
-  ++prompts_[id].uses;
-  if (success) ++prompts_[id].successes;
+  auto it = prompts_.find(id);
+  if (it == prompts_.end()) return;  // evicted: its outcome no longer counts
+  ++it->second.uses;
+  if (success) ++it->second.successes;
 }
 
 std::optional<StoredPrompt> PromptStore::Get(uint64_t id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (id >= prompts_.size() || !live_[id]) return std::nullopt;
-  return prompts_[id];
+  auto it = prompts_.find(id);
+  if (it == prompts_.end()) return std::nullopt;
+  return it->second;
 }
 
 }  // namespace llmdm::optimize

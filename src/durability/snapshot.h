@@ -11,7 +11,7 @@ namespace llmdm::durability {
 
 /// Point-in-time snapshot file. On-disk layout:
 ///
-///   [8B magic "LDMSNAP1"] [u32 version=1] [u64 epoch]
+///   [8B magic "LDMSNAP1"] [u32 version=2] [u64 epoch]
 ///   [u64 payload_len] [payload bytes] [u64 fnv1a(version..payload)]
 ///
 /// The checksum trails the payload so a crash mid-write cannot leave a file
@@ -22,7 +22,11 @@ namespace llmdm::durability {
 /// tmp is renamed over `<path>` (then the directory is fsynced), so `<path>`
 /// only ever names a complete image or the previous one — never a partial.
 constexpr size_t kSnapshotHeaderSize = 8 + 4 + 8 + 8;
-constexpr uint32_t kSnapshotVersion = 1;
+/// Bumped when the component payload changes (2: semantic-cache entries are
+/// keyed by ids that are never reused). A file of any other version does
+/// not parse, so recovery falls back to empty-but-valid; there is no reader
+/// for an older layout.
+constexpr uint32_t kSnapshotVersion = 2;
 
 /// Result of validating mapped snapshot bytes. A structurally broken file
 /// (short, foreign magic, bad length, checksum mismatch) comes back with

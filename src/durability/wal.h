@@ -15,7 +15,7 @@ namespace llmdm::durability {
 
 /// Append-only write-ahead log. On-disk layout:
 ///
-///   header:  [8B magic "LDMWAL01"] [u32 version=1] [u64 epoch]
+///   header:  [8B magic "LDMWAL01"] [u32 version=2] [u64 epoch]
 ///   record:  [u32 payload_len] [u64 fnv1a(payload)] [payload bytes]*
 ///
 /// Each Append issues the whole record as one write(2), so a crash leaves at
@@ -26,7 +26,9 @@ namespace llmdm::durability {
 /// sense on top of the matching base image.
 constexpr size_t kWalHeaderSize = 8 + 4 + 8;
 constexpr size_t kWalRecordOverhead = 4 + 8;
-constexpr uint32_t kWalVersion = 1;
+/// Bumped with kSnapshotVersion (2: cache records name entries by id). A
+/// WAL of any other version replays as zero records.
+constexpr uint32_t kWalVersion = 2;
 
 class WalWriter {
  public:

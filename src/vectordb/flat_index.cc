@@ -118,19 +118,4 @@ std::vector<SearchResult> FlatIndex::Search(const Vector& query,
   return out;
 }
 
-void FlatIndex::ForEach(
-    const std::function<void(uint64_t, const Vector&)>& fn) const {
-  std::vector<uint64_t> ids;
-  ids.reserve(id_to_slot_.size());
-  for (const auto& [id, slot] : id_to_slot_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  Vector row;
-  for (uint64_t id : ids) {
-    size_t slot = id_to_slot_.at(id);
-    const float* data = base_.data() + slot * dim_;
-    row.assign(data, data + dim_);
-    fn(id, row);
-  }
-}
-
 }  // namespace llmdm::vectordb

@@ -2,7 +2,6 @@
 #define LLMDM_VECTORDB_FLAT_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -61,12 +60,6 @@ class FlatIndex {
   /// return fewer than k; returns nothing for a query whose length differs
   /// from the rows'.
   std::vector<SearchResult> Search(const Vector& query, size_t k) const;
-
-  /// Invokes `fn(id, vector)` once per live vector, in ascending id order.
-  /// The ordering is part of the contract: SemanticCache's stable compaction
-  /// refills a fresh index from this iteration and relies on ids arriving in
-  /// their old relative order.
-  void ForEach(const std::function<void(uint64_t, const Vector&)>& fn) const;
 
  private:
   Options options_;

@@ -22,8 +22,8 @@
 //     the in-process shape of a power cut — then recover from whatever
 //     actually reached the file and run the same comparison.
 //
-// The component under test is the semantic cache (insert/refresh/evict/
-// compact), the one durable component. Exit 0 when every offset agrees; 1
+// The component under test is the semantic cache (insert/refresh/evict),
+// the one durable component. Exit 0 when every offset agrees; 1
 // on the first divergence; 2 on usage errors.
 //
 // scripts/verify.sh runs the sweep as its crash-sweep stage.
@@ -58,13 +58,12 @@ optimize::SemanticCache::Options CacheOptions() {
   optimize::SemanticCache::Options options;
   options.capacity = 6;
   options.num_shards = 2;
-  options.compact_min_dead = 2;
   return options;
 }
 
 // Cycles through a query set larger than capacity, so the stream exercises
-// fresh inserts, refreshes of resident queries, evictions, and (with the
-// low compact_min_dead) shard compactions — every WAL op kind.
+// fresh inserts, refreshes of resident queries and evictions — all three
+// WAL op kinds.
 void ApplyOp(optimize::SemanticCache& cache, size_t i) {
   const std::string query = "harness query " + std::to_string(i % 11);
   cache.Insert(query, "response for op " + std::to_string(i),

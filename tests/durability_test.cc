@@ -650,14 +650,13 @@ TEST(DurableStore, TornTailIsTruncatedOnceAndStaysGone) {
 // ---------------------------------------------------------------------------
 // Component recovery equivalence.
 
-TEST(DurableComponents, SemanticCacheSurvivesInsertRefreshEvictCompact) {
+TEST(DurableComponents, SemanticCacheSurvivesInsertRefreshEvict) {
   TempDir dir;
   dir.Track("cache.snap");
   dir.Track("cache.wal.0");
   optimize::SemanticCache::Options options;
   options.capacity = 6;
   options.num_shards = 2;
-  options.compact_min_dead = 2;  // force compactions into the WAL stream
   std::string image;
   size_t live = 0;
   {
@@ -667,8 +666,8 @@ TEST(DurableComponents, SemanticCacheSurvivesInsertRefreshEvictCompact) {
     ASSERT_TRUE(store.ok());
     cache.AttachDurability(store.value().get());
     for (size_t i = 0; i < 40; ++i) {
-      // 11 distinct queries over capacity 6: inserts, refreshes (repeats),
-      // evictions, and compactions all hit the WAL.
+      // 11 distinct queries over capacity 6: inserts, refreshes (repeats)
+      // and evictions all hit the WAL.
       cache.Insert("query " + std::to_string(i % 11),
                    "answer " + std::to_string(i),
                    common::Money::FromMicros(100 + static_cast<int64_t>(i)));
@@ -694,11 +693,10 @@ TEST(DurableComponents, SemanticCacheMissHandoffWritesTheSameBytes) {
   // CachedLlm hands each missed Lookup's probe to its Insert, which then
   // reuses the embedding and may skip its near-duplicate search. Neither
   // may change a decision: a cache driven through CachedLlm must end with
-  // the same snapshot, WAL, stats and slots as one fed the same stream
-  // through Lookup plus a handle-less Insert. Repeats and paraphrases over
-  // a small two-shard cache make inserts, evictions and compactions happen;
-  // a threshold no score reaches also sends every repeat down the refresh
-  // path.
+  // the same snapshot, WAL and stats as one fed the same stream through
+  // Lookup plus a handle-less Insert. Repeats and paraphrases over a small
+  // two-shard cache make inserts and evictions happen; a threshold no score
+  // reaches also sends every repeat down the refresh path.
   const std::vector<std::string> topics = {
       "stadiums that hosted concerts in 2014",
       "patients with a diabetes diagnosis",
@@ -734,8 +732,6 @@ TEST(DurableComponents, SemanticCacheMissHandoffWritesTheSameBytes) {
     std::string wal;
     optimize::SemanticCache::Stats stats;
     size_t live = 0;
-    size_t slots = 0;
-    uint64_t compactions = 0;
   };
   auto run = [&](const optimize::SemanticCache::Options& options,
                  bool through_cached_llm) {
@@ -771,13 +767,6 @@ TEST(DurableComponents, SemanticCacheMissHandoffWritesTheSameBytes) {
     out.wal = ReadFileBytes(dir.path() + "/cache.wal.0");
     out.stats = cache.stats();
     out.live = cache.Size();
-    out.slots = cache.TotalSlots();
-    for (const char* shard : {"0", "1"}) {
-      out.compactions +=
-          cache.registry()
-              ->GetCounter("llmdm_cache_compactions_total", {{"shard", shard}})
-              ->value();
-    }
     return out;
   };
   for (bool quantize : {false, true}) {
@@ -787,7 +776,6 @@ TEST(DurableComponents, SemanticCacheMissHandoffWritesTheSameBytes) {
       optimize::SemanticCache::Options options;
       options.capacity = 6;
       options.num_shards = 2;
-      options.compact_min_dead = 2;
       options.similarity_threshold = threshold;
       options.quantize = quantize;
       const Outcome plain = run(options, false);
@@ -802,14 +790,11 @@ TEST(DurableComponents, SemanticCacheMissHandoffWritesTheSameBytes) {
                 plain.stats.admission_rejections);
       EXPECT_EQ(handed.stats.saved, plain.stats.saved);
       EXPECT_EQ(handed.live, plain.live);
-      EXPECT_EQ(handed.slots, plain.slots);
-      EXPECT_EQ(handed.compactions, plain.compactions);
       // The stream really does exercise every mutation kind.
       EXPECT_GT(plain.stats.evictions, 0u);
-      EXPECT_GT(plain.compactions, 0u);
       if (threshold > 1.0) {
         EXPECT_EQ(plain.stats.hits, 0u);
-        // Every insertion that did not add a live or evicted slot refreshed.
+        // Every insertion that did not add a live or evicted entry refreshed.
         EXPECT_GT(plain.stats.insertions, plain.stats.evictions + plain.live);
       } else {
         EXPECT_GT(plain.stats.hits, 0u);
@@ -834,7 +819,7 @@ TEST(DurableComponents, SemanticCacheRejectsSnapshotWithWrongShardCount) {
     cache.Insert("q", "r");
     ASSERT_TRUE(store.value()->Checkpoint().ok());
   }
-  // A 4-shard cache cannot host a 2-shard image (slot ids shard-relative):
+  // A 4-shard cache cannot host a 2-shard image (ids are shard-relative):
   // recovery treats it like corruption and starts empty rather than crash.
   options.num_shards = 4;
   optimize::SemanticCache reshaped(options);
@@ -845,30 +830,159 @@ TEST(DurableComponents, SemanticCacheRejectsSnapshotWithWrongShardCount) {
   EXPECT_EQ(reshaped.Size(), 0u);
 }
 
-// A snapshot is checksummed, not trusted: a valid file whose slot count
-// claims far more slots than its payload holds must fall back to an empty
-// cache, not size an allocation from the count (a throw out of Open, or an
-// allocation-size abort under ASan).
+// A snapshot is checksummed, not trusted: a valid file whose entry count
+// claims far more entries than its payload holds must fall back to an
+// empty cache, not size an allocation from the count (a throw out of Open,
+// or an allocation-size abort under ASan).
 TEST(DurableComponents, SemanticCacheSnapshotWithHugeSlotCountFallsBackToEmpty) {
-  for (uint64_t slots : {uint64_t{1} << 40,
+  for (uint64_t count : {uint64_t{1} << 40,
                          std::numeric_limits<uint64_t>::max()}) {
     TempDir dir;
     dir.Track("cache.snap");
     dir.Track("cache.wal.0");
     std::string payload;
     durability::AppendU32(&payload, 1);  // shards, as configured below
-    durability::AppendU64(&payload, slots);
-    durability::AppendU8(&payload, 0);   // one dead slot, then nothing
+    durability::AppendU64(&payload, std::numeric_limits<uint64_t>::max());
+    durability::AppendU64(&payload, count);
+    durability::AppendU64(&payload, 0);  // the first entry's id, then nothing
     ASSERT_TRUE(durability::WriteSnapshotFile(dir.path() + "/cache.snap", 3,
                                               payload, false)
                     .ok());
     optimize::SemanticCache cache({});
     auto store = durability::DurableStore::Open(
         StoreOptions(dir.path(), "cache"), &cache);
-    ASSERT_TRUE(store.ok()) << slots;
-    EXPECT_TRUE(store.value()->recovery_info().snapshot_corrupt) << slots;
-    EXPECT_EQ(cache.Size(), 0u) << slots;
-    EXPECT_EQ(cache.TotalSlots(), 0u) << slots;
+    ASSERT_TRUE(store.ok()) << count;
+    EXPECT_TRUE(store.value()->recovery_info().snapshot_corrupt) << count;
+    EXPECT_EQ(cache.Size(), 0u) << count;
+  }
+}
+
+// Ids come from a per-shard counter that the snapshot carries. Here the
+// newest entry is evicted before the checkpoint, so the counter is past
+// every live id: recovery must continue from it, or the inserts replayed
+// on top of the snapshot would take ids the live process never gave them.
+TEST(DurableComponents, SemanticCacheNeverReusesAnIdAcrossRecovery) {
+  TempDir dir;
+  dir.Track("cache.snap");
+  dir.Track("cache.wal.0");
+  dir.Track("cache.wal.1");
+  optimize::SemanticCache::Options options;
+  options.capacity = 2;
+  options.policy = optimize::EvictionPolicy::kLfu;
+  const std::vector<std::string> queries = {
+      "stadiums that hosted concerts in 2014",
+      "patients with a diabetes diagnosis", "average salary by department",
+      "flights delayed out of boston", "novels written by tolstoy"};
+  std::string image;
+  {
+    optimize::SemanticCache cache(options);
+    auto store = durability::DurableStore::Open(
+        StoreOptions(dir.path(), "cache"), &cache);
+    ASSERT_TRUE(store.ok());
+    cache.AttachDurability(store.value().get());
+    cache.Insert(queries[0], "a");
+    cache.Insert(queries[1], "b");
+    ASSERT_TRUE(cache.Lookup(queries[0]).has_value());
+    ASSERT_TRUE(cache.Lookup(queries[1]).has_value());
+    // Never hit, so the least used: each later insert evicts itself.
+    for (size_t i = 2; i < queries.size(); ++i) {
+      if (i == 3) {
+        ASSERT_TRUE(store.value()->Checkpoint().ok());
+      }
+      cache.Insert(queries[i], "x");
+      ASSERT_EQ(cache.stats().evictions, i - 1);
+    }
+    ASSERT_TRUE(cache.Lookup(queries[0]).has_value());
+    ASSERT_TRUE(cache.Lookup(queries[1]).has_value());
+    image = Image(cache);
+  }
+  optimize::SemanticCache recovered(options);
+  auto store = durability::DurableStore::Open(
+      StoreOptions(dir.path(), "cache"), &recovered);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_TRUE(store.value()->recovery_info().snapshot_loaded);
+  EXPECT_EQ(store.value()->recovery_info().wal_records_replayed, 4u);
+  EXPECT_EQ(Image(recovered), image);
+}
+
+// Version 1 of the formats numbered cache entries by slot: its snapshot
+// kept dead slots and its WAL had a fourth record kind, kCompact (op 4),
+// that renumbered them. Version 2 has no reader for it; a version-1 store
+// opens as an empty cache through the checks for a foreign version, both
+// when it was checkpointed (snapshot plus WAL) and when it never was (WAL
+// only), and the store is usable afterwards.
+TEST(DurableComponents, SemanticCacheOpensAVersionOneStoreEmpty) {
+  std::string slots;  // one shard: a live slot, then a dead one
+  durability::AppendU32(&slots, 1);
+  durability::AppendU64(&slots, 2);
+  durability::AppendU8(&slots, 1);
+  durability::AppendString(&slots, "stadiums that hosted concerts in 2014");
+  durability::AppendString(&slots, "SELECT name FROM stadium");
+  durability::AppendI64(&slots, 120);
+  durability::AppendU8(&slots, 0);
+  auto snapshot_v1 = [&](uint64_t epoch) {
+    std::string bytes = "LDMSNAP1";
+    durability::AppendU32(&bytes, 1);
+    durability::AppendU64(&bytes, epoch);
+    durability::AppendU64(&bytes, slots.size());
+    bytes += slots;
+    durability::AppendU64(&bytes,
+                          common::Fnv1a(std::string_view(bytes).substr(8)));
+    return bytes;
+  };
+  auto wal_v1 = [](uint64_t epoch) {
+    std::vector<std::string> records(3);
+    durability::AppendU8(&records[0], 1);  // kInsert into shard 0
+    durability::AppendU32(&records[0], 0);
+    durability::AppendString(&records[0], "novels written by tolstoy");
+    durability::AppendString(&records[0], "SELECT title FROM novel");
+    durability::AppendI64(&records[0], 80);
+    durability::AppendU8(&records[1], 3);  // kEvict slot 0
+    durability::AppendU32(&records[1], 0);
+    durability::AppendU64(&records[1], 0);
+    durability::AppendU8(&records[2], 4);  // kCompact shard 0
+    durability::AppendU32(&records[2], 0);
+    std::string bytes = "LDMWAL01";
+    durability::AppendU32(&bytes, 1);
+    durability::AppendU64(&bytes, epoch);
+    for (const std::string& record : records) {
+      durability::AppendU32(&bytes, static_cast<uint32_t>(record.size()));
+      durability::AppendU64(&bytes, common::Fnv1a(record));
+      bytes += record;
+    }
+    return bytes;
+  };
+  for (bool checkpointed : {true, false}) {
+    SCOPED_TRACE(checkpointed ? "snapshot and WAL" : "WAL only");
+    TempDir dir;
+    for (const char* name : {"cache.snap", "cache.wal.0", "cache.wal.1"}) {
+      dir.Track(name);
+    }
+    if (checkpointed) {
+      WriteFileBytes(dir.path() + "/cache.snap", snapshot_v1(1));
+      WriteFileBytes(dir.path() + "/cache.wal.1", wal_v1(1));
+    } else {
+      WriteFileBytes(dir.path() + "/cache.wal.0", wal_v1(0));
+    }
+    {
+      optimize::SemanticCache cache({});
+      auto store = durability::DurableStore::Open(
+          StoreOptions(dir.path(), "cache"), &cache);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      const auto& info = store.value()->recovery_info();
+      EXPECT_FALSE(info.snapshot_loaded);
+      EXPECT_EQ(info.snapshot_corrupt, checkpointed);
+      EXPECT_EQ(info.wal_records_replayed, 0u);
+      EXPECT_EQ(cache.Size(), 0u);
+      cache.AttachDurability(store.value().get());
+      cache.Insert("average salary by department", "SELECT avg(salary)");
+    }
+    optimize::SemanticCache reopened({});
+    auto store = durability::DurableStore::Open(
+        StoreOptions(dir.path(), "cache"), &reopened);
+    ASSERT_TRUE(store.ok());
+    EXPECT_EQ(reopened.Size(), 1u);
+    EXPECT_TRUE(reopened.Lookup("average salary by department").has_value());
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
 
 #include "core/optimize/cascade.h"
 #include "core/optimize/decomposition.h"
@@ -512,14 +514,13 @@ TEST(CachedLlm, SavingsLedgerCreditsInputAndOutput) {
   EXPECT_GT(expected, common::Money::Zero());
 }
 
-TEST(SemanticCache, ChurnedShardsStayBoundedAndCompact) {
+TEST(SemanticCache, ChurnedShardsKeepOnlyTheirCapacity) {
   // Bugfix regression for the tombstone leak: eviction used to only flip
   // live=false, so slots (and their payloads) accumulated for process
-  // lifetime. Now payloads are released at eviction and the shard compacts
-  // past the dead threshold, so memory is O(capacity) under any churn.
+  // lifetime. Now an evicted entry leaves the shard and frees its index row
+  // for reuse, so memory is O(capacity) under any churn.
   SemanticCache::Options options;
   options.capacity = 8;
-  options.compact_min_dead = 4;
   options.policy = EvictionPolicy::kLru;
   SemanticCache cache(options);
   constexpr size_t kInserts = 200;  // 25x capacity of distinct queries
@@ -530,17 +531,7 @@ TEST(SemanticCache, ChurnedShardsStayBoundedAndCompact) {
   }
   EXPECT_EQ(cache.Size(), options.capacity);
   EXPECT_EQ(cache.stats().evictions, kInserts - options.capacity);
-  // Slots: live share + dead slots up to the compaction threshold.
-  const size_t slot_bound =
-      options.capacity + std::max(options.compact_min_dead, options.capacity) +
-      1;
-  EXPECT_LE(cache.TotalSlots(), slot_bound);
-  // Payload bytes: a generous per-slot envelope (256-float embedding plus
-  // short strings), nowhere near the ~kInserts entries the leak retained.
-  EXPECT_LE(cache.RetainedBytes(), slot_bound * 8192);
-  // Every survivor is still found after all that index rebuilding — also
-  // the ones inserted before the last compaction, whose index rows were
-  // carried over under remapped ids.
+  // Every survivor is still found after all that row reuse.
   for (size_t i = kInserts - options.capacity; i < kInserts; ++i) {
     auto hit = cache.Lookup(
         "churn query " + std::to_string(i) + " topic " + std::to_string(i * 3),
@@ -551,13 +542,12 @@ TEST(SemanticCache, ChurnedShardsStayBoundedAndCompact) {
 }
 
 TEST(SemanticCache, ChurnStatsAreByteStableAcrossRuns) {
-  // Compaction remaps ids and rebuilds indexes mid-stream; the observable
+  // Evictions free index rows that later inserts reuse; the observable
   // behaviour (per-step hit decisions and the final ledger) must remain a
   // pure function of the input stream.
   auto run = [] {
     SemanticCache::Options options;
     options.capacity = 8;
-    options.compact_min_dead = 4;
     SemanticCache cache(options);
     std::string log;
     for (size_t i = 0; i < 300; ++i) {
@@ -569,7 +559,7 @@ TEST(SemanticCache, ChurnStatsAreByteStableAcrossRuns) {
     }
     auto s = cache.stats();
     log += " " + std::to_string(s.hits) + "/" + std::to_string(s.evictions) +
-           "/" + std::to_string(cache.TotalSlots());
+           "/" + std::to_string(cache.Size());
     return log;
   };
   std::string a = run();
@@ -614,33 +604,29 @@ const std::vector<std::string> kUnrelated = {
 
 TEST(SemanticCache, StaleMissHandleStillRefreshes) {
   // A handle-less Insert of the same query — a concurrent duplicate — lands
-  // between a missed probe and the Insert it hands its probe to: alone,
-  // with an eviction, and with an eviction plus a compaction. The probe saw
-  // no near-duplicate, but the index has changed since, so the handed
-  // Insert must search, find the duplicate and refresh it.
-  for (size_t warm : {0, 2, 4}) {
+  // between a missed probe and the Insert it hands its probe to: alone, and
+  // with an eviction. The probe saw no near-duplicate, but the index has
+  // changed since, so the handed Insert must search, find the duplicate and
+  // refresh it: no entry is added, so nothing is evicted either.
+  for (size_t warm : {0, 2}) {
     SCOPED_TRACE("warm entries " + std::to_string(warm));
     SemanticCache::Options options;
     options.capacity = 2;
     options.policy = EvictionPolicy::kLru;
-    options.compact_min_dead = 2;
     SemanticCache cache(options);
     for (size_t i = 0; i < warm; ++i) cache.Insert(kUnrelated[i], "warm");
     SemanticCache::Miss miss;
     ASSERT_FALSE(cache.Lookup(kHandoffQuery, common::Money::Zero(),
                               common::Money::Zero(), &miss)
                      .has_value());
-    const size_t evictions = cache.stats().evictions;
     cache.Insert(kHandoffQuery, "a");
-    EXPECT_EQ(cache.stats().evictions, evictions + (warm > 0 ? 1 : 0));
+    const size_t evictions = cache.stats().evictions;
+    EXPECT_EQ(evictions, warm > 0 ? 1u : 0u);
     const size_t size = cache.Size();
-    const size_t slots = cache.TotalSlots();
-    // With four warm entries the eviction crosses the dead-slot bound, and
-    // the compaction leaves only the two live slots.
-    EXPECT_EQ(slots, warm == 4 ? 2u : warm + 1);
+    EXPECT_EQ(size, warm + 1 - evictions);
     cache.Insert(kHandoffQuery, "b", common::Money::Zero(), &miss);
     EXPECT_EQ(cache.Size(), size);
-    EXPECT_EQ(cache.TotalSlots(), slots);
+    EXPECT_EQ(cache.stats().evictions, evictions);
     auto hit = cache.Lookup(kHandoffQuery);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->response, "b");
@@ -666,7 +652,7 @@ TEST(SemanticCache, MissHandleDoesNotOutliveAReset) {
   ASSERT_TRUE(cache.LoadSnapshot(in).ok());
   cache.Insert(kHandoffQuery, "b", common::Money::Zero(), &miss);
   EXPECT_EQ(cache.Size(), 2u);
-  EXPECT_EQ(cache.TotalSlots(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
   auto hit = cache.Lookup(kHandoffQuery);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->response, "b");
@@ -686,7 +672,7 @@ TEST(SemanticCache, MissHandleFromAnotherCacheIsIgnored) {
                    .has_value());
   a.Insert(kHandoffQuery, "b", common::Money::Zero(), &miss);
   EXPECT_EQ(a.Size(), 1u);
-  EXPECT_EQ(a.TotalSlots(), 1u);
+  EXPECT_EQ(a.stats().evictions, 0u);
   auto hit = a.Lookup(kHandoffQuery);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->response, "b");
@@ -747,13 +733,56 @@ TEST(PromptStore, UtilityWeightingDemotesFailures) {
 }
 
 TEST(PromptStore, BudgetedRetentionEvicts) {
+  // An evicted prompt leaves the store, however many adds came before: at
+  // capacity 4, 1,000 adds leave four prompts that Get and Select still
+  // find, and an evicted id neither comes back nor takes feedback.
   PromptStore::Options options;
-  options.capacity = 3;
+  options.capacity = 4;
   PromptStore store(options);
-  for (int i = 0; i < 10; ++i) {
-    store.Add("historical prompt " + std::to_string(i), "out");
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(store.Add("historical prompt " + std::to_string(i),
+                            "out " + std::to_string(i)));
+    // Failures make retention choose by utility, not only by age.
+    if (i % 3 == 0) store.RecordOutcome(ids.back(), false);
   }
-  EXPECT_EQ(store.Size(), 3u);
+  EXPECT_EQ(store.Size(), 4u);
+  EXPECT_EQ(std::set<uint64_t>(ids.begin(), ids.end()).size(), ids.size());
+  // A query near every prompt selects all four survivors.
+  ASSERT_EQ(
+      store.Select("historical prompt", 4, PromptStore::Selection::kSimilarity)
+          .size(),
+      4u);
+  const std::vector<uint64_t> selected = store.last_selected_ids();
+  const std::set<uint64_t> survivors(selected.begin(), selected.end());
+  ASSERT_EQ(survivors.size(), 4u);
+  std::vector<StoredPrompt> kept;
+  for (uint64_t id : ids) {
+    const std::optional<StoredPrompt> p = store.Get(id);
+    ASSERT_EQ(p.has_value(), survivors.count(id) > 0) << "id " << id;
+    if (!p.has_value()) continue;
+    kept.push_back(*p);
+    // Its own input selects it first.
+    const auto examples =
+        store.Select(p->input, 1, PromptStore::Selection::kSimilarity);
+    ASSERT_EQ(examples.size(), 1u);
+    EXPECT_EQ(examples[0].output, p->output);
+  }
+  for (uint64_t id : ids) {
+    if (survivors.count(id) == 0) store.RecordOutcome(id, true);
+  }
+  EXPECT_EQ(store.Size(), 4u);
+  for (const StoredPrompt& p : kept) {
+    const std::optional<StoredPrompt> now = store.Get(p.id);
+    ASSERT_TRUE(now.has_value());
+    EXPECT_EQ(now->uses, p.uses);
+    EXPECT_EQ(now->successes, p.successes);
+  }
+  for (uint64_t id : ids) {
+    if (survivors.count(id) == 0) {
+      EXPECT_FALSE(store.Get(id).has_value());
+    }
+  }
 }
 
 TEST(PromptStore, LastSelectedIdsAlignWithExamples) {
