@@ -32,8 +32,7 @@ if command -v ninja >/dev/null 2>&1; then
 fi
 
 stage "configure"
-# Warnings fail the main tree's build; the scalar and sanitizer trees below
-# keep the default flags.
+# Warnings fail the build of this tree and of each tree below.
 cmake -B "${build_dir}" -S "${repo_root}" "${generator[@]}" \
   -DLLMDM_WERROR=ON "$@"
 
@@ -105,7 +104,7 @@ stage "scalar dispatch (Tables I-III + smoke cells vs. the SIMD tree)"
 scalar_dir="${build_dir}-scalar"
 rm -rf "${scalar_dir}"
 cmake -B "${scalar_dir}" -S "${repo_root}" "${generator[@]}" \
-  -DLLMDM_FORCE_SCALAR=ON >/dev/null
+  -DLLMDM_FORCE_SCALAR=ON -DLLMDM_WERROR=ON >/dev/null
 cmake --build "${scalar_dir}" -j "$(nproc)" --target bench_table1_cascade \
   bench_table2_decomposition bench_table3_cache bench_serve_overload
 tables=(bench_table1_cascade bench_table2_decomposition bench_table3_cache)
@@ -145,7 +144,7 @@ stage "thread sanitizer (concurrency + net suites)"
 tsan_dir="${build_dir}-tsan"
 rm -rf "${tsan_dir}"
 cmake -B "${tsan_dir}" -S "${repo_root}" "${generator[@]}" -DLLMDM_TSAN=ON \
-  >/dev/null
+  -DLLMDM_WERROR=ON >/dev/null
 cmake --build "${tsan_dir}" -j "$(nproc)" \
   --target llmdm_concurrency_tests llmdm_net_tests
 TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_concurrency_tests" \
@@ -170,7 +169,7 @@ stage "address + undefined-behaviour sanitizers (all suites)"
 asan_dir="${build_dir}-asan"
 rm -rf "${asan_dir}"
 cmake -B "${asan_dir}" -S "${repo_root}" "${generator[@]}" -DLLMDM_SANITIZE=ON \
-  >/dev/null
+  -DLLMDM_WERROR=ON >/dev/null
 cmake --build "${asan_dir}" -j "$(nproc)" \
   --target llmdm_tests llmdm_durability_tests llmdm_durability_harness \
   llmdm_robustness_tests llmdm_concurrency_tests llmdm_net_tests
