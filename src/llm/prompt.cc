@@ -25,6 +25,18 @@ std::string RenderPrefix(const Prompt& p) {
   return out;
 }
 
+/// Folds `part` into the FNV-1a state `key` as its 8-byte little-endian
+/// length, then its bytes. A list of parts folded this way hashes a byte
+/// stream that decodes back to exactly that list, whatever bytes the parts
+/// contain.
+uint64_t HashPart(uint64_t key, std::string_view part) {
+  const uint64_t size = part.size();
+  for (int shift = 0; shift < 64; shift += 8) {
+    key = common::Fnv1aByte(key, static_cast<unsigned char>(size >> shift));
+  }
+  return common::Fnv1a(part, key);
+}
+
 }  // namespace
 
 std::string Prompt::Render() const {
@@ -38,17 +50,14 @@ size_t Prompt::CountInputTokens() const {
   // '\n', so section counts are additive: count(prefix + input line) ==
   // count(prefix) + count(input line). The prefix (system + instructions +
   // few-shot examples) is identical across the calls a metered workload
-  // makes, so its count is memoized under a hash of the parts — each part
-  // hashed with a field separator so distinct part boundaries cannot alias.
-  uint64_t key = common::Fnv1a(system);
-  key = common::Fnv1aByte(key, 0x1F);
-  key = common::Fnv1a(instructions, key);
-  key = common::Fnv1aByte(key, 0x1F);
+  // makes, so its count is memoized under a hash of the parts. Each part is
+  // hashed behind its length (HashPart), so two prompts share a key only on
+  // a true 64-bit collision.
+  uint64_t key = HashPart(common::Fnv1a(""), system);
+  key = HashPart(key, instructions);
   for (const FewShotExample& ex : examples) {
-    key = common::Fnv1a(ex.input, key);
-    key = common::Fnv1aByte(key, 0x1F);
-    key = common::Fnv1a(ex.output, key);
-    key = common::Fnv1aByte(key, 0x1F);
+    key = HashPart(key, ex.input);
+    key = HashPart(key, ex.output);
   }
   size_t prefix_tokens;
   if (auto cached = text::LookupTokenCount(key); cached.has_value()) {

@@ -81,6 +81,22 @@ TEST_F(LlmTest, MemoizedTokenCountMatchesUncachedPath) {
   EXPECT_GE(after.hits - before.hits, prompts.size());
 }
 
+TEST_F(LlmTest, MemoKeySeparatesPartBoundaries) {
+  // The two prefixes split the same bytes at different places. A memo key
+  // that hashed a separator byte after each part, instead of each part's
+  // length, gave both one key whenever a part held that byte (0x1F), so
+  // the second prompt was billed at the first one's prefix count.
+  Prompt first = MakePrompt("freeform", "which rows survived?");
+  first.system = "a\x1F" "b";
+  Prompt second = MakePrompt("freeform", "which rows survived?");
+  second.system = "a";
+  second.instructions = "b\x1F";
+  ASSERT_NE(text::CountTokens(first.Render()),
+            text::CountTokens(second.Render()));
+  EXPECT_EQ(first.CountInputTokens(), text::CountTokens(first.Render()));
+  EXPECT_EQ(second.CountInputTokens(), text::CountTokens(second.Render()));
+}
+
 TEST_F(LlmTest, DeterministicCompletions) {
   Prompt p = MakePrompt("qa", "Who is the advisor of " + kb_.entities()[0] + "?");
   auto a = gpt35().Complete(p);
