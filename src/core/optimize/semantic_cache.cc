@@ -61,7 +61,7 @@ void SemanticCache::InitShards() {
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>(
         vectordb::FlatIndex::Options{.quantize = options_.quantize},
-        base + (i < extra ? 1 : 0), options_.doorkeeper_capacity));
+        base + (i < extra ? 1 : 0)));
     Shard& shard = *shards_.back();
     shard.shard_id = i;
     BumpIndexVersion(shard);

@@ -101,9 +101,6 @@ class SemanticCache : public durability::DurableState {
     /// change which entry a probe rescores, so it stays off wherever outputs
     /// are pinned byte for byte.
     bool quantize = false;
-    /// Doorkeeper epoch capacity per shard; the rotating window retains at
-    /// most twice this many hashes (see Doorkeeper).
-    size_t doorkeeper_capacity = 4096;
     /// Metrics registry the cache's per-shard instruments live in. Null
     /// (the default) gives the cache a private registry, which keeps
     /// stats() per-instance; inject one registry per cache to aggregate
@@ -201,8 +198,12 @@ class SemanticCache : public durability::DurableState {
 
   size_t num_shards() const { return shards_.size(); }
 
+  /// Doorkeeper epoch capacity per shard; each shard's rotating window
+  /// retains at most twice this many hashes (see Doorkeeper).
+  static constexpr size_t kDoorkeeperCapacity = 4096;
+
   /// Total doorkeeper window entries across shards (bounded by
-  /// num_shards x 2 x doorkeeper_capacity); exposed for the bound tests.
+  /// num_shards x 2 x kDoorkeeperCapacity); exposed for the bound tests.
   size_t doorkeeper_entries() const;
 
   /// The registry holding the cache's instruments (the injected one, or the
@@ -264,9 +265,8 @@ class SemanticCache : public durability::DurableState {
   };
 
   struct Shard {
-    Shard(const vectordb::FlatIndex::Options& index_options, size_t cap,
-          size_t doorkeeper_capacity)
-        : index(index_options), capacity(cap), doorkeeper(doorkeeper_capacity) {}
+    Shard(const vectordb::FlatIndex::Options& index_options, size_t cap)
+        : index(index_options), capacity(cap), doorkeeper(kDoorkeeperCapacity) {}
 
     mutable std::mutex mu;
     vectordb::FlatIndex index;  // keyed by entry id

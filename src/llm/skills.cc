@@ -95,11 +95,10 @@ common::Result<SkillOutput> Nl2SqlSkill::Run(const Prompt& prompt,
       ++misleading;
     }
   }
-  double difficulty =
-      options_.base_difficulty +
-      options_.per_complexity * static_cast<double>(query.Complexity());
-  difficulty -= options_.example_bonus * std::min(relevant, 3);
-  difficulty += options_.example_bonus * std::min(misleading, 3);
+  // Each relevant (or misleading) example, up to 3, moves it by 0.05.
+  double difficulty = 0.10 + 0.21 * static_cast<double>(query.Complexity());
+  difficulty -= 0.05 * std::min(relevant, 3);
+  difficulty += 0.05 * std::min(misleading, 3);
   double p = CorrectnessProbability(ctx.capability, difficulty);
   if (ctx.rng->Bernoulli(p)) {
     return SkillOutput{query.ToGoldSql(), NoisyConfidence(p, ctx.rng)};

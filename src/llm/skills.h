@@ -70,21 +70,9 @@ class QaSkill : public Skill {
 /// broken SQL.
 class Nl2SqlSkill : public Skill {
  public:
-  struct Options {
-    double base_difficulty = 0.10;
-    double per_complexity = 0.21;
-    double example_bonus = 0.05;   // per relevant example, up to 3
-  };
-
-  Nl2SqlSkill() : Nl2SqlSkill(Options{}) {}
-  explicit Nl2SqlSkill(const Options& options) : options_(options) {}
-
   std::string_view tag() const override { return "nl2sql"; }
   common::Result<SkillOutput> Run(const Prompt& prompt,
                                   SkillContext& ctx) override;
-
- private:
-  Options options_;
 };
 
 /// "nl2txn": translates a multi-transfer payment request into the SQL

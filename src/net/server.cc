@@ -13,6 +13,10 @@ namespace llmdm::net {
 
 namespace {
 
+/// Frame-size cap of each connection's decoder: the memory one connection
+/// may buffer for a single frame.
+constexpr size_t kMaxFrameBytes = 16u << 20;
+
 int64_t NowUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -149,7 +153,7 @@ void NetServer::OnAccept(int fd) {
   conn->conn_id = next_conn_id_++;
   conn->interest = EPOLLIN;
   FrameDecoder::Options dec;
-  dec.max_frame_bytes = options_.max_frame_bytes;
+  dec.max_frame_bytes = kMaxFrameBytes;
   conn->decoder = FrameDecoder(dec);
   Conn* raw = conn.get();
   common::Status added =
@@ -275,7 +279,6 @@ void NetServer::HandleRequest(Conn* conn, const WireRequest& request) {
   req.tenant = request.tenant;
   req.skill = request.skill;
   req.input = request.input;
-  req.priority = static_cast<serve::Priority>(request.priority);
   req.deadline_ms = request.deadline_ms;
   // The wire carries the workload's virtual clock; the serve layer requires
   // a non-decreasing submission order, so clock skew between connections is

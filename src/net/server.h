@@ -75,8 +75,6 @@ class NetServer {
     /// Outbound-buffer watermarks driving per-connection read backpressure.
     size_t high_watermark = 1u << 20;
     size_t low_watermark = 256u << 10;
-    /// Frame-size cap enforced by the decoder (memory bound per connection).
-    size_t max_frame_bytes = 16u << 20;
     /// Wall-clock bound on the graceful-drain phase of Shutdown().
     double drain_deadline_ms = 10000.0;
     /// SO_SNDBUF for accepted connections; 0 keeps the kernel default.

@@ -50,15 +50,13 @@ common::Status CheckFullyConsumed(const ByteReader& reader,
 
 }  // namespace
 
-std::string EncodeFrame(FrameType type, uint16_t flags,
-                        std::string_view payload) {
+std::string EncodeFrame(FrameType type, std::string_view payload) {
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
   AppendU32(&frame, kWireMagic);
   AppendU8(&frame, kWireVersion);
   AppendU8(&frame, static_cast<uint8_t>(type));
-  AppendU8(&frame, static_cast<uint8_t>(flags & 0xFF));
-  AppendU8(&frame, static_cast<uint8_t>((flags >> 8) & 0xFF));
+  frame.append(2, '\0');  // reserved
   AppendU32(&frame, static_cast<uint32_t>(payload.size()));
   AppendU64(&frame, FrameChecksum(std::string_view(frame.data(), 12), payload));
   frame.append(payload.data(), payload.size());
@@ -71,10 +69,9 @@ std::string EncodeRequestFrame(const WireRequest& request) {
   AppendString(&payload, request.tenant);
   AppendString(&payload, request.skill);
   AppendString(&payload, request.input);
-  AppendU8(&payload, request.priority);
   AppendF64(&payload, request.deadline_ms);
   AppendF64(&payload, request.arrival_vms);
-  return EncodeFrame(FrameType::kRequest, 0, payload);
+  return EncodeFrame(FrameType::kRequest, payload);
 }
 
 std::string EncodeResponseFrame(const WireResponse& response) {
@@ -94,7 +91,7 @@ std::string EncodeResponseFrame(const WireResponse& response) {
   if (response.hedge_won) bits |= 1u << 2;
   if (response.coalesced) bits |= 1u << 3;
   AppendU8(&payload, bits);
-  return EncodeFrame(FrameType::kResponse, 0, payload);
+  return EncodeFrame(FrameType::kResponse, payload);
 }
 
 std::string EncodeErrorFrame(const WireError& error) {
@@ -104,7 +101,7 @@ std::string EncodeErrorFrame(const WireError& error) {
   AppendU8(&payload, error.shed_cause);
   AppendF64(&payload, error.retry_after_vms);
   AppendString(&payload, error.message);
-  return EncodeFrame(FrameType::kError, 0, payload);
+  return EncodeFrame(FrameType::kError, payload);
 }
 
 common::Result<WireRequest> DecodeRequest(std::string_view payload) {
@@ -114,14 +111,9 @@ common::Result<WireRequest> DecodeRequest(std::string_view payload) {
   LLMDM_RETURN_IF_ERROR(reader.ReadString(&r.tenant));
   LLMDM_RETURN_IF_ERROR(reader.ReadString(&r.skill));
   LLMDM_RETURN_IF_ERROR(reader.ReadString(&r.input));
-  LLMDM_RETURN_IF_ERROR(reader.ReadU8(&r.priority));
   LLMDM_RETURN_IF_ERROR(reader.ReadF64(&r.deadline_ms));
   LLMDM_RETURN_IF_ERROR(reader.ReadF64(&r.arrival_vms));
   LLMDM_RETURN_IF_ERROR(CheckFullyConsumed(reader, "request"));
-  if (r.priority > 2) {
-    return common::Status::InvalidArgument(
-        common::StrFormat("request priority %u out of range", r.priority));
-  }
   // Client-supplied virtual time: one +inf or NaN arrival would pin the
   // server's shared arrival high-water mark, and with it every later
   // arrival from every connection.
@@ -175,15 +167,15 @@ common::Status FrameDecoder::Feed(std::string_view data) {
     if (buffer_.size() < kFrameHeaderBytes) return common::Status::Ok();
     ByteReader header(std::string_view(buffer_.data(), kFrameHeaderBytes));
     uint32_t magic = 0, length = 0;
-    uint8_t version = 0, type = 0, flags_lo = 0, flags_hi = 0;
+    uint8_t version = 0, type = 0, reserved_lo = 0, reserved_hi = 0;
     uint64_t checksum = 0;
     // Header reads over a 20-byte view cannot fail; statuses are asserted
     // away by construction but still checked to honour [[nodiscard]].
     common::Status hs = header.ReadU32(&magic);
     if (hs.ok()) hs = header.ReadU8(&version);
     if (hs.ok()) hs = header.ReadU8(&type);
-    if (hs.ok()) hs = header.ReadU8(&flags_lo);
-    if (hs.ok()) hs = header.ReadU8(&flags_hi);
+    if (hs.ok()) hs = header.ReadU8(&reserved_lo);
+    if (hs.ok()) hs = header.ReadU8(&reserved_hi);
     if (hs.ok()) hs = header.ReadU32(&length);
     if (hs.ok()) hs = header.ReadU64(&checksum);
     if (!hs.ok()) {
@@ -206,6 +198,12 @@ common::Status FrameDecoder::Feed(std::string_view data) {
           common::StrFormat("unknown frame type %u", type));
       return error_;
     }
+    if (reserved_lo != 0 || reserved_hi != 0) {
+      error_ = common::Status::InvalidArgument(common::StrFormat(
+          "reserved header bytes 0x%02x%02x are not zero", reserved_hi,
+          reserved_lo));
+      return error_;
+    }
     if (length > options_.max_frame_bytes) {
       error_ = common::Status::InvalidArgument(common::StrFormat(
           "frame length %u exceeds cap %zu", length, options_.max_frame_bytes));
@@ -226,8 +224,6 @@ common::Status FrameDecoder::Feed(std::string_view data) {
     }
     Frame frame;
     frame.type = static_cast<FrameType>(type);
-    frame.flags = static_cast<uint16_t>(flags_lo) |
-                  (static_cast<uint16_t>(flags_hi) << 8);
     frame.payload.assign(payload.data(), payload.size());
     ready_.push_back(std::move(frame));
     buffer_.erase(0, kFrameHeaderBytes + length);

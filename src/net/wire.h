@@ -18,8 +18,8 @@ namespace llmdm::net {
 ///   0       4     magic    "LDMN" (little-endian u32)
 ///   4       1     version  kWireVersion
 ///   5       1     type     FrameType
-///   6       2     flags    reserved: always 0 for now; the decoder
-///                          passes it through in Frame::flags
+///   6       2     reserved both 0; a frame with either set is
+///                          rejected, as one of unknown type is
 ///   8       4     length   payload bytes (u32, little-endian)
 ///   12      8     checksum FNV-1a over the payload, seeded with the FNV-1a
 ///                          of header bytes [0, 12) — one checksum covers
@@ -43,11 +43,13 @@ namespace llmdm::net {
 /// field is the correlation key.
 ///
 /// Version 2 dropped version 1's streamed rendering (type 3 chunk frames
-/// and the request's chunk-size field); a version-1 frame, or a frame of
-/// type 3, is rejected like any other unknown header.
+/// and the request's chunk-size field). Version 3 dropped the request's
+/// priority byte and fixed the header's two flag bytes at zero. A frame of
+/// another version, or of type 3, is rejected like any other unknown
+/// header.
 
 inline constexpr uint32_t kWireMagic = 0x4E4D444Cu;  // "LDMN" on the wire
-inline constexpr uint8_t kWireVersion = 2;
+inline constexpr uint8_t kWireVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 20;
 
 /// Type codes keep their version-1 values; 3 is unassigned.
@@ -60,13 +62,14 @@ enum class FrameType : uint8_t {
 /// One submitted request. Mirrors serve::Request. `arrival_vms` rides the
 /// wire so a network workload replays the exact admission sequence a
 /// direct Submit() of the same requests would — the virtual clock is the
-/// workload's, not the transport's.
+/// workload's, not the transport's. Payload: u64 id, then tenant, skill and
+/// input as u32-length-prefixed strings, then f64 deadline_ms and f64
+/// arrival_vms.
 struct WireRequest {
   uint64_t id = 0;
   std::string tenant;
   std::string skill = "freeform";
   std::string input;
-  uint8_t priority = 1;  // serve::Priority, kNormal
   /// Both finite and >= 0; DecodeRequest rejects anything else.
   double deadline_ms = 0.0;
   double arrival_vms = 0.0;
@@ -109,11 +112,10 @@ struct WireError {
   bool operator==(const WireError&) const = default;
 };
 
-/// A decoded frame: type + flags + raw payload bytes (checksum already
-/// verified by the decoder).
+/// A decoded frame: type + raw payload bytes (checksum already verified by
+/// the decoder).
 struct Frame {
   FrameType type = FrameType::kRequest;
-  uint16_t flags = 0;
   std::string payload;
 };
 
@@ -121,8 +123,7 @@ struct Frame {
 
 /// Wraps `payload` in a checksummed frame header. The only way bytes reach
 /// the wire.
-std::string EncodeFrame(FrameType type, uint16_t flags,
-                        std::string_view payload);
+std::string EncodeFrame(FrameType type, std::string_view payload);
 
 std::string EncodeRequestFrame(const WireRequest& request);
 std::string EncodeResponseFrame(const WireResponse& response);
@@ -140,7 +141,7 @@ common::Result<WireError> DecodeError(std::string_view payload);
 /// across any number of reads reassembles to exactly the frames a one-shot
 /// decode would yield (the torn-frame sweep asserts this at every split
 /// point). A malformed header (bad magic / version / unknown type /
-/// oversized length) or checksum mismatch poisons the decoder: Feed()
+/// non-zero reserved bytes / oversized length) or checksum mismatch poisons the decoder: Feed()
 /// returns the error, keeps returning it, and Next() yields nothing more —
 /// a corrupted stream is rejected cleanly, never resynchronized into
 /// garbage frames. The transport should close the connection.

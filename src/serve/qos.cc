@@ -157,8 +157,6 @@ double JainFairnessIndex(const std::vector<double>& values) {
 std::vector<Request> GeneratePopulation(const PopulationOptions& options) {
   common::Rng rng(options.seed);
   const size_t n_tenants = std::max<size_t>(1, options.tenants);
-  const double amplitude =
-      std::clamp(options.diurnal_amplitude, 0.0, 0.95);
 
   std::vector<Request> requests;
   requests.reserve(options.requests +
@@ -189,12 +187,12 @@ std::vector<Request> GeneratePopulation(const PopulationOptions& options) {
   double t = 0.0;
   for (size_t i = 0; i < options.requests; ++i) {
     double modulation = 1.0;
-    if (options.diurnal_period_vms > 0.0 && amplitude > 0.0) {
-      modulation = 1.0 + amplitude * std::sin(2.0 * M_PI * t /
-                                              options.diurnal_period_vms);
+    if (options.diurnal_period_vms > 0.0) {
+      modulation =
+          1.0 + 0.5 * std::sin(2.0 * M_PI * t / options.diurnal_period_vms);
     }
     t += rng.Exponential(1.0) * options.mean_gap_vms / modulation;
-    requests.push_back(make_request(rng.Zipf(n_tenants, options.zipf_s), t));
+    requests.push_back(make_request(rng.Zipf(n_tenants, 1.1), t));
   }
   const double horizon = t;
 
@@ -206,9 +204,7 @@ std::vector<Request> GeneratePopulation(const PopulationOptions& options) {
     for (double start = phase; start < horizon;
          start += options.burst_every_vms) {
       for (size_t b = 0; b < options.burst_size; ++b) {
-        requests.push_back(
-            make_request(h, start + static_cast<double>(b) *
-                                        options.burst_gap_vms));
+        requests.push_back(make_request(h, start + static_cast<double>(b)));
       }
     }
   }

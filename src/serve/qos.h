@@ -161,29 +161,25 @@ class WeightedFairScheduler {
 /// about).
 double JainFairnessIndex(const std::vector<double>& values);
 
-/// Synthetic multi-tenant population: zipf-skewed tenant sizes, a diurnal
-/// arrival-rate curve, and designated hot tenants that add clustered bursts
-/// on top of their base traffic. Entirely seeded — the same options produce
-/// the same request stream byte for byte.
+/// Synthetic multi-tenant population: zipf-skewed tenant sizes (exponent
+/// 1.1, tenant 0 the biggest), a diurnal arrival-rate curve, and designated
+/// hot tenants that add clustered bursts on top of their base traffic.
+/// Entirely seeded — the same options produce the same request stream byte
+/// for byte.
 struct PopulationOptions {
   size_t tenants = 16;
-  /// Zipf exponent for tenant popularity (tenant 0 is the biggest).
-  double zipf_s = 1.1;
   /// Base (non-burst) requests to generate.
   size_t requests = 2000;
   /// Mean aggregate inter-arrival gap in virtual ms (exponential draws).
   double mean_gap_vms = 10.0;
-  /// Diurnal modulation: instantaneous rate = base * (1 + amplitude *
-  /// sin(2*pi*t/period)). Amplitude is clamped to [0, 0.95].
+  /// Diurnal modulation: instantaneous rate = base * (1 + 0.5 *
+  /// sin(2*pi*t/period)); a period of 0 turns it off.
   double diurnal_period_vms = 20000.0;
-  double diurnal_amplitude = 0.5;
   /// The first `hot_tenants` tenants additionally emit a burst of
-  /// `burst_size` requests (spaced burst_gap_vms apart) every
-  /// burst_every_vms.
+  /// `burst_size` requests (1 virtual ms apart) every burst_every_vms.
   size_t hot_tenants = 1;
   double burst_every_vms = 8000.0;
   size_t burst_size = 32;
-  double burst_gap_vms = 1.0;
   /// Deadline stamped on every request (0 = none).
   double deadline_ms = 1000.0;
   /// Distinct query texts per tenant (queries repeat with this period).

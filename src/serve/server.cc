@@ -17,12 +17,6 @@ namespace llmdm::serve {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// Fraction of queue_depth usable by Priority::kBatch requests, so batch
-// traffic can never crowd out the rest of the shared queue.
-constexpr double kBatchQueueFraction = 0.5;
-// Extra headroom (fraction of queue_depth) reserved for Priority::kInteractive
-// requests once the nominal shared queue is full.
-constexpr double kInteractiveReserveFraction = 0.25;
 // Virtual ms a failed attempt is deemed to have occupied its slot (timeouts
 // and retry storms burn time even when nothing is returned).
 constexpr double kFailedAttemptPenaltyMs = 1000.0;
@@ -337,18 +331,12 @@ void Server::Admit(const Request& request, const BatchProbeOutcome* hit) {
       }
       work.est_start_vms = std::max(now, earliest_free);
       const double queue_wait = work.est_start_vms - now;
-      double limit = static_cast<double>(options_.queue_depth);
-      if (request.priority == Priority::kBatch) {
-        limit *= kBatchQueueFraction;
-      } else if (request.priority == Priority::kInteractive) {
-        limit *= 1.0 + kInteractiveReserveFraction;
-      }
       const double retry = std::max(0.0, earliest_free - now);
       if (options_.shed_policy != ShedPolicy::kNone &&
-          static_cast<double>(queue_len) >= limit) {
+          queue_len >= options_.queue_depth) {
         Shed(request, ts, ShedCause::kQueue, retry,
-             common::StrFormat("queue full (%zu waiting, limit %.0f)",
-                               queue_len, limit));
+             common::StrFormat("queue full (%zu waiting, limit %zu)",
+                               queue_len, options_.queue_depth));
         return;
       }
       if (options_.shed_policy == ShedPolicy::kDeadlineAware &&

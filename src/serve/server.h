@@ -43,11 +43,6 @@ enum class ShedPolicy {
   kDeadlineAware,
 };
 
-/// Admission priority. Batch traffic is confined to a fraction of the queue
-/// so it can never crowd out interactive requests; interactive traffic gets
-/// reserved headroom above the nominal depth.
-enum class Priority { kBatch, kNormal, kInteractive };
-
 /// Why a request was refused at the door. Distinguishing the causes matters
 /// for the retry hint: a queue-shed request should come back when a slot
 /// frees (global state), a quota-shed request when *its own tenant's* bucket
@@ -71,7 +66,6 @@ struct Request {
   /// "default" tenant. Propagated onto the prompt (llm::Prompt::tenant_id),
   /// trace spans, and every per-tenant metric label.
   TenantId tenant;
-  Priority priority = Priority::kNormal;
   /// Request-wide budget in simulated ms (0 = none). Queue wait spends it
   /// first; the remainder rides the prompt as an llm::Deadline.
   double deadline_ms = 0.0;
@@ -189,8 +183,8 @@ struct TenantStats {
 };
 
 /// A multi-threaded request scheduler in front of one (typically resilient)
-/// LLM endpoint: bounded admission queue, deadline/priority-aware load
-/// shedding, and hedged requests.
+/// LLM endpoint: bounded admission queue, deadline-aware load shedding, and
+/// hedged requests.
 ///
 /// Determinism: admission decisions are made synchronously in Submit(),
 /// in arrival order, against a virtual queue model fed by *estimated*
@@ -241,9 +235,7 @@ class Server {
     size_t worker_threads = 4;
     /// Simulated parallel model slots in the virtual queue model.
     size_t virtual_concurrency = 4;
-    /// Waiting-request bound for kQueueFull / kDeadlineAware. Priority::kBatch
-    /// requests may fill half of it; Priority::kInteractive gets a fixed 25%
-    /// headroom above it.
+    /// Waiting-request bound for kQueueFull / kDeadlineAware.
     size_t queue_depth = 32;
     ShedPolicy shed_policy = ShedPolicy::kQueueFull;
     bool hedging = false;
@@ -332,9 +324,9 @@ class Server {
     /// Multi-tenant QoS: configuring at least one tenant switches admission
     /// from the single shared queue to per-tenant token-bucket quotas +
     /// weighted-fair (deficit-round-robin) queuing with priority aging —
-    /// see qos.h and the class comment. In QoS mode shed_policy and the
-    /// priority shares of queue_depth are never consulted: a request sheds
-    /// only on its tenant's queue share, then its quota.
+    /// see qos.h and the class comment. In QoS mode shed_policy is never
+    /// consulted and queue_depth only sizes the derived tenant queue shares:
+    /// a request sheds only on its tenant's queue share, then its quota.
     QosOptions qos;
   };
 
@@ -393,8 +385,6 @@ class Server {
   /// The registry holding the server's instruments (the injected one, or
   /// the private per-instance registry).
   obs::Registry* registry() const { return registry_; }
-
-  const SimulatedClock& clock() const { return clock_; }
 
  private:
   struct TenantState;

@@ -115,8 +115,6 @@ TEST(ConcurrentDeadline, ChargesAreAtomic) {
 TEST(ConcurrentCircuitBreaker, OpensExactlyUnderContention) {
   llm::CircuitBreaker::Options options;
   options.min_samples = 4;
-  options.window = 16;
-  options.failure_threshold = 0.5;
   llm::CircuitBreaker breaker(options);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
@@ -392,8 +390,6 @@ std::string RunServeWorkload(size_t worker_threads) {
     serve::Request req = MakeRequest(i, static_cast<double>(i) * 3.0,
                                      common::StrFormat("query %zu", i));
     req.deadline_ms = 5000.0;
-    req.priority = (i % 5 == 0) ? serve::Priority::kBatch
-                                : serve::Priority::kNormal;
     server.Submit(req);
   }
   std::string log;
@@ -770,38 +766,6 @@ TEST(Serve, DeadlineAwareShedsDoomedRequestsAtTheDoor) {
   EXPECT_GT(blind.deadline_missed, aware.deadline_missed);
   EXPECT_EQ(aware.shed + aware.deadline_missed + aware.completed,
             aware.submitted);
-}
-
-TEST(Serve, BatchConfinedToItsQueueShareUnderOverload) {
-  serve::Server::Options options;
-  options.worker_threads = 4;
-  options.virtual_concurrency = 1;
-  options.queue_depth = 8;  // batch limit 4, interactive limit 10
-  options.shed_policy = serve::ShedPolicy::kQueueFull;
-  serve::Server server(MakeModel("sim-serve", 2000.0, 3), options);
-  size_t batch_total = 0, interactive_total = 0;
-  std::vector<serve::Priority> priorities;
-  for (size_t i = 0; i < 60; ++i) {
-    serve::Request req = MakeRequest(i, static_cast<double>(i) * 0.1,
-                                     common::StrFormat("mixed %zu", i));
-    req.priority = (i % 2 == 0) ? serve::Priority::kBatch
-                                : serve::Priority::kInteractive;
-    priorities.push_back(req.priority);
-    if (req.priority == serve::Priority::kBatch) ++batch_total;
-    else ++interactive_total;
-    server.Submit(req);
-  }
-  size_t batch_shed = 0, interactive_shed = 0;
-  for (const auto& r : server.Drain()) {
-    if (!r.shed) continue;
-    if (priorities[r.id] == serve::Priority::kBatch) ++batch_shed;
-    else ++interactive_shed;
-  }
-  ASSERT_GT(batch_shed, 0u);
-  // Batch saturates its fraction first; interactive rides the reserve.
-  double batch_rate = double(batch_shed) / double(batch_total);
-  double interactive_rate = double(interactive_shed) / double(interactive_total);
-  EXPECT_GT(batch_rate, interactive_rate);
 }
 
 // ---- Multi-tenant QoS -------------------------------------------------------
@@ -1530,8 +1494,8 @@ std::shared_ptr<llm::LlmModel> MakeFaultyResilientModel() {
   return std::make_shared<llm::ResilientLlm>(faulty, resilience);
 }
 
-// Shared queue: overload against two slots with mixed priorities and
-// deadlines, hedging on, a faulty resilient primary.
+// Shared queue: overload against two slots with mixed deadlines, hedging
+// on, a faulty resilient primary.
 std::string GoldenSharedQueue(
     serve::ShedPolicy policy, size_t workers,
     std::vector<serve::Response>* drained = nullptr) {
@@ -1551,7 +1515,6 @@ std::string GoldenSharedQueue(
   for (size_t i = 0; i < 160; ++i) {
     serve::Request req = MakeRequest(i, static_cast<double>(i) * 3.0,
                                      common::StrFormat("query %zu", i % 70));
-    req.priority = static_cast<serve::Priority>(i % 3);
     req.deadline_ms =
         (i % 4 == 0) ? 0.0 : 20.0 + static_cast<double>(i % 6) * 15.0;
     requests.push_back(req);

@@ -4,7 +4,6 @@
 // crash, a partial commit, or a poisoned cache.
 #include <gtest/gtest.h>
 
-#include "common/logging.h"
 #include "core/optimize/cascade.h"
 #include "core/optimize/decomposition.h"
 #include "core/optimize/semantic_cache.h"
@@ -131,15 +130,6 @@ TEST_F(FailurePropagationTest, Nl2SqlEngineSurfacesModelErrors) {
   auto r = engine.Translate(
       "What are the names of stadiums that had concerts in 2014?", db_);
   EXPECT_FALSE(r.ok());
-}
-
-TEST(Logging, ThresholdSuppressesBelowLevel) {
-  common::LogLevel before = common::GetLogLevel();
-  common::SetLogLevel(common::LogLevel::kError);
-  EXPECT_EQ(common::GetLogLevel(), common::LogLevel::kError);
-  LLMDM_LOG(Info, "suppressed %d", 1);   // must not crash; goes nowhere
-  LLMDM_LOG(Error, "emitted %s", "ok");  // stderr; also must not crash
-  common::SetLogLevel(before);
 }
 
 }  // namespace

@@ -375,11 +375,13 @@ TEST(SemanticCache, DoorkeeperMemoryBoundedUnderSingletonFlood) {
   SemanticCache::Options options;
   options.capacity = 8;
   options.predictive_admission = true;
-  options.doorkeeper_capacity = 32;
   SemanticCache cache(options);
+  // 10,000 singletons span more than two epochs, so the window rotates.
+  static_assert(10000 > 2 * SemanticCache::kDoorkeeperCapacity);
   for (int i = 0; i < 10000; ++i) {
     cache.Insert("unique singleton " + std::to_string(i), "a");
-    ASSERT_LE(cache.doorkeeper_entries(), 2 * 32u);
+    ASSERT_LE(cache.doorkeeper_entries(),
+              2 * SemanticCache::kDoorkeeperCapacity);
   }
   EXPECT_EQ(cache.Size(), 0u);  // all rejected at the door
   EXPECT_EQ(cache.stats().admission_rejections, 10000u);
