@@ -62,6 +62,44 @@ stage "bench smoke (continuous batching)"
   --metrics-out="${build_dir}/BENCH_batch_smoke.prom" >/dev/null
 echo "ok: batching saves spend without changing answers, byte-stable across workers"
 
+stage "determinism (every bench, smoke cell and example, run twice)"
+# Everything is seeded, so a run printed twice must match byte for byte.
+# Every bench under bench/ runs twice in a fresh directory, so a new bench
+# joins this gate by default. The exclusions: three benches time wall clock
+# by design, and bench_serve_overload's default run follows real completion
+# order in its faults=30% row, so only its three smoke cells run (stdout
+# and .prom). The four in-process examples run too.
+det_dir="$(mktemp -d "${build_dir}/determinism.XXXXXX")"
+for pass in first second; do
+  mkdir "${det_dir}/${pass}"
+  (
+    cd "${det_dir}/${pass}"
+    for bin in "${build_dir}"/bench/*; do
+      name="$(basename "${bin}")"
+      case "${name}" in
+        bench_ablation_vectordb | bench_perf_hotpath | bench_net_loadgen) continue ;;
+        bench_serve_overload) continue ;;  # its smoke cells run below
+      esac
+      "${bin}" >"${name}.txt"
+    done
+    for cell in benchmark-smoke qos-smoke batch-smoke; do
+      "${build_dir}/bench/bench_serve_overload" "--${cell}" \
+        --metrics-out="${cell}.prom" >"${cell}.txt"
+    done
+    for example in quickstart datalake_explorer healthcare_etl \
+        nl2sql_assistant; do
+      "${build_dir}/examples/example_${example}" >"example_${example}.txt"
+    done
+  )
+done
+compared=0
+for file in "${det_dir}/first"/*; do
+  cmp "${file}" "${det_dir}/second/$(basename "${file}")"
+  compared=$((compared + 1))
+done
+rm -rf "${det_dir}"
+echo "ok: all ${compared} outputs byte-identical across two runs"
+
 stage "net loopback smoke (wire protocol end to end)"
 # Start the real server binary on an ephemeral-ish port, drive it with the
 # loadgen over loopback, then SIGTERM it and require a clean graceful drain
