@@ -1,20 +1,22 @@
-// Ablation A1: the vector index trade-off, FlatIndex float32 vs int8 scan +
-// exact float32 rescore.
+// Ablation A1: what the vector index's int8 sweep with exact float32
+// rescoring buys over the float32 sweep it replaced (kernels::DotBatch over
+// a contiguous arena plus a top-k selection), which returns the same ids
+// and score bits.
 // The vector database is the substrate the paper leans on for prompt
 // selection, caching and multi-modal exploration (Secs. I, III-A/B/C). Two
 // halves, timed with google-benchmark:
-//  - clustered synthetic vectors (8k, d=128, k=10): recall@10 of each mode
-//    vs the exact float32 scan, and per-query latency;
+//  - clustered synthetic vectors (8k, d=128, k=10): per-query latency of
+//    each, and how many of the index's results equal the sweep's;
 //  - a size sweep over HashingEmbedder text (the semantic cache's own
-//    vector shape, d=256, k=4 = the cache's probe width) at 1k/4k/16k/64k
-//    entries: where int8+rescore overtakes the float32 scan.
+//    vector shape, d=256, k=1 = the cache's probe width) at 1k/4k/16k/64k
+//    entries.
 // `--benchmark-smoke` shrinks both halves to ctest scale; unrecognised flags
 // pass through to benchmark::Initialize (--benchmark_filter etc.).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <iterator>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "common/rng.h"
 #include "embed/embedder.h"
 #include "vectordb/flat_index.h"
+#include "vectordb/kernels.h"
 
 namespace {
 
@@ -86,60 +89,90 @@ std::vector<Vector>& Queries() {
   return queries;
 }
 
-/// The clustered dataset in one index per mode, built once.
-vectordb::FlatIndex& BuiltIndex(bool quantize) {
-  static auto& indexes = *new std::vector<vectordb::FlatIndex>([] {
-    std::vector<vectordb::FlatIndex> out;
-    for (bool q : {false, true}) {
-      vectordb::FlatIndex idx({.quantize = q});
-      for (size_t i = 0; i < Dataset().size(); ++i) {
-        idx.Add(i, Dataset()[i]).ok();
-      }
-      out.push_back(std::move(idx));
+/// The float32 sweep the index replaced: one DotBatch over a contiguous
+/// arena and a top-k selection, scored as FlatIndex scores.
+struct Float32Sweep {
+  size_t dim = 0;
+  std::vector<float> arena;
+  std::vector<float> norms;
+
+  void Add(const Vector& v) {
+    dim = v.size();
+    arena.insert(arena.end(), v.begin(), v.end());
+    norms.push_back(
+        std::sqrt(vectordb::kernels::Dot(v.data(), v.data(), dim)));
+  }
+
+  std::vector<vectordb::SearchResult> Search(const Vector& q,
+                                             size_t k) const {
+    const size_t rows = norms.size();
+    const float qnorm =
+        std::sqrt(vectordb::kernels::Dot(q.data(), q.data(), dim));
+    std::vector<float> dots(rows);
+    vectordb::kernels::DotBatch(q.data(), arena.data(), rows, dim,
+                                dots.data());
+    vectordb::kernels::TopKSelector top(k);
+    for (size_t r = 0; r < rows; ++r) {
+      top.Offer(norms[r] == 0.0f || qnorm == 0.0f
+                    ? 0.0f
+                    : dots[r] / (qnorm * norms[r]),
+                r);
+    }
+    std::vector<vectordb::SearchResult> out;
+    for (const auto& c : top.TakeSorted()) out.push_back({c.id, c.score});
+    return out;
+  }
+};
+
+/// The clustered dataset in the index and in the sweep, built once.
+struct ClusteredSet {
+  vectordb::FlatIndex index;
+  Float32Sweep sweep;
+};
+
+ClusteredSet& Clustered() {
+  static auto& set = *new ClusteredSet([] {
+    ClusteredSet out;
+    for (size_t i = 0; i < Dataset().size(); ++i) {
+      out.index.Add(i, Dataset()[i]).ok();
+      out.sweep.Add(Dataset()[i]);
     }
     return out;
   }());
-  return indexes[quantize ? 1 : 0];
+  return set;
 }
 
-/// Fraction of the exact top-k that `index` also returns.
-double RecallAtK(const vectordb::FlatIndex& exact,
-                 const vectordb::FlatIndex& index,
-                 const std::vector<Vector>& queries, size_t k) {
-  size_t hits = 0, total = 0;
+/// Queries on which the index returns exactly the sweep's results.
+size_t ExactMatches(const vectordb::FlatIndex& index, const Float32Sweep& sweep,
+                    const std::vector<Vector>& queries, size_t k) {
+  size_t same = 0;
   for (const Vector& q : queries) {
-    auto truth = exact.Search(q, k);
-    std::set<uint64_t> truth_ids;
-    for (const auto& r : truth) truth_ids.insert(r.id);
-    for (const auto& r : index.Search(q, k)) hits += truth_ids.count(r.id);
-    total += truth.size();
+    same += index.Search(q, k) == sweep.Search(q, k);
   }
-  return double(hits) / double(total);
+  return same;
 }
 
-void BM_FlatSearch(benchmark::State& state) {
-  auto& index = BuiltIndex(/*quantize=*/false);
+void BM_FlatIndexSearch(benchmark::State& state) {
+  const auto& index = Clustered().index;
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.Search(Queries()[i++ % g_queries], 10));
   }
 }
-BENCHMARK(BM_FlatSearch);
+BENCHMARK(BM_FlatIndexSearch);
 
-void BM_FlatSearchInt8(benchmark::State& state) {
-  auto& index = BuiltIndex(/*quantize=*/true);
+void BM_Float32Sweep(benchmark::State& state) {
+  const auto& sweep = Clustered().sweep;
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Search(Queries()[i++ % g_queries], 10));
+    benchmark::DoNotOptimize(sweep.Search(Queries()[i++ % g_queries], 10));
   }
-  state.counters["recall@10"] =
-      RecallAtK(BuiltIndex(false), index, Queries(), 10);
 }
-BENCHMARK(BM_FlatSearchInt8);
+BENCHMARK(BM_Float32Sweep);
 
 // ---- size sweep over cache-shaped text -------------------------------------
 
-constexpr size_t kSweepK = 4;  // SemanticCache's probe width
+constexpr size_t kSweepK = 1;  // SemanticCache's probe width
 constexpr size_t kSweepQueries = 64;
 
 /// A random 8-14 word sentence over a fixed vocabulary: the shape of the
@@ -163,13 +196,14 @@ std::string RandomSentence(common::Rng& rng) {
   return s;
 }
 
-/// Both modes over the first `n` sentences of one fixed stream (each size
-/// is a prefix of the next), plus a disjoint query set. One size is
-/// resident at a time: the sweep benchmarks run in registration order.
+/// The index and the sweep over the first `n` sentences of one fixed
+/// stream (each size is a prefix of the next), plus a disjoint query set.
+/// One size is resident at a time: the sweep benchmarks run in
+/// registration order.
 struct SweepSet {
   size_t n = 0;
-  vectordb::FlatIndex flat;
-  vectordb::FlatIndex int8{{.quantize = true}};
+  vectordb::FlatIndex index;
+  Float32Sweep sweep;
   std::vector<Vector> queries;
 };
 
@@ -182,8 +216,8 @@ SweepSet& SweepAt(size_t n) {
   common::Rng rng(20240705);
   for (size_t i = 0; i < n; ++i) {
     Vector v = embedder.Embed(RandomSentence(rng));
-    set.flat.Add(i, v).ok();
-    set.int8.Add(i, std::move(v)).ok();
+    set.sweep.Add(v);
+    set.index.Add(i, std::move(v)).ok();
   }
   common::Rng query_rng(77);
   for (size_t i = 0; i < kSweepQueries; ++i) {
@@ -192,17 +226,20 @@ SweepSet& SweepAt(size_t n) {
   return set;
 }
 
-void SweepSearch(benchmark::State& state, size_t n, bool quantize) {
+void SweepSearch(benchmark::State& state, size_t n, bool index) {
   SweepSet& set = SweepAt(n);
-  const vectordb::FlatIndex& index = quantize ? set.int8 : set.flat;
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        index.Search(set.queries[i++ % set.queries.size()], kSweepK));
+    const Vector& q = set.queries[i++ % set.queries.size()];
+    if (index) {
+      benchmark::DoNotOptimize(set.index.Search(q, kSweepK));
+    } else {
+      benchmark::DoNotOptimize(set.sweep.Search(q, kSweepK));
+    }
   }
-  if (quantize) {
-    state.counters["recall@4"] =
-        RecallAtK(set.flat, index, set.queries, kSweepK);
+  if (index) {
+    state.counters["exact"] = static_cast<double>(
+        ExactMatches(set.index, set.sweep, set.queries, kSweepK));
   }
 }
 
@@ -220,17 +257,18 @@ int main(int argc, char** argv) {
     sweep = {256, 1024};
   }
 
-  std::printf("Ablation A1: flat index, float32 vs int8+rescore "
-              "(%zu vectors, d=%zu, recall vs float32 scan)\n",
+  std::printf("Ablation A1: flat index (int8 sweep + exact float32 rescore) "
+              "vs float32 sweep (%zu vectors, d=%zu, k=10)\n",
               g_n, kDim);
-  std::printf("Flat int8+rescore      recall@10 = %.3f\n",
-              RecallAtK(BuiltIndex(false), BuiltIndex(true), Queries(), 10));
+  std::printf("index results equal to the sweep's: %zu of %zu queries\n",
+              ExactMatches(Clustered().index, Clustered().sweep, Queries(), 10),
+              Queries().size());
   for (size_t n : sweep) {
-    for (bool quantize : {false, true}) {
+    for (bool index : {false, true}) {
       const std::string name = std::string("BM_TextSweep/") +
-                               (quantize ? "int8/" : "flat/") +
+                               (index ? "index/" : "float32/") +
                                std::to_string(n);
-      benchmark::RegisterBenchmark(name.c_str(), SweepSearch, n, quantize);
+      benchmark::RegisterBenchmark(name.c_str(), SweepSearch, n, index);
     }
   }
   int bench_argc = static_cast<int>(args.passthrough.size());

@@ -1,9 +1,9 @@
 // Wall-clock hot-path harness (not a paper table): measures the serving
 // fast path this repo actually executes per request — semantic-cache lookup
 // and insert across thread/shard counts, embedder throughput with and
-// without the allocation-free path, and float32 vs int8 flat lookup at cache
-// sizes where the scan is the bottleneck. End-to-end serving is perfbench's
-// job (perfbench/run.py).
+// without the allocation-free path, and the flat lookup at cache sizes where
+// the scan is the bottleneck. End-to-end serving is perfbench's job
+// (perfbench/run.py).
 //
 // Emits machine-readable JSON (default ./BENCH_perf.json, override with
 // --out=PATH): {"meta": {...}, "results": [{name, threads, shards, ops,
@@ -131,7 +131,8 @@ float NaiveDot(const float* a, const float* b, size_t n) {
 /// Kernel microbench: each timed op scores one query against a contiguous
 /// arena of `rows` vectors (the FlatIndex scan shape). Variants:
 /// "naive" = sequential scalar reference, "dispatch" = DotBatch on the
-/// runtime-selected kernel, "int8" = quantized DotBatchI8.
+/// runtime-selected kernel, "int8" = DotBatchI8 over the quantized arena
+/// (the sweep every FlatIndex search runs).
 BenchResult KernelDot(const std::string& variant, size_t rows, size_t dim,
                       size_t ops) {
   common::Rng rng(42);
@@ -223,18 +224,20 @@ BenchResult EmbedThroughput(bool into, size_t ops) {
                      });
 }
 
-BenchResult AnnLookup(size_t entries, size_t ops, bool quantize = false,
-                      size_t shards = 1) {
-  auto options = CacheOptions(shards, entries);
-  options.quantize = quantize;
-  optimize::SemanticCache cache(options);
+/// Single-thread hit lookups in a cache of `entries` split over `shards`:
+/// each probe scans one shard's int8 codes and rescores what its bound
+/// keeps.
+BenchResult AnnLookup(size_t entries, size_t ops, size_t shards) {
+  optimize::SemanticCache cache(CacheOptions(shards, entries));
   for (size_t i = 0; i < entries; ++i) {
     cache.Insert(Query(i), "answer", common::Money::FromDollars(0.001));
   }
-  const char* name = quantize ? "ann_lookup_int8" : "ann_lookup_flat";
-  return RunThreaded(name, 1, shards, ops, [&](size_t, size_t i) {
-    cache.Lookup(Query((i * 13) % entries));
-  });
+  BenchResult r = RunThreaded("ann_lookup", 1, shards, ops,
+                              [&](size_t, size_t i) {
+                                cache.Lookup(Query((i * 13) % entries));
+                              });
+  r.extra_json = common::StrFormat(", \"entries\": %zu", entries);
+  return r;
 }
 
 // ---- Driver -----------------------------------------------------------------
@@ -276,11 +279,11 @@ int main(int argc, char** argv) {
   const size_t kKernelRows = 1024;
   const size_t kKernelDim = 256;
   const size_t kKernelOps = smoke ? 20 : 400;
-  // The int8 row runs at the ISSUE's headline scale (64k entries, 8 shards:
-  // each probe scans an ~8k-row quantized arena) in full mode only.
-  const size_t kInt8Entries = smoke ? 1024 : 65536;
-  const size_t kInt8Shards = 8;
-  const size_t kInt8Ops = smoke ? 50 : 2000;
+  // The second lookup row runs at 64k entries in 8 shards (each probe
+  // scans an ~8k-row shard) in full mode only.
+  const size_t kLargeEntries = smoke ? 1024 : 65536;
+  const size_t kLargeShards = 8;
+  const size_t kLargeOps = smoke ? 50 : 2000;
 
   std::vector<BenchResult> results;
   results.push_back(KernelDot("naive", kKernelRows, kKernelDim, kKernelOps));
@@ -297,9 +300,8 @@ int main(int argc, char** argv) {
   }
   results.push_back(EmbedThroughput(/*into=*/false, kEmbedOps));
   results.push_back(EmbedThroughput(/*into=*/true, kEmbedOps));
-  results.push_back(AnnLookup(kAnnEntries, kAnnOps));
-  results.push_back(
-      AnnLookup(kInt8Entries, kInt8Ops, /*quantize=*/true, kInt8Shards));
+  results.push_back(AnnLookup(kAnnEntries, kAnnOps, /*shards=*/1));
+  results.push_back(AnnLookup(kLargeEntries, kLargeOps, kLargeShards));
   std::string metrics_text;
   if (!metrics_out.empty()) {
     // Which kernel this machine actually ran: the dispatch gauge makes perf
@@ -345,7 +347,7 @@ int main(int argc, char** argv) {
   json += common::StrFormat(
       "\"bench\": \"perf_hotpath\", \"smoke\": %s, "
       "\"hardware_threads\": %u, "
-      "\"kernel_dispatch\": \"%s\", \"quantization\": \"int8_rescore\", "
+      "\"kernel_dispatch\": \"%s\", \"search\": \"int8_exact_rescore\", "
       "\"kernel_dot_speedup_vs_naive\": %.2f, "
       "\"lookup_speedup_8t_8s_vs_8t_1s\": %.2f},\n  \"results\": [\n",
       smoke ? "true" : "false", std::thread::hardware_concurrency(),

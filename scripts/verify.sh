@@ -42,10 +42,10 @@ cmake --build "${build_dir}" -j "$(nproc)"
 stage "test"
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 
-stage "kernel parity + quantized recall"
+stage "kernel parity + exact int8 search"
 "${build_dir}/tests/llmdm_tests" \
-  --gtest_filter='Kernels*:QuantizedRecall*' >/dev/null
-echo "ok: scalar/SIMD kernels bit-identical; int8+rescore recall >= 0.99"
+  --gtest_filter='Kernels*:ExactInt8Search*' >/dev/null
+echo "ok: scalar/SIMD kernels bit-identical; int8 search equals the float32 sweep (ids, order, score bits)"
 
 stage "bench smoke (registry reconciliation)"
 "${build_dir}/bench/bench_serve_overload" --benchmark-smoke \

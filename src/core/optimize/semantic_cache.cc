@@ -12,13 +12,8 @@
 namespace llmdm::optimize {
 
 namespace {
-/// How many neighbours a reuse/stale probe asks for. The probe reads only
-/// the best of them; the width sizes the int8 short list under
-/// Options::quantize (k * FlatIndex::kRescoreFactor + 8 rows are
-/// rescored), so changing it can move which entry a quantized probe
-/// returns. The miss handoff's skip also relies on this short list
-/// containing the one Insert's top-1 search would rescore.
-constexpr size_t kLookupProbeWidth = 4;
+/// How many neighbours a reuse/stale probe asks for: only the best can hit.
+constexpr size_t kLookupProbeWidth = 1;
 /// Insert refreshes an entry scoring above this against its query instead
 /// of adding a near-duplicate. Compared as a double, so a float score of
 /// exactly 0.999f (which is above 0.999) refreshes.
@@ -59,9 +54,7 @@ void SemanticCache::InitShards() {
   const size_t extra = options_.capacity % n;
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(
-        vectordb::FlatIndex::Options{.quantize = options_.quantize},
-        base + (i < extra ? 1 : 0)));
+    shards_.push_back(std::make_unique<Shard>(base + (i < extra ? 1 : 0)));
     Shard& shard = *shards_.back();
     shard.shard_id = i;
     BumpIndexVersion(shard);
@@ -167,8 +160,6 @@ std::optional<SemanticCache::Hit> SemanticCache::Lookup(
     shard.metrics.lookups->Add(1);
     ++shard.tick;
     version = shard.index_version;
-    // Results come best first; only the best can hit (see
-    // kLookupProbeWidth for why the probe asks for more).
     const std::vector<vectordb::SearchResult> results =
         shard.index.Search(q, kLookupProbeWidth);
     if (!results.empty()) top_score = results.front().score;
@@ -302,10 +293,9 @@ void SemanticCache::Insert(const std::string& query,
   shard.metrics.insertions->Add(1);
   // Refresh an existing (near-)identical key instead of duplicating it. A
   // handed probe of the unchanged index already settles that there is none
-  // when its best score fails the refresh test: the probe ranked the whole
-  // shard and the top-1 search returns its best (float32), or rescores a
-  // subset of the probe's int8 short list (quantize), so the search could
-  // only score the same or lower.
+  // when its best score fails the refresh test: every search is exact, so
+  // the top-1 search of the same query over the same index would return
+  // the probe's best, score bits included.
   const bool probe_settles = handed && miss->version == shard.index_version &&
                              !(miss->best_score > kRefreshSimilarity);
   std::vector<vectordb::SearchResult> nearest;

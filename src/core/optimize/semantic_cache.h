@@ -91,16 +91,6 @@ class SemanticCache : public durability::DurableState {
     /// Number of independently locked shards. Serving throughput scales
     /// with shards until embedding dominates; keep it a small power of two.
     size_t num_shards = 1;
-    /// Store int8 quantized codes alongside float32 in the shard indexes and
-    /// run the scan over them, rescoring the short list with exact float32 —
-    /// hit scores and threshold decisions stay exact; only candidate
-    /// *selection* is approximate (recall ≥0.99 on the Table III workload,
-    /// gated in tests). Roughly 4x less memory traffic per probed entry:
-    /// faster than the float32 scan from about 4k entries per shard, slower
-    /// at 1k (ablation A1's size sweep). A creation-time option: it can
-    /// change which entry a probe rescores, so it stays off wherever outputs
-    /// are pinned byte for byte.
-    bool quantize = false;
     /// Metrics registry the cache's per-shard instruments live in. Null
     /// (the default) gives the cache a private registry, which keeps
     /// stats() per-instance; inject one registry per cache to aggregate
@@ -265,8 +255,8 @@ class SemanticCache : public durability::DurableState {
   };
 
   struct Shard {
-    Shard(const vectordb::FlatIndex::Options& index_options, size_t cap)
-        : index(index_options), capacity(cap), doorkeeper(kDoorkeeperCapacity) {}
+    explicit Shard(size_t cap)
+        : capacity(cap), doorkeeper(kDoorkeeperCapacity) {}
 
     mutable std::mutex mu;
     vectordb::FlatIndex index;  // keyed by entry id

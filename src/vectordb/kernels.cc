@@ -1,5 +1,6 @@
 #include "vectordb/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -134,6 +135,15 @@ __attribute__((target("avx2"))) void DotBatchAvx2(const float* query,
   for (; r < count; ++r) out[r] = DotAvx2(query, base + r * dim, dim);
 }
 
+/// Sums the eight int32 lanes of `acc`.
+__attribute__((target("avx2"))) inline int32_t HorizontalSumAvx2(__m256i acc) {
+  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
+                            _mm256_extracti128_si256(acc, 1));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+  return _mm_cvtsi128_si32(s);
+}
+
 __attribute__((target("avx2"))) int32_t DotI8Avx2(const int8_t* a,
                                                   const int8_t* b, size_t n) {
   __m256i acc = _mm256_setzero_si256();
@@ -145,15 +155,73 @@ __attribute__((target("avx2"))) int32_t DotI8Avx2(const int8_t* a,
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
     acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
   }
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                            _mm256_extracti128_si256(acc, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  int32_t total = _mm_cvtsi128_si32(s);
+  int32_t total = HorizontalSumAvx2(acc);
   for (size_t i = n16; i < n; ++i) {
     total += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
   }
   return total;
+}
+
+/// Adds q·b over 32 codes to the eight int32 lanes of `acc`. maddubs
+/// multiplies unsigned by signed bytes, so the query enters as |q| and the
+/// row as sign(b, q) (b negated where q < 0, zeroed where q == 0): |q|·sign(b,
+/// q) = q·b. Codes lie in [-127, 127], so the negation never overflows and a
+/// pair sum is at most 2·127² < 2^15: maddubs never saturates.
+__attribute__((target("avx2"))) inline __m256i StepI8Avx2(__m256i acc,
+                                                          __m256i q_abs,
+                                                          __m256i q,
+                                                          const int8_t* b) {
+  const __m256i pairs = _mm256_maddubs_epi16(
+      q_abs,
+      _mm256_sign_epi8(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(b)),
+                       q));
+  return _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)));
+}
+
+/// Finishes one row: the lanes of `acc`, plus the tail a[n32..n) · b[n32..n).
+__attribute__((target("avx2"))) inline int32_t FinishI8Avx2(__m256i acc,
+                                                            const int8_t* a,
+                                                            const int8_t* b,
+                                                            size_t n32,
+                                                            size_t n) {
+  int32_t total = HorizontalSumAvx2(acc);
+  for (size_t i = n32; i < n; ++i) {
+    total += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
+  }
+  return total;
+}
+
+/// DotBatchI8 four rows per pass, 32 codes per step (StepI8Avx2); each
+/// query load feeds four rows. Integer sums do not depend on order, so every
+/// result equals DotI8Scalar. Leftover rows go through DotI8Avx2.
+__attribute__((target("avx2"))) void DotBatchI8Avx2(const int8_t* query,
+                                                    const int8_t* base,
+                                                    size_t count, size_t dim,
+                                                    int32_t* out) {
+  const size_t n32 = dim & ~static_cast<size_t>(31);
+  size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    const int8_t* row0 = base + r * dim;
+    const int8_t* row1 = row0 + dim;
+    const int8_t* row2 = row1 + dim;
+    const int8_t* row3 = row2 + dim;
+    __m256i acc0 = _mm256_setzero_si256(), acc1 = _mm256_setzero_si256();
+    __m256i acc2 = _mm256_setzero_si256(), acc3 = _mm256_setzero_si256();
+    for (size_t i = 0; i < n32; i += 32) {
+      const __m256i q =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(query + i));
+      const __m256i q_abs = _mm256_abs_epi8(q);
+      acc0 = StepI8Avx2(acc0, q_abs, q, row0 + i);
+      acc1 = StepI8Avx2(acc1, q_abs, q, row1 + i);
+      acc2 = StepI8Avx2(acc2, q_abs, q, row2 + i);
+      acc3 = StepI8Avx2(acc3, q_abs, q, row3 + i);
+    }
+    out[r] = FinishI8Avx2(acc0, query, row0, n32, dim);
+    out[r + 1] = FinishI8Avx2(acc1, query, row1, n32, dim);
+    out[r + 2] = FinishI8Avx2(acc2, query, row2, n32, dim);
+    out[r + 3] = FinishI8Avx2(acc3, query, row3, n32, dim);
+  }
+  for (; r < count; ++r) out[r] = DotI8Avx2(query, base + r * dim, dim);
 }
 
 #endif  // LLMDM_KERNELS_X86
@@ -226,6 +294,8 @@ using DotFn = float (*)(const float*, const float*, size_t);
 using DotI8Fn = int32_t (*)(const int8_t*, const int8_t*, size_t);
 using DotBatchFn = void (*)(const float*, const float*, size_t, size_t,
                             float*);
+using DotBatchI8Fn = void (*)(const int8_t*, const int8_t*, size_t, size_t,
+                              int32_t*);
 
 DotFn ResolveDot(DispatchLevel level) {
   switch (level) {
@@ -278,6 +348,31 @@ DotI8Fn ResolveDotI8(DispatchLevel level) {
 #endif
     default:
       return DotI8Scalar;
+  }
+}
+
+/// The per-row loop: the scalar reference for DotBatchI8, and NEON's batch
+/// path.
+template <DotI8Fn kDotI8>
+void DotBatchI8PerRow(const int8_t* query, const int8_t* base, size_t count,
+                      size_t dim, int32_t* out) {
+  for (size_t r = 0; r < count; ++r) {
+    out[r] = kDotI8(query, base + r * dim, dim);
+  }
+}
+
+DotBatchI8Fn ResolveDotBatchI8(DispatchLevel level) {
+  switch (level) {
+#if LLMDM_KERNELS_X86
+    case DispatchLevel::kAvx2:
+      return DotBatchI8Avx2;
+#endif
+#if LLMDM_KERNELS_NEON
+    case DispatchLevel::kNeon:
+      return DotBatchI8PerRow<DotI8Neon>;
+#endif
+    default:
+      return DotBatchI8PerRow<DotI8Scalar>;
   }
 }
 
@@ -352,25 +447,35 @@ void DotBatch(const float* query, const float* base, size_t count, size_t dim,
 }
 
 void QuantizeSymmetric(const float* v, size_t n, int8_t* codes, float* scale) {
-  float max_abs = 0.0f;
-  for (size_t i = 0; i < n; ++i) {
-    float mag = std::fabs(v[i]);
-    if (mag > max_abs) max_abs = mag;
+  // Eight running maxima break the dependency chain; max is exact, so the
+  // split changes nothing.
+  float lane_max[8] = {0.0f};
+  const size_t n8 = n & ~static_cast<size_t>(7);
+  for (size_t i = 0; i < n8; i += 8) {
+    for (size_t j = 0; j < 8; ++j) {
+      lane_max[j] = std::max(lane_max[j], std::fabs(v[i + j]));
+    }
   }
-  if (max_abs == 0.0f) {
+  float max_abs = 0.0f;
+  for (float m : lane_max) max_abs = std::max(max_abs, m);
+  for (size_t i = n8; i < n; ++i) max_abs = std::max(max_abs, std::fabs(v[i]));
+  const float inv = 127.0f / max_abs;
+  if (!std::isfinite(inv)) {
+    // The zero vector, or one so small that 127/max overflows: no code can
+    // represent it.
     if (n > 0) std::memset(codes, 0, n);
     *scale = 0.0f;
     return;
   }
   *scale = max_abs / 127.0f;
-  const float inv = 127.0f / max_abs;
+  // Adding and subtracting 1.5·2^23 rounds |x| < 2^22 to the nearest
+  // integer, ties to even, as lrintf does under the default rounding mode,
+  // without a library call per element. |v[i]·inv| <= 127·(1+2^-24)^2 <
+  // 127.5, so the rounded value lies in [-127, 127] and needs no clamp.
+  constexpr float kRound = 12582912.0f;
   for (size_t i = 0; i < n; ++i) {
-    // lrintf under the default rounding mode is round-to-nearest-even:
-    // deterministic and identical on every platform we dispatch to.
-    long r = std::lrintf(v[i] * inv);
-    if (r > 127) r = 127;
-    if (r < -127) r = -127;
-    codes[i] = static_cast<int8_t>(r);
+    const float rounded = (v[i] * inv + kRound) - kRound;
+    codes[i] = static_cast<int8_t>(static_cast<int32_t>(rounded));
   }
 }
 
@@ -380,10 +485,7 @@ int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
 
 void DotBatchI8(const int8_t* query, const int8_t* base, size_t count,
                 size_t dim, int32_t* out) {
-  DotI8Fn fn = ResolveDotI8(ActiveDispatch());
-  for (size_t r = 0; r < count; ++r) {
-    out[r] = fn(query, base + r * dim, dim);
-  }
+  ResolveDotBatchI8(ActiveDispatch())(query, base, count, dim, out);
 }
 
 }  // namespace llmdm::vectordb::kernels

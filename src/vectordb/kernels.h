@@ -67,31 +67,40 @@ float Dot(const float* a, const float* b, size_t n);
 
 /// out[r] = Dot(query, base + r*dim, dim) for r in [0, count). `base` is a
 /// contiguous row-major matrix. The dispatch branch is resolved once for the
-/// whole batch — this is the hot entry point for flat index scans. On AVX2
-/// rows run four per pass (each query load feeds four rows), each row
-/// bit-identical to Dot; scalar and NEON run one row at a time.
+/// whole batch. On AVX2 rows run four per pass (each query load feeds four
+/// rows), each row bit-identical to Dot; scalar and NEON run one row at a
+/// time.
 void DotBatch(const float* query, const float* base, size_t count, size_t dim,
               float* out);
 
 // ---------------------------------------------------------------------------
 // int8 symmetric scalar quantization
 //
-// code[i] = round_to_nearest_even(v[i] * 127 / max_abs) clamped to
-// [-127, 127], scale = max_abs / 127 (scale 0 for the zero vector; codes all
-// zero). Reconstruction error per element is at most scale/2. Integer dot
-// accumulation is exact, so quantized scores are bit-identical across every
-// dispatch level by construction (integer addition is associative).
-// approx_dot(a, b) = DotI8(codes_a, codes_b, n) * scale_a * scale_b.
+// code[i] = round_to_nearest_even(v[i] * (127 / max_abs)), which lies in
+// [-127, 127]; scale = max_abs / 127. Reconstruction error per element is at
+// most scale/2. A vector that no code can represent (the zero vector, or
+// one so small that 127 / max_abs overflows) gets all-zero codes and scale
+// 0. Integer dot accumulation is exact, so int8 dots are bit-identical
+// across every dispatch level by construction (integer addition is
+// associative). approx_dot(a, b) = DotI8(codes_a, codes_b, n) * scale_a *
+// scale_b.
 // ---------------------------------------------------------------------------
 
-/// Quantizes v[0..n) into codes[0..n) and writes the per-vector scale.
+/// Quantizes the finite values v[0..n) into codes[0..n) and writes the
+/// per-vector scale.
 void QuantizeSymmetric(const float* v, size_t n, int8_t* codes, float* scale);
 
-/// Exact int32 dot of two int8 code vectors.
+/// Exact int32 dot of two int8 code vectors with codes in [-127, 127]. Exact
+/// while n * 127^2 < 2^31.
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
 
-/// out[r] = DotI8(query, base + r*dim, dim) for r in [0, count). Raw integer
-/// accumulators — the caller applies the scales.
+/// out[r] = DotI8(query, base + r*dim, dim) for r in [0, count), with the
+/// dispatch branch resolved once for the whole batch — the scan of every
+/// FlatIndex search. Raw integer accumulators; the caller applies the
+/// scales. On AVX2 rows run four per pass, 32 codes per step
+/// (_mm256_maddubs_epi16 on |query| and sign(row, query)); scalar and NEON
+/// run one row at a time. Codes must lie in [-127, 127], as
+/// QuantizeSymmetric writes them: -128 would overflow the sign flip.
 void DotBatchI8(const int8_t* query, const int8_t* base, size_t count,
                 size_t dim, int32_t* out);
 

@@ -68,6 +68,12 @@ std::vector<SearchResult> VectorStore::HybridSearch(
     const Vector& query, size_t k, const AttributePredicate& predicate,
     FilterStrategy strategy, HybridStats* stats) {
   HybridStats local;
+  if (!IsFiniteVector(query)) {
+    // It would score NaN against every item; as in the index's own search,
+    // it finds nothing.
+    if (stats != nullptr) *stats = local;
+    return {};
+  }
   if (strategy == FilterStrategy::kAdaptive) {
     double selectivity = EstimateSelectivity(predicate);
     local.estimated_selectivity = selectivity;

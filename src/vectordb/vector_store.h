@@ -66,6 +66,8 @@ class VectorStore {
     double estimated_selectivity = 0.0;
   };
 
+  /// InvalidArgument, storing nothing, when the index refuses the vector
+  /// (another length, or not IsFiniteVector).
   common::Status Insert(StoredItem item);
   common::Status Remove(uint64_t id);
   const StoredItem* Get(uint64_t id) const;
@@ -80,7 +82,8 @@ class VectorStore {
   /// when the filter is selective. kPostFilter asks the index for an
   /// over-fetched candidate list (sized by the adaptive-k predictor) and
   /// filters it — right when most items pass. kAdaptive estimates the
-  /// selectivity from a sample and picks a side.
+  /// selectivity from a sample and picks a side. A query that is not
+  /// IsFiniteVector finds nothing.
   std::vector<SearchResult> HybridSearch(const Vector& query, size_t k,
                                          const AttributePredicate& predicate,
                                          FilterStrategy strategy,

@@ -1329,7 +1329,6 @@ TEST(Serve, SubmitBatchProbeAnswersHitsAtZeroCostDeterministically) {
     optimize::SemanticCache::Options copts;
     copts.similarity_threshold = 0.99;
     copts.capacity = 256;
-    copts.quantize = true;  // the int8 shard path under the probe
     optimize::SemanticCache cache(copts);
     for (size_t i = 0; i < 30; ++i) {
       cache.Insert(common::StrFormat("warm query %zu", i), "cached answer",

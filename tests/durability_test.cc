@@ -769,36 +769,32 @@ TEST(DurableComponents, SemanticCacheMissHandoffWritesTheSameBytes) {
     out.live = cache.Size();
     return out;
   };
-  for (bool quantize : {false, true}) {
-    for (double threshold : {0.85, 2.0}) {
-      SCOPED_TRACE("quantize " + std::to_string(quantize) + " threshold " +
-                   std::to_string(threshold));
-      optimize::SemanticCache::Options options;
-      options.capacity = 6;
-      options.num_shards = 2;
-      options.similarity_threshold = threshold;
-      options.quantize = quantize;
-      const Outcome plain = run(options, false);
-      const Outcome handed = run(options, true);
-      EXPECT_EQ(handed.snapshot, plain.snapshot);
-      EXPECT_EQ(handed.wal, plain.wal);
-      EXPECT_EQ(handed.stats.lookups, plain.stats.lookups);
-      EXPECT_EQ(handed.stats.hits, plain.stats.hits);
-      EXPECT_EQ(handed.stats.insertions, plain.stats.insertions);
-      EXPECT_EQ(handed.stats.evictions, plain.stats.evictions);
-      EXPECT_EQ(handed.stats.admission_rejections,
-                plain.stats.admission_rejections);
-      EXPECT_EQ(handed.stats.saved, plain.stats.saved);
-      EXPECT_EQ(handed.live, plain.live);
-      // The stream really does exercise every mutation kind.
-      EXPECT_GT(plain.stats.evictions, 0u);
-      if (threshold > 1.0) {
-        EXPECT_EQ(plain.stats.hits, 0u);
-        // Every insertion that did not add a live or evicted entry refreshed.
-        EXPECT_GT(plain.stats.insertions, plain.stats.evictions + plain.live);
-      } else {
-        EXPECT_GT(plain.stats.hits, 0u);
-      }
+  for (double threshold : {0.85, 2.0}) {
+    SCOPED_TRACE("threshold " + std::to_string(threshold));
+    optimize::SemanticCache::Options options;
+    options.capacity = 6;
+    options.num_shards = 2;
+    options.similarity_threshold = threshold;
+    const Outcome plain = run(options, false);
+    const Outcome handed = run(options, true);
+    EXPECT_EQ(handed.snapshot, plain.snapshot);
+    EXPECT_EQ(handed.wal, plain.wal);
+    EXPECT_EQ(handed.stats.lookups, plain.stats.lookups);
+    EXPECT_EQ(handed.stats.hits, plain.stats.hits);
+    EXPECT_EQ(handed.stats.insertions, plain.stats.insertions);
+    EXPECT_EQ(handed.stats.evictions, plain.stats.evictions);
+    EXPECT_EQ(handed.stats.admission_rejections,
+              plain.stats.admission_rejections);
+    EXPECT_EQ(handed.stats.saved, plain.stats.saved);
+    EXPECT_EQ(handed.live, plain.live);
+    // The stream really does exercise every mutation kind.
+    EXPECT_GT(plain.stats.evictions, 0u);
+    if (threshold > 1.0) {
+      EXPECT_EQ(plain.stats.hits, 0u);
+      // Every insertion that did not add a live or evicted entry refreshed.
+      EXPECT_GT(plain.stats.insertions, plain.stats.evictions + plain.live);
+    } else {
+      EXPECT_GT(plain.stats.hits, 0u);
     }
   }
 }

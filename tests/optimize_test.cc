@@ -571,32 +571,28 @@ TEST(SemanticCache, ChurnStatsAreByteStableAcrossRuns) {
 TEST(SemanticCache, EvictedNearestNeighbourDoesNotShadowSecond) {
   // Bugfix regression for dead-entry shadowing: when the nearest neighbour
   // of a probe has been evicted, the probe must step past it to the live
-  // second-nearest instead of reporting a miss. Exercised on both index
-  // modes: the float32 scan and the int8 scan with float32 rescore.
-  for (bool quantize : {false, true}) {
-    SemanticCache::Options options;
-    options.capacity = 2;
-    options.policy = EvictionPolicy::kLru;
-    options.similarity_threshold = 0.85;
-    options.quantize = quantize;
-    SemanticCache cache(options);
-    const std::string nearest =
-        "What are the names of stadiums that had concerts in 2014?";
-    const std::string second =
-        "Show the names of stadiums that had concerts in 2014";
-    cache.Insert(nearest, "answer nearest");
-    cache.Insert(second, "answer second");
-    // Touch `second` so `nearest` becomes the LRU victim...
-    ASSERT_TRUE(cache.Lookup(second).has_value());
-    // ...then push it out with an unrelated entry.
-    cache.Insert("completely different medical topic on insulin", "other");
-    EXPECT_EQ(cache.Size(), 2u);
-    // The probe's top match is the evicted entry; the live paraphrase right
-    // behind it must still hit.
-    auto hit = cache.Lookup(nearest, common::Money::FromDollars(0.01));
-    ASSERT_TRUE(hit.has_value()) << "quantize " << quantize;
-    EXPECT_EQ(hit->response, "answer second");
-  }
+  // second-nearest instead of reporting a miss.
+  SemanticCache::Options options;
+  options.capacity = 2;
+  options.policy = EvictionPolicy::kLru;
+  options.similarity_threshold = 0.85;
+  SemanticCache cache(options);
+  const std::string nearest =
+      "What are the names of stadiums that had concerts in 2014?";
+  const std::string second =
+      "Show the names of stadiums that had concerts in 2014";
+  cache.Insert(nearest, "answer nearest");
+  cache.Insert(second, "answer second");
+  // Touch `second` so `nearest` becomes the LRU victim...
+  ASSERT_TRUE(cache.Lookup(second).has_value());
+  // ...then push it out with an unrelated entry.
+  cache.Insert("completely different medical topic on insulin", "other");
+  EXPECT_EQ(cache.Size(), 2u);
+  // The probe's top match is the evicted entry; the live paraphrase right
+  // behind it must still hit.
+  auto hit = cache.Lookup(nearest, common::Money::FromDollars(0.01));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->response, "answer second");
 }
 
 const std::string kHandoffQuery = "which stadiums hosted concerts in 2014";
