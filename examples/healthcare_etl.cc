@@ -56,8 +56,7 @@ int main() {
   popts.num_rows = 30;
   data::Table patients = data::GeneratePatientTable(popts, rng);
   auto blanked = data::InjectMissing(&patients, "cholesterol", 0.2, rng);
-  generation::MissingFieldAnnotator annotator(
-      models[2], generation::MissingFieldAnnotator::Options{});
+  generation::MissingFieldAnnotator annotator(models[2]);
   llm::UsageMeter meter;
   auto report = annotator.Annotate(&patients, "cholesterol", &meter);
   std::printf("3) ICL annotation filled %zu/%zu missing cholesterol values "
@@ -78,8 +77,7 @@ int main() {
       .ExecuteScript(data::BuildAccountsDatabaseScript(
           {"Ann", "Clinic", "Lab"}, 2000))
       .ok();
-  transform::Nl2TransactionEngine txn(models[2],
-                                      transform::Nl2TransactionEngine::Options{});
+  transform::Nl2TransactionEngine txn(models[2]);
   auto outcome = txn.Run(
       "Transfer 150 dollars from Ann to Clinic. Then transfer 40 dollars "
       "from Clinic to Lab.",

@@ -31,8 +31,7 @@ int main() {
   std::shared_ptr<llm::LlmModel> gpt4 = models[2];
 
   // 2. NL -> SQL -> validate -> execute.
-  transform::Nl2SqlEngine engine(gpt4, nullptr,
-                                 transform::Nl2SqlEngine::Options{});
+  transform::Nl2SqlEngine engine(gpt4, nullptr);
   llm::UsageMeter meter;
   std::string question =
       "What are the names of stadiums that had concerts in 2014 but did not "

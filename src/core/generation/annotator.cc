@@ -10,6 +10,9 @@ namespace {
 using data::ColumnType;
 using data::Value;
 
+// Complete rows shown as examples per prediction.
+constexpr size_t kNumExamples = 8;
+
 // Serializes a row skipping `skip_col` (the column being predicted) and any
 // NULL cells.
 std::string SerializeRowWithout(const data::Table& table, size_t row,
@@ -83,10 +86,9 @@ common::Result<MissingFieldAnnotator::Report> MissingFieldAnnotator::Annotate(
     p.task_tag = "tabular_predict";
     p.instructions = "Predict the value of '" + column +
                      "' for the row from the examples.";
-    p.sample_salt = options_.sample_salt + target;
+    p.sample_salt = target;
     // Rotate through the example pool so prompts differ per row.
-    for (size_t i = 0; i < std::min(options_.num_examples, complete.size());
-         ++i) {
+    for (size_t i = 0; i < std::min(kNumExamples, complete.size()); ++i) {
       size_t ex_row = complete[(target + i) % complete.size()];
       p.examples.push_back(
           {SerializeRowWithout(*table, ex_row, *col),

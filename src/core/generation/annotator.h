@@ -17,14 +17,8 @@ namespace llmdm::generation {
 /// typed cells.
 class MissingFieldAnnotator {
  public:
-  struct Options {
-    size_t num_examples = 8;
-    uint64_t sample_salt = 0;
-  };
-
-  MissingFieldAnnotator(std::shared_ptr<llm::LlmModel> model,
-                        const Options& options)
-      : model_(std::move(model)), options_(options) {}
+  explicit MissingFieldAnnotator(std::shared_ptr<llm::LlmModel> model)
+      : model_(std::move(model)) {}
 
   struct Report {
     size_t missing = 0;
@@ -39,7 +33,6 @@ class MissingFieldAnnotator {
 
  private:
   std::shared_ptr<llm::LlmModel> model_;
-  Options options_;
 };
 
 /// Generates a synthetic table mimicking `real`'s marginal distributions via

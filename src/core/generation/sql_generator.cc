@@ -19,20 +19,6 @@ std::string QuoteText(const std::string& s) {
 
 }  // namespace
 
-std::string_view GeneratedSqlKindName(GeneratedSql::Kind kind) {
-  switch (kind) {
-    case GeneratedSql::Kind::kSimple:
-      return "simple";
-    case GeneratedSql::Kind::kMultiJoin:
-      return "multi_join";
-    case GeneratedSql::Kind::kSubquery:
-      return "subquery";
-    case GeneratedSql::Kind::kAggregate:
-      return "aggregate";
-  }
-  return "?";
-}
-
 common::Result<std::vector<SqlGenerator::TableProfile>>
 SqlGenerator::ProfileCatalog(sql::Database& db) {
   std::vector<TableProfile> out;

@@ -33,8 +33,6 @@ struct GeneratedSql {
   size_t result_rows = 0;
 };
 
-std::string_view GeneratedSqlKindName(GeneratedSql::Kind kind);
-
 /// Schema-grounded SQL generator (Sec. II-A.1, Fig. 2): reads the catalog,
 /// emits diverse queries of the requested shapes, validates executability by
 /// running them, and can emit semantically-equivalent query pairs for logic

@@ -13,6 +13,10 @@ namespace {
 using data::ColumnType;
 using data::Value;
 
+// A numeric value further than this many standard deviations from its
+// column's mean is an outlier.
+constexpr double kOutlierSigma = 3.0;
+
 // Structural shape of a value, ignoring run lengths: "8/9/2023" and
 // "8/10/2023" share a shape, "Aug 14 2023" does not. Length-insensitive
 // comparison is what majority-format detection needs.
@@ -97,7 +101,7 @@ std::vector<QualityIssue> DataCleaner::Detect(const data::Table& table) const {
       for (size_t r = 0; r < table.NumRows(); ++r) {
         const Value& v = table.at(r, c);
         if (v.is_null()) continue;
-        if (std::abs(v.AsDouble() - mean) > options_.outlier_sigma * stddev) {
+        if (std::abs(v.AsDouble() - mean) > kOutlierSigma * stddev) {
           out.push_back(QualityIssue{QualityIssue::Kind::kNumericOutlier, r,
                                      col.name, v.ToString()});
         }
@@ -173,9 +177,7 @@ common::Result<DataCleaner::RepairReport> DataCleaner::Repair(
   std::set<std::string> distinct_null_columns(null_columns.begin(),
                                               null_columns.end());
   for (const std::string& column : distinct_null_columns) {
-    generation::MissingFieldAnnotator annotator(
-        model_, generation::MissingFieldAnnotator::Options{
-                    options_.icl_examples, 0});
+    generation::MissingFieldAnnotator annotator(model_);
     auto annotated = annotator.Annotate(table, column, meter);
     if (annotated.ok()) {
       report.nulls_filled += annotated->filled;

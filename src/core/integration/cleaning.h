@@ -27,13 +27,8 @@ struct QualityIssue {
 /// transform and fill NULLs via LLM ICL (the annotator's mechanism).
 class DataCleaner {
  public:
-  struct Options {
-    double outlier_sigma = 3.0;
-    size_t icl_examples = 8;
-  };
-
-  DataCleaner(std::shared_ptr<llm::LlmModel> model, const Options& options)
-      : model_(std::move(model)), options_(options) {}
+  explicit DataCleaner(std::shared_ptr<llm::LlmModel> model)
+      : model_(std::move(model)) {}
 
   /// Detection only: all issues found in `table`.
   std::vector<QualityIssue> Detect(const data::Table& table) const;
@@ -51,7 +46,6 @@ class DataCleaner {
 
  private:
   std::shared_ptr<llm::LlmModel> model_;
-  Options options_;
 };
 
 }  // namespace llmdm::integration

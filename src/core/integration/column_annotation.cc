@@ -3,6 +3,12 @@
 #include "common/string_util.h"
 
 namespace llmdm::integration {
+namespace {
+
+// Labelled example columns shown per prompt.
+constexpr size_t kNumExamples = 4;
+
+}  // namespace
 
 common::Result<std::string> ColumnTypeAnnotator::Annotate(
     const std::vector<std::string>& values,
@@ -13,8 +19,7 @@ common::Result<std::string> ColumnTypeAnnotator::Annotate(
   std::string labels = common::Join(data::CtaLabels(), ", ");
   p.instructions = "Given the following column types: " + labels +
                    ". Predict the column type from the column values.";
-  for (size_t i = 0; i < std::min(options_.num_examples, examples.size());
-       ++i) {
+  for (size_t i = 0; i < std::min(kNumExamples, examples.size()); ++i) {
     p.examples.push_back(
         {common::Join(examples[i].values, "||"), examples[i].label});
   }

@@ -17,13 +17,8 @@ namespace llmdm::integration {
 /// this column type is __".
 class ColumnTypeAnnotator {
  public:
-  struct Options {
-    size_t num_examples = 4;
-  };
-
-  ColumnTypeAnnotator(std::shared_ptr<llm::LlmModel> model,
-                      const Options& options)
-      : model_(std::move(model)), options_(options) {}
+  explicit ColumnTypeAnnotator(std::shared_ptr<llm::LlmModel> model)
+      : model_(std::move(model)) {}
 
   /// Predicts the type label for a column's values.
   common::Result<std::string> Annotate(
@@ -39,7 +34,6 @@ class ColumnTypeAnnotator {
 
  private:
   std::shared_ptr<llm::LlmModel> model_;
-  Options options_;
 };
 
 }  // namespace llmdm::integration

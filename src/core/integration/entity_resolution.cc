@@ -6,6 +6,12 @@
 #include "common/string_util.h"
 
 namespace llmdm::integration {
+namespace {
+
+// Few-shot examples shown per pair (labelled match/non-match pairs).
+constexpr size_t kNumExamples = 4;
+
+}  // namespace
 
 double MatchMetrics::Precision() const {
   size_t denom = true_positives + false_positives;
@@ -38,18 +44,15 @@ double MatchMetrics::Accuracy() const {
 common::Result<bool> EntityResolver::Match(
     const std::string& left, const std::string& right,
     const std::vector<data::ErPair>& examples, llm::UsageMeter* meter) const {
-  if (options_.enable_blocking) {
-    // Blocking: no shared token (case-folded) => cannot be a match; skip the
-    // model entirely (the cost-saving step).
-    if (common::TokenJaccard(left, right) == 0.0) return false;
-  }
+  // Blocking: no shared token (case-folded) => cannot be a match; skip the
+  // model entirely (the cost-saving step).
+  if (common::TokenJaccard(left, right) == 0.0) return false;
   llm::Prompt p;
   p.task_tag = "match";
   p.instructions =
       "Are the following entity descriptions the same real-world entity? "
       "Answer yes or no.";
-  for (size_t i = 0; i < std::min(options_.num_examples, examples.size());
-       ++i) {
+  for (size_t i = 0; i < std::min(kNumExamples, examples.size()); ++i) {
     p.examples.push_back({examples[i].left + " ||| " + examples[i].right,
                           examples[i].is_match ? "yes" : "no"});
   }

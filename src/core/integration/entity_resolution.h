@@ -30,15 +30,8 @@ struct MatchMetrics {
 /// (the standard cost-control in deep ER systems).
 class EntityResolver {
  public:
-  struct Options {
-    /// Few-shot examples shown per pair (labelled match/non-match pairs).
-    size_t num_examples = 4;
-    /// Skip the LLM for pairs sharing no token at all (blocking).
-    bool enable_blocking = true;
-  };
-
-  EntityResolver(std::shared_ptr<llm::LlmModel> model, const Options& options)
-      : model_(std::move(model)), options_(options) {}
+  explicit EntityResolver(std::shared_ptr<llm::LlmModel> model)
+      : model_(std::move(model)) {}
 
   /// Classifies one pair.
   common::Result<bool> Match(const std::string& left, const std::string& right,
@@ -53,7 +46,6 @@ class EntityResolver {
 
  private:
   std::shared_ptr<llm::LlmModel> model_;
-  Options options_;
 };
 
 /// One proposed column correspondence between two schemas.

@@ -9,6 +9,15 @@
 #include "obs/trace.h"
 
 namespace llmdm::optimize {
+namespace {
+
+// Completions drawn per rung below the top one.
+constexpr size_t kConsistencySamples = 3;
+// Weight of majority agreement against mean reported confidence in a
+// rung's decision score.
+constexpr double kAgreementWeight = 0.7;
+
+}  // namespace
 
 common::Result<CascadeResult> LlmCascade::Run(const llm::Prompt& prompt,
                                               llm::UsageMeter* meter) const {
@@ -52,7 +61,7 @@ common::Result<CascadeResult> LlmCascade::Run(const llm::Prompt& prompt,
     // final rung accepts unconditionally, so it takes a single sample —
     // paying 3x the most expensive model would erase the cascade's saving.
     const size_t samples =
-        (rung + 1 == ladder_.size()) ? 1 : options_.consistency_samples;
+        (rung + 1 == ladder_.size()) ? 1 : kConsistencySamples;
     std::map<std::string, size_t> votes;
     double confidence_sum = 0.0;
     std::string first_completion;
@@ -109,8 +118,8 @@ common::Result<CascadeResult> LlmCascade::Run(const llm::Prompt& prompt,
                        static_cast<double>(samples);
     double mean_confidence =
         confidence_sum / static_cast<double>(samples_ok);
-    double score = options_.agreement_weight * agreement +
-                   (1.0 - options_.agreement_weight) * mean_confidence;
+    double score = kAgreementWeight * agreement +
+                   (1.0 - kAgreementWeight) * mean_confidence;
 
     step.answer = majority;
     step.agreement = agreement;

@@ -45,19 +45,15 @@ struct CascadeResult {
 /// The LLM cascade of Fig. 6 / Table I: a query visits models from cheap to
 /// expensive; a decision model accepts a rung's answer or escalates.
 ///
-/// The decision model is self-consistency based: each rung draws
-/// `consistency_samples` independent completions (distinct sample salts) and
-/// blends the majority-agreement rate with the model's reported confidence;
-/// the answer is accepted when the blend clears `accept_threshold`. The last
+/// The decision model is self-consistency based: each rung draws three
+/// independent completions (distinct sample salts) and scores its answer as
+/// 0.7 * majority agreement + 0.3 * the model's mean reported confidence;
+/// the answer is accepted when the score clears `accept_threshold`. The last
 /// rung always accepts (there is nothing bigger to escalate to).
 class LlmCascade {
  public:
   struct Options {
     double accept_threshold = 0.7;
-    size_t consistency_samples = 3;
-    /// Blend weight of agreement vs reported confidence in the decision
-    /// score: score = w*agreement + (1-w)*mean_confidence.
-    double agreement_weight = 0.7;
     /// Metrics registry for the cascade's per-rung instruments (labelled
     /// rung=<index>, model=<name>). Null gives this instance a private
     /// registry.

@@ -2,7 +2,6 @@
 
 #include "common/string_util.h"
 #include "core/generation/annotator.h"
-#include "core/integration/cleaning.h"
 #include "core/integration/column_annotation.h"
 #include "core/integration/entity_resolution.h"
 #include "core/transform/column_pattern.h"
@@ -13,6 +12,10 @@
 
 namespace llmdm::core {
 namespace {
+
+// Share of the generated patients' cholesterol cells blanked for the
+// annotator to fill.
+constexpr double kMissingFraction = 0.15;
 
 // A small XML corpus of diagnostic reports with deliberately mixed date
 // formats (the transformation stage's raw input).
@@ -101,13 +104,11 @@ common::Result<DataManagementPipeline::Report> DataManagementPipeline::Run() {
     data::PatientDataOptions patient_options;
     patient_options.num_rows = options_.num_patients;
     patients = data::GeneratePatientTable(patient_options, rng);
-    data::InjectMissing(&patients, "cholesterol", options_.missing_fraction,
-                        rng);
+    data::InjectMissing(&patients, "cholesterol", kMissingFraction, rng);
     // The raw table is committed before any LLM call: if annotation fails,
     // downstream stages still get patients (with missingness).
     db_.catalog().PutTable(patients);
-    generation::MissingFieldAnnotator annotator(
-        model, generation::MissingFieldAnnotator::Options{8, 0});
+    generation::MissingFieldAnnotator annotator(model);
     LLMDM_ASSIGN_OR_RETURN(auto annotation_report,
                            annotator.Annotate(&patients, "cholesterol",
                                               &gen_meter));
@@ -162,8 +163,7 @@ common::Result<DataManagementPipeline::Report> DataManagementPipeline::Run() {
   llm::UsageMeter integ_meter;
   run_stage("integration", integ_meter,
             [&]() -> common::Result<std::string> {
-    integration::ColumnTypeAnnotator cta(
-        model, integration::ColumnTypeAnnotator::Options{4});
+    integration::ColumnTypeAnnotator cta(model);
     auto cta_examples = data::GenerateCtaWorkload(8, rng);
     auto mystery = data::GenerateCtaWorkload(4, rng);
     size_t cta_correct = 0;
@@ -171,8 +171,7 @@ common::Result<DataManagementPipeline::Report> DataManagementPipeline::Run() {
       auto label = cta.Annotate(item.values, cta_examples, &integ_meter);
       if (label.ok() && *label == item.label) ++cta_correct;
     }
-    integration::EntityResolver resolver(
-        model, integration::EntityResolver::Options{4, true});
+    integration::EntityResolver resolver(model);
     auto er_examples = data::GenerateErWorkload(8, 0.4, rng);
     auto er_pairs = data::GenerateErWorkload(12, 0.4, rng);
     LLMDM_ASSIGN_OR_RETURN(

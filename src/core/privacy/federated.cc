@@ -27,8 +27,6 @@ common::Result<FederatedTrainer::Report> FederatedTrainer::Train(
       ml::LogisticRegression local = global;
       ml::LogisticRegression::TrainOptions opts;
       opts.epochs = client.local_epochs;
-      opts.learning_rate = options_.learning_rate;
-      opts.batch_size = options_.batch_size;
       opts.seed = options_.seed + round * 1000 +
                   static_cast<uint64_t>(sizes.size());
       // Train() resets parameters; emulate warm start by blending the fresh

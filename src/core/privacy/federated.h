@@ -27,8 +27,6 @@ class FederatedTrainer {
  public:
   struct Options {
     size_t rounds = 10;
-    double learning_rate = 0.1;
-    size_t batch_size = 16;
     bool adaptive_weighting = false;
     uint64_t seed = 5;
   };

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "common/string_util.h"
+#include "data/value.h"
 
 namespace llmdm::transform {
 namespace {
@@ -79,7 +80,8 @@ common::Result<CivilDate> ParseDateAs(std::string_view value,
       break;
     }
   }
-  if (d.month < 1 || d.month > 12 || d.day < 1 || d.day > 31 || d.year < 1000)
+  // DaysInMonth is 0 for a month outside 1-12, so this rejects it too.
+  if (d.year < 1000 || d.day < 1 || d.day > data::DaysInMonth(d.year, d.month))
     return fail();
   return d;
 }

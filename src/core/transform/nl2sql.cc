@@ -4,6 +4,12 @@
 #include "sql/parser.h"
 
 namespace llmdm::transform {
+namespace {
+
+// Historical examples the prompt store selects per prompt.
+constexpr size_t kNumExamples = 4;
+
+}  // namespace
 
 common::Result<std::string> Nl2SqlEngine::CallModel(const std::string& input,
                                                     llm::UsageMeter* meter) {
@@ -13,7 +19,7 @@ common::Result<std::string> Nl2SqlEngine::CallModel(const std::string& input,
       "Translate the question into SQL over the stadium schema.";
   p.input = input;
   if (store_ != nullptr) {
-    p.examples = store_->Select(input, options_.num_examples,
+    p.examples = store_->Select(input, kNumExamples,
                                 optimize::PromptStore::Selection::kUtilityWeighted);
   }
   LLMDM_ASSIGN_OR_RETURN(llm::Completion c, model_->CompleteMetered(p, meter));
@@ -35,7 +41,7 @@ common::Result<Nl2SqlResult> Nl2SqlEngine::Translate(
   result.parse_valid = sql::ParseStatement(result.sql).ok();
 
   // Chain-of-thought fallback: translate atomic sub-questions and recombine.
-  if (!result.parse_valid && options_.enable_cot_fallback) {
+  if (!result.parse_valid) {
     auto decomposed = optimize::DecomposeQuestion(question);
     if (decomposed.ok() && decomposed->sub_questions.size() > 1) {
       std::vector<std::string> parts;
@@ -53,7 +59,7 @@ common::Result<Nl2SqlResult> Nl2SqlEngine::Translate(
     }
   }
 
-  if (options_.execute && result.parse_valid) {
+  if (result.parse_valid) {
     auto executed = db.Query(result.sql);
     if (executed.ok()) {
       result.executed = true;

@@ -27,19 +27,12 @@ struct Nl2SqlResult {
 /// produces invalid SQL.
 class Nl2SqlEngine {
  public:
-  struct Options {
-    size_t num_examples = 4;
-    bool enable_cot_fallback = true;
-    /// Validate by executing against the database (vs parse-only).
-    bool execute = true;
-  };
-
   /// `store` may be null (no example selection / outcome feedback).
   Nl2SqlEngine(std::shared_ptr<llm::LlmModel> model,
-               optimize::PromptStore* store, const Options& options)
-      : model_(std::move(model)), store_(store), options_(options) {}
+               optimize::PromptStore* store)
+      : model_(std::move(model)), store_(store) {}
 
-  /// Translates `question` and (optionally) executes it on `db`.
+  /// Translates `question` and, when the SQL parses, executes it on `db`.
   common::Result<Nl2SqlResult> Translate(const std::string& question,
                                          sql::Database& db,
                                          llm::UsageMeter* meter = nullptr);
@@ -50,7 +43,6 @@ class Nl2SqlEngine {
 
   std::shared_ptr<llm::LlmModel> model_;
   optimize::PromptStore* store_;
-  Options options_;
 };
 
 }  // namespace llmdm::transform

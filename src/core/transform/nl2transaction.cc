@@ -27,7 +27,9 @@ common::Result<Nl2TxnResult> Nl2TransactionEngine::Run(
     result.failure = "model produced no statements";
     return result;
   }
-  if (options_.structural_check && result.statements.size() % 3 != 0) {
+  // A cheap structural validator: each transfer is a debit, a credit and a
+  // ledger insert, so the statement count must be a multiple of 3.
+  if (result.statements.size() % 3 != 0) {
     result.failure = "structural check failed: statement count not a "
                      "multiple of 3 (debit+credit+ledger per transfer)";
     return result;

@@ -26,15 +26,8 @@ struct Nl2TxnResult {
 /// a partial transfer.
 class Nl2TransactionEngine {
  public:
-  struct Options {
-    /// Reject translations whose statement count is not a multiple of 3
-    /// (debit+credit+ledger per transfer) — a cheap structural validator.
-    bool structural_check = true;
-  };
-
-  Nl2TransactionEngine(std::shared_ptr<llm::LlmModel> model,
-                       const Options& options)
-      : model_(std::move(model)), options_(options) {}
+  explicit Nl2TransactionEngine(std::shared_ptr<llm::LlmModel> model)
+      : model_(std::move(model)) {}
 
   common::Result<Nl2TxnResult> Run(const std::string& request,
                                    sql::Database& db,
@@ -42,7 +35,6 @@ class Nl2TransactionEngine {
 
  private:
   std::shared_ptr<llm::LlmModel> model_;
-  Options options_;
 };
 
 }  // namespace llmdm::transform

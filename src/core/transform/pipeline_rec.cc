@@ -49,22 +49,6 @@ std::pair<double, double> ColumnStats(const data::Table& table, size_t col) {
 
 }  // namespace
 
-std::string_view PrepOpName(PrepOp op) {
-  switch (op) {
-    case PrepOp::kImputeMean:
-      return "impute_mean";
-    case PrepOp::kStandardize:
-      return "standardize";
-    case PrepOp::kClipOutliers:
-      return "clip_outliers";
-    case PrepOp::kDropLowVariance:
-      return "drop_low_variance";
-    case PrepOp::kAddInteractions:
-      return "add_interactions";
-  }
-  return "?";
-}
-
 common::Result<data::Table> ApplyPrepOp(const data::Table& table,
                                         const std::string& label_column,
                                         PrepOp op) {

@@ -22,8 +22,6 @@ enum class PrepOp {
   kAddInteractions,  // pairwise products of the top-2 variance features
 };
 
-std::string_view PrepOpName(PrepOp op);
-
 /// Applies one operator to a copy of `table` (label column untouched).
 common::Result<data::Table> ApplyPrepOp(const data::Table& table,
                                         const std::string& label_column,

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "common/string_util.h"
-#include "data/csv.h"
+#include "data/value.h"
 
 namespace llmdm::transform {
 namespace {

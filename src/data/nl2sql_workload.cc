@@ -7,6 +7,9 @@
 namespace llmdm::data {
 namespace {
 
+// Probability that a pool condition is superlative.
+constexpr double kSuperlativeRate = 0.2;
+
 const char* const kStadiumNames[] = {
     "Olympic",     "National",   "City Arena",  "River Park", "Sun Dome",
     "North Field", "Lake Court", "Grand Oval",  "West End",   "Harbor Bowl",
@@ -229,7 +232,7 @@ std::vector<Nl2SqlQuery> GenerateNl2SqlWorkload(
     cond.event = rng.Bernoulli(0.5) ? EventKind::kConcert
                                     : EventKind::kSportsMeeting;
     cond.year = options.years[rng.NextBelow(options.years.size())];
-    cond.superlative = rng.Bernoulli(options.superlative_rate);
+    cond.superlative = rng.Bernoulli(kSuperlativeRate);
     // Avoid exact duplicates in the pool so the sharing ratio is controlled
     // by the pool size alone.
     bool dup = false;

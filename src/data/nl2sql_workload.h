@@ -78,8 +78,6 @@ struct Nl2SqlWorkloadOptions {
   size_t num_queries = 20;
   /// Probability that a query is compound (two conditions).
   double compound_rate = 0.6;
-  /// Probability that a condition is superlative.
-  double superlative_rate = 0.2;
   /// Controls sub-query sharing across the workload: conditions are drawn
   /// from a pool of `condition_pool` distinct (event, year) pairs; smaller
   /// pool = more shared sub-queries (the lever behind Table II / Fig 7).

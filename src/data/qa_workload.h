@@ -38,8 +38,6 @@ class KnowledgeBase {
   /// context corpus a retrieval-augmented answerer would consume.
   std::string Describe() const;
 
-  size_t NumFacts() const { return facts_.size(); }
-
  private:
   std::vector<std::string> entities_;
   std::vector<std::string> relations_;

@@ -45,8 +45,6 @@ class Table {
   /// well-typed rows by construction).
   void AppendRowUnchecked(Row row) { rows_.push_back(std::move(row)); }
 
-  void Clear() { rows_.clear(); }
-
   /// Column values as a vector (for pattern mining / stats).
   common::Result<std::vector<Value>> ColumnValues(std::string_view name) const;
 

@@ -8,6 +8,9 @@
 namespace llmdm::data {
 namespace {
 
+// Probability that a patient's label is flipped from its logistic draw.
+constexpr double kLabelNoise = 0.05;
+
 const char* const kBrands[] = {"Acme",  "Globex", "Initech", "Umbrella",
                                "Stark", "Wayne",  "Hooli",   "Vandelay"};
 const char* const kProducts[] = {"Laptop",  "Phone",   "Monitor", "Keyboard",
@@ -55,7 +58,7 @@ Table GeneratePatientTable(const PatientDataOptions& options,
                (male ? 0.6 : 0.0);
     double p = 1.0 / (1.0 + std::exp(-z));
     bool label = rng.Bernoulli(p);
-    if (rng.Bernoulli(options.label_noise)) label = !label;
+    if (rng.Bernoulli(kLabelNoise)) label = !label;
     Row row{Value::Int(static_cast<int64_t>(i) + 1),
             Value::Int(age),
             Value::Text(male ? "M" : "F"),

@@ -16,8 +16,6 @@ namespace llmdm::data {
 /// both have real signal to find.
 struct PatientDataOptions {
   size_t num_rows = 200;
-  /// Label noise: probability a label is flipped from its logistic draw.
-  double label_noise = 0.05;
 };
 
 Table GeneratePatientTable(const PatientDataOptions& options,

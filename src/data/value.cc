@@ -1,5 +1,6 @@
 #include "data/value.h"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -30,6 +31,35 @@ std::string Date::ToString() const {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", year, month, day);
   return buf;
+}
+
+int DaysInMonth(int32_t year, int32_t month) {
+  static constexpr int kDays[] = {31, 28, 31, 30, 31, 30,
+                                  31, 31, 30, 31, 30, 31};
+  if (month < 1 || month > 12) return 0;
+  const bool leap = (year % 4 == 0 && year % 100 != 0) || year % 400 == 0;
+  return month == 2 && leap ? 29 : kDays[month - 1];
+}
+
+bool ParseIsoDate(std::string_view text, Date* out) {
+  if (text.size() != 10 || text[4] != '-' || text[7] != '-') return false;
+  // Reads the digits text[begin, begin + n) into *value.
+  auto number = [text](size_t begin, size_t n, int32_t* value) {
+    *value = 0;
+    for (size_t i = begin; i < begin + n; ++i) {
+      if (!std::isdigit(static_cast<unsigned char>(text[i]))) return false;
+      *value = *value * 10 + (text[i] - '0');
+    }
+    return true;
+  };
+  Date d;
+  if (!number(0, 4, &d.year) || !number(5, 2, &d.month) ||
+      !number(8, 2, &d.day)) {
+    return false;
+  }
+  if (d.day < 1 || d.day > DaysInMonth(d.year, d.month)) return false;
+  *out = d;
+  return true;
 }
 
 ColumnType Value::type() const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 
@@ -33,6 +34,14 @@ struct Date {
   /// ISO "YYYY-MM-DD".
   std::string ToString() const;
 };
+
+/// Days in `month` (1-12) of the proleptic Gregorian `year`; 0 for a month
+/// outside 1-12.
+int DaysInMonth(int32_t year, int32_t month);
+
+/// Parses "YYYY-MM-DD" into a Date. False for any other shape and for a day
+/// the month does not have ("2023-02-30").
+bool ParseIsoDate(std::string_view text, Date* out);
 
 /// A dynamically typed scalar cell. NULL is modeled as monostate so that SQL
 /// three-valued logic can distinguish it from any typed value.

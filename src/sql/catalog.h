@@ -31,7 +31,6 @@ class Catalog {
   void PutTable(data::Table table);
 
   std::vector<std::string> TableNames() const;
-  size_t NumTables() const { return tables_.size(); }
 
   /// Human-readable schema dump used to build LLM prompts ("the table
   /// information" input of Fig. 2).

@@ -1,7 +1,7 @@
 #include "sql/parser.h"
 
 #include "common/string_util.h"
-#include "data/csv.h"
+#include "data/value.h"
 #include "sql/lexer.h"
 
 namespace llmdm::sql {

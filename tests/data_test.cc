@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "data/csv.h"
 #include "data/json.h"
 #include "data/table.h"
 #include "data/xml.h"
@@ -31,6 +30,14 @@ TEST(Value, Ordering) {
 
 TEST(Value, DateToString) {
   EXPECT_EQ(Value::MakeDate(2023, 8, 14).ToString(), "2023-08-14");
+}
+
+TEST(Value, IsoDateParsing) {
+  Date d;
+  EXPECT_TRUE(ParseIsoDate("2023-08-14", &d));
+  EXPECT_EQ(d.year, 2023);
+  EXPECT_FALSE(ParseIsoDate("2023-13-14", &d));
+  EXPECT_FALSE(ParseIsoDate("08/14/2023", &d));
 }
 
 TEST(Schema, CaseInsensitiveLookup) {
@@ -100,53 +107,6 @@ TEST(Table, ProjectReorders) {
 TEST(Table, SerializeRowAsText) {
   Table t = MakeSampleTable();
   EXPECT_EQ(t.SerializeRowAsText(0), "name is alice; age is 30");
-}
-
-// --- CSV ---------------------------------------------------------------
-
-TEST(Csv, RoundTrip) {
-  Table t = MakeSampleTable();
-  std::string csv = WriteCsv(t);
-  auto parsed = ParseCsv(csv);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed->BagEquals(t));
-  EXPECT_EQ(parsed->schema().column(1).type, ColumnType::kInt64);
-}
-
-TEST(Csv, QuotedFields) {
-  auto t = ParseCsv("a,b\n\"x,y\",\"he said \"\"hi\"\"\"\n");
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->at(0, 0).AsText(), "x,y");
-  EXPECT_EQ(t->at(0, 1).AsText(), "he said \"hi\"");
-}
-
-TEST(Csv, TypeInference) {
-  auto t = ParseCsv("i,d,b,dt,s\n1,1.5,true,2023-08-14,x\n2,2.5,false,2024-01-01,y\n");
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->schema().column(0).type, ColumnType::kInt64);
-  EXPECT_EQ(t->schema().column(1).type, ColumnType::kDouble);
-  EXPECT_EQ(t->schema().column(2).type, ColumnType::kBool);
-  EXPECT_EQ(t->schema().column(3).type, ColumnType::kDate);
-  EXPECT_EQ(t->schema().column(4).type, ColumnType::kText);
-}
-
-TEST(Csv, EmptyCellsBecomeNull) {
-  auto t = ParseCsv("a,b\n1,\n,2\n");
-  ASSERT_TRUE(t.ok());
-  EXPECT_TRUE(t->at(0, 1).is_null());
-  EXPECT_TRUE(t->at(1, 0).is_null());
-}
-
-TEST(Csv, RaggedRejected) {
-  EXPECT_FALSE(ParseCsv("a,b\n1\n").ok());
-}
-
-TEST(Csv, IsoDateParsing) {
-  Date d;
-  EXPECT_TRUE(ParseIsoDate("2023-08-14", &d));
-  EXPECT_EQ(d.year, 2023);
-  EXPECT_FALSE(ParseIsoDate("2023-13-14", &d));
-  EXPECT_FALSE(ParseIsoDate("08/14/2023", &d));
 }
 
 // --- JSON ---------------------------------------------------------------

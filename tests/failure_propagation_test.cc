@@ -115,8 +115,7 @@ TEST_F(FailurePropagationTest, Nl2TxnFailureLeavesBalancesUntouched) {
                       {"A", "B"}, 1000))
                   .ok());
   auto flaky = std::make_shared<FlakyModel>(inner_, 1);
-  transform::Nl2TransactionEngine engine(
-      flaky, transform::Nl2TransactionEngine::Options{});
+  transform::Nl2TransactionEngine engine(flaky);
   auto r = engine.Run("Transfer 100 dollars from A to B.", billing);
   EXPECT_FALSE(r.ok());
   auto total = billing.Query("SELECT SUM(balance) FROM accounts");
@@ -125,8 +124,7 @@ TEST_F(FailurePropagationTest, Nl2TxnFailureLeavesBalancesUntouched) {
 
 TEST_F(FailurePropagationTest, Nl2SqlEngineSurfacesModelErrors) {
   auto flaky = std::make_shared<FlakyModel>(inner_, 1);
-  transform::Nl2SqlEngine engine(flaky, nullptr,
-                                 transform::Nl2SqlEngine::Options{});
+  transform::Nl2SqlEngine engine(flaky, nullptr);
   auto r = engine.Translate(
       "What are the names of stadiums that had concerts in 2014?", db_);
   EXPECT_FALSE(r.ok());

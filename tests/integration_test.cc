@@ -25,7 +25,7 @@ class IntegrationTest : public ::testing::Test {
 // ---- entity resolution ---------------------------------------------------------
 
 TEST_F(IntegrationTest, ErClearPairsResolveCorrectly) {
-  EntityResolver resolver(models_[2], EntityResolver::Options{});
+  EntityResolver resolver(models_[2]);
   auto examples = data::GenerateErWorkload(6, 0.3, rng_);
   auto same = resolver.Match("Acme Laptop Model 450", "Acme Laptop Model 450",
                              examples);
@@ -38,7 +38,7 @@ TEST_F(IntegrationTest, ErClearPairsResolveCorrectly) {
 }
 
 TEST_F(IntegrationTest, ErBlockingSkipsDisjointPairs) {
-  EntityResolver resolver(models_[2], EntityResolver::Options{4, true});
+  EntityResolver resolver(models_[2]);
   llm::UsageMeter meter;
   auto r = resolver.Match("alpha beta", "gamma delta", {}, &meter);
   ASSERT_TRUE(r.ok());
@@ -50,8 +50,7 @@ TEST_F(IntegrationTest, ErQualityOrderedByModelSize) {
   auto examples = data::GenerateErWorkload(8, 0.5, rng_);
   auto workload = data::GenerateErWorkload(120, 0.5, rng_);
   auto f1 = [&](size_t model_index) {
-    EntityResolver resolver(models_[model_index],
-                            EntityResolver::Options{});
+    EntityResolver resolver(models_[model_index]);
     auto metrics = resolver.Evaluate(workload, examples);
     EXPECT_TRUE(metrics.ok());
     return metrics->F1();
@@ -110,8 +109,7 @@ TEST_F(IntegrationTest, SchemaMatcherFindsCorrespondences) {
 // ---- column type annotation ----------------------------------------------------
 
 TEST_F(IntegrationTest, CtaPaperExample) {
-  ColumnTypeAnnotator annotator(models_[2],
-                                ColumnTypeAnnotator::Options{});
+  ColumnTypeAnnotator annotator(models_[2]);
   std::vector<data::CtaExample> examples{
       {{"USA", "UK", "France"}, "country"},
       {{"Michael Jordan", "Serena Williams"}, "person"},
@@ -126,8 +124,8 @@ TEST_F(IntegrationTest, CtaAccuracyOrderedByModelSize) {
   common::Rng rng(62);
   auto examples = data::GenerateCtaWorkload(6, rng);
   auto workload = data::GenerateCtaWorkload(120, rng);
-  ColumnTypeAnnotator small(models_[0], ColumnTypeAnnotator::Options{});
-  ColumnTypeAnnotator large(models_[2], ColumnTypeAnnotator::Options{});
+  ColumnTypeAnnotator small(models_[0]);
+  ColumnTypeAnnotator large(models_[2]);
   auto acc_small = small.Evaluate(workload, examples);
   auto acc_large = large.Evaluate(workload, examples);
   ASSERT_TRUE(acc_small.ok() && acc_large.ok());
@@ -150,7 +148,7 @@ TEST_F(IntegrationTest, CleanerDetectsAllThreeIssueKinds) {
                         data::Value::Int(54)});
   t.AppendRowUnchecked({data::Value::Null(),               // missing
                         data::Value::Int(100000)});        // outlier
-  DataCleaner cleaner(models_[2], DataCleaner::Options{});
+  DataCleaner cleaner(models_[2]);
   auto issues = cleaner.Detect(t);
   bool has_null = false, has_pattern = false, has_outlier = false;
   for (const auto& issue : issues) {
@@ -171,7 +169,7 @@ TEST_F(IntegrationTest, CleanerRepairsDateFormats) {
         {data::Value::Text(common::StrFormat("%d/%d/2023", i, i + 2))});
   }
   t.AppendRowUnchecked({data::Value::Text("Aug 14 2023")});
-  DataCleaner cleaner(models_[2], DataCleaner::Options{});
+  DataCleaner cleaner(models_[2]);
   auto report = cleaner.Repair(&t);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->values_reformatted, 1u);

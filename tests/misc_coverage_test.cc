@@ -5,11 +5,8 @@
 #include "common/rng.h"
 #include "core/integration/table_understanding.h"
 #include "core/optimize/prompt_store.h"
-#include "core/transform/nl2sql.h"
 #include "core/validate/validators.h"
-#include "data/csv.h"
 #include "data/json.h"
-#include "data/nl2sql_workload.h"
 #include "data/xml.h"
 #include "llm/simulated.h"
 #include "sql/database.h"
@@ -44,15 +41,6 @@ TEST(MoneyMisc, ToStringClampsDecimals) {
   EXPECT_EQ(m.ToString(-3), "$1");
   EXPECT_EQ(m.ToString(99), "$1.234568");
   EXPECT_EQ((common::Money::FromDollars(-0.5)).ToString(2), "$-0.50");
-}
-
-TEST(CsvMisc, QuotingSurvivesNewlinesAndQuotes) {
-  data::Table t("x", data::Schema({{"s", data::ColumnType::kText, true}}));
-  t.AppendRowUnchecked({data::Value::Text("line1\nline2, with \"quotes\"")});
-  std::string csv = data::WriteCsv(t);
-  auto back = data::ParseCsv(csv);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->at(0, 0).AsText(), "line1\nline2, with \"quotes\"");
 }
 
 TEST(JsonMisc, SetOverwritesExistingKey) {
@@ -118,23 +106,6 @@ TEST(UsageMisc, ByModelBreakdownAndToString) {
   EXPECT_EQ(meter.by_model().at("m1").input_tokens, 300u);
   EXPECT_EQ(meter.by_model().at("m2").cost, common::Money::FromDollars(0.001));
   EXPECT_NE(meter.ToString().find("calls=3"), std::string::npos);
-}
-
-TEST(Nl2SqlEngineMisc, ParseOnlyModeSkipsExecution) {
-  common::Rng rng(8);
-  sql::Database db;
-  ASSERT_TRUE(db.ExecuteScript(
-                    data::BuildStadiumDatabaseScript(8, {2014, 2015}, rng))
-                  .ok());
-  auto models = llm::CreatePaperModelLadder(nullptr, 9);
-  transform::Nl2SqlEngine::Options options;
-  options.execute = false;
-  transform::Nl2SqlEngine engine(models[2], nullptr, options);
-  auto r = engine.Translate(
-      "What are the names of stadiums that had concerts in 2014?", db);
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->executed);
-  EXPECT_EQ(r->result.NumRows(), 0u);
 }
 
 TEST(PromptStoreMisc, EvictsTheWorstPerformer) {

@@ -148,8 +148,7 @@ TEST(Annotator, FillsMissingNumericColumn) {
   auto blanked = data::InjectMissing(&patients, "cholesterol", 0.2, rng);
   ASSERT_FALSE(blanked.empty());
   auto models = llm::CreatePaperModelLadder(nullptr, 551);
-  generation::MissingFieldAnnotator annotator(
-      models[2], generation::MissingFieldAnnotator::Options{});
+  generation::MissingFieldAnnotator annotator(models[2]);
   auto report = annotator.Annotate(&patients, "cholesterol");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->missing, blanked.size());

@@ -11,7 +11,6 @@
 #include "core/optimize/cascade.h"
 #include "core/optimize/semantic_cache.h"
 #include "core/pipeline.h"
-#include "data/csv.h"
 #include "data/json.h"
 #include "data/nl2sql_workload.h"
 #include "data/qa_workload.h"
@@ -131,19 +130,6 @@ TEST_P(FuzzTest, XmlParserNeverCrashes) {
   for (int trial = 0; trial < 300; ++trial) {
     std::string mutated = Mutate(seeds[rng.NextBelow(std::size(seeds))], rng);
     auto result = data::ParseXml(mutated);
-    (void)result;
-  }
-}
-
-TEST_P(FuzzTest, CsvParserNeverCrashes) {
-  common::Rng rng(GetParam() + 40);
-  const std::string seeds[] = {
-      "a,b,c\n1,2,3\n4,,6\n",
-      "name,date\n\"x,y\",2023-08-14\n\"he said \"\"hi\"\"\",2024-01-01\n",
-  };
-  for (int trial = 0; trial < 300; ++trial) {
-    std::string mutated = Mutate(seeds[rng.NextBelow(std::size(seeds))], rng);
-    auto result = data::ParseCsv(mutated);
     (void)result;
   }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/transform/column_pattern.h"
 #include "core/transform/nl2sql.h"
 #include "core/transform/nl2transaction.h"
@@ -29,7 +30,7 @@ class Nl2SqlEngineTest : public ::testing::Test {
 };
 
 TEST_F(Nl2SqlEngineTest, TranslatesAndExecutes) {
-  Nl2SqlEngine engine(models_[2], nullptr, Nl2SqlEngine::Options{});
+  Nl2SqlEngine engine(models_[2], nullptr);
   llm::UsageMeter meter;
   size_t executed = 0;
   auto paper = data::PaperQ1ToQ5();
@@ -49,7 +50,7 @@ TEST_F(Nl2SqlEngineTest, PromptStoreFeedbackLoop) {
   for (const auto& q : data::PaperQ1ToQ5()) {
     store.Add(q.ToNaturalLanguage(), q.ToGoldSql());
   }
-  Nl2SqlEngine engine(models_[1], &store, Nl2SqlEngine::Options{});
+  Nl2SqlEngine engine(models_[1], &store);
   auto r = engine.Translate(
       "What are the names of stadiums that had sports meetings in 2014?", db_);
   ASSERT_TRUE(r.ok());
@@ -94,10 +95,7 @@ class CompoundBreakerModel : public llm::LlmModel {
 };
 
 TEST_F(Nl2SqlEngineTest, CotFallbackOnBrokenDirectAnswer) {
-  Nl2SqlEngine::Options options;
-  options.enable_cot_fallback = true;
-  Nl2SqlEngine engine(std::make_shared<CompoundBreakerModel>(), nullptr,
-                      options);
+  Nl2SqlEngine engine(std::make_shared<CompoundBreakerModel>(), nullptr);
   auto r = engine.Translate(
       "What are the names of stadiums that had concerts in 2014 or had "
       "sports meetings in 2015?",
@@ -110,20 +108,6 @@ TEST_F(Nl2SqlEngineTest, CotFallbackOnBrokenDirectAnswer) {
   auto gold = db_.Query(data::PaperQ1ToQ5()[0].ToGoldSql());
   ASSERT_TRUE(gold.ok());
   EXPECT_TRUE(r->result.BagEquals(*gold));
-}
-
-TEST_F(Nl2SqlEngineTest, FallbackDisabledLeavesBrokenSql) {
-  Nl2SqlEngine::Options options;
-  options.enable_cot_fallback = false;
-  Nl2SqlEngine engine(std::make_shared<CompoundBreakerModel>(), nullptr,
-                      options);
-  auto r = engine.Translate(
-      "What are the names of stadiums that had concerts in 2014 or had "
-      "sports meetings in 2015?",
-      db_);
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->parse_valid);
-  EXPECT_FALSE(r->executed);
 }
 
 // ---- NL2Transaction -----------------------------------------------------------
@@ -149,7 +133,7 @@ class Nl2TxnTest : public ::testing::Test {
 };
 
 TEST_F(Nl2TxnTest, PaperExampleCommitsAtomically) {
-  Nl2TransactionEngine engine(models_[2], Nl2TransactionEngine::Options{});
+  Nl2TransactionEngine engine(models_[2]);
   // The paper's laptop purchase: $1000 Alice->Bob, $5 Bob->Express freight.
   auto r = engine.Run(
       "Transfer 1000 dollars from Alice to Bob. Then transfer 5 dollars from "
@@ -168,7 +152,7 @@ TEST_F(Nl2TxnTest, MoneyConservedAcrossWorkload) {
   // Whatever the model does (including its corrupted outputs), the total
   // money in the system must be conserved for every *committed* transaction;
   // structural checks + atomicity are the guardrails that guarantee it.
-  Nl2TransactionEngine engine(models_[0], Nl2TransactionEngine::Options{});
+  Nl2TransactionEngine engine(models_[0]);
   common::Rng rng(23);
   auto workload =
       data::GenerateTxnWorkload(25, {"Alice", "Bob", "Express"}, rng);
@@ -187,7 +171,7 @@ TEST_F(Nl2TxnTest, MoneyConservedAcrossWorkload) {
 }
 
 TEST_F(Nl2TxnTest, GarbageRequestFailsCleanly) {
-  Nl2TransactionEngine engine(models_[2], Nl2TransactionEngine::Options{});
+  Nl2TransactionEngine engine(models_[2]);
   auto r = engine.Run("Please summarize this paper.", db_);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->committed);
@@ -348,6 +332,40 @@ TEST(ReformatDateHelper, AllStylesRoundTrip) {
     auto iso = ReformatDate(v, DateStyle::kIso);
     ASSERT_TRUE(iso.ok()) << v;
     EXPECT_EQ(*iso, "2023-08-14");
+  }
+}
+
+TEST(ReformatDateHelper, BothDateParsersRejectDaysTheMonthLacks) {
+  // Month ends, leap days and century years, through data::ParseIsoDate
+  // and through column_pattern's parser in every style.
+  struct Case {
+    int year, month, day;
+    bool exists;
+  };
+  const Case cases[] = {
+      {2023, 2, 28, true},  {2023, 2, 29, false}, {2024, 2, 29, true},
+      {2024, 2, 30, false}, {1900, 2, 29, false}, {2000, 2, 29, true},
+      {2023, 4, 30, true},  {2023, 4, 31, false}, {2023, 6, 31, false},
+      {2023, 12, 31, true}, {2023, 12, 32, false}};
+  const char* const kMonths[] = {"Jan", "Feb", "Mar", "Apr", "May", "Jun",
+                                 "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"};
+  for (const Case& c : cases) {
+    const std::string iso =
+        common::StrFormat("%04d-%02d-%02d", c.year, c.month, c.day);
+    data::Date parsed;
+    EXPECT_EQ(data::ParseIsoDate(iso, &parsed), c.exists) << iso;
+    const char* month = kMonths[c.month - 1];
+    const std::string styles[] = {
+        iso, common::StrFormat("%d/%d/%d", c.month, c.day, c.year),
+        common::StrFormat("%s %d %d", month, c.day, c.year),
+        common::StrFormat("%d %s %d", c.day, month, c.year)};
+    for (const std::string& value : styles) {
+      auto reformatted = ReformatDate(value, DateStyle::kIso);
+      EXPECT_EQ(reformatted.ok(), c.exists) << value;
+      if (reformatted.ok()) {
+        EXPECT_EQ(*reformatted, iso) << value;
+      }
+    }
   }
 }
 
