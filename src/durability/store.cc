@@ -96,11 +96,6 @@ std::string DurableStore::wal_path(uint64_t epoch) const {
 
 common::Status DurableStore::Recover() {
   recovery_ = RecoveryInfo{};
-  recovery_trace_ =
-      std::make_unique<obs::TraceContext>("durability_recovery", 0.0);
-  obs::Span* snap_span =
-      recovery_trace_->StartSpan("snapshot_load", 0.0);
-
   state_->ResetToEmpty();
 
   // Phase 1: snapshot. A missing file is a cold start; a file that fails to
@@ -131,32 +126,25 @@ common::Status DurableStore::Recover() {
       return mapped.status();
     }
   }
-  recovery_trace_->SetAttr(snap_span, "loaded",
-                           recovery_.snapshot_loaded ? "true" : "false");
-  recovery_trace_->SetAttr(snap_span, "corrupt",
-                           recovery_.snapshot_corrupt ? "true" : "false");
-  recovery_trace_->SetAttr(snap_span, "epoch", std::to_string(epoch_));
-  recovery_trace_->EndSpan(snap_span, 1.0);
 
   // Phase 2: the WAL for the recovered epoch. Replay stops at the first
   // record whose length or checksum fails; the tail past that point is
   // truncated before appends resume. A WAL whose header does not verify or
   // whose embedded epoch disagrees with its filename carries no trustworthy
   // records and is recreated empty.
-  obs::Span* wal_span = recovery_trace_->StartSpan("wal_replay", 1.0);
   const std::string wal_file = wal_path(epoch_);
   bool wal_usable = false;
   {
     auto mapped = MappedFile::Open(wal_file);
     if (mapped.ok()) {
-      // Check the embedded epoch before replay starts — ReplayWalFile applies
+      // Check the embedded epoch before replay starts — ReplayWal applies
       // records as it scans, and records from a mismatched epoch must never
       // reach the component.
       uint64_t header_epoch = 0;
       if (PeekWalHeader(mapped.value().data(), &header_epoch) &&
           header_epoch == epoch_) {
-        auto replayed = ReplayWalFile(
-            wal_file, [this](std::string_view payload) {
+        auto replayed = ReplayWal(
+            mapped.value().data(), [this](std::string_view payload) {
               return state_->ApplyWalRecord(payload);
             });
         LLMDM_RETURN_IF_ERROR(replayed.status());
@@ -183,19 +171,11 @@ common::Status DurableStore::Recover() {
     LLMDM_ASSIGN_OR_RETURN(
         writer_, WalWriter::Create(wal_file, epoch_, options_.fsync));
   }
-  recovery_trace_->SetAttr(wal_span, "records",
-                           std::to_string(recovery_.wal_records_replayed));
-  recovery_trace_->SetAttr(wal_span, "discarded_bytes",
-                           std::to_string(recovery_.wal_discarded_bytes));
-  recovery_trace_->SetAttr(wal_span, "torn",
-                           recovery_.torn_tail ? "true" : "false");
-  recovery_trace_->EndSpan(wal_span, 2.0);
 
   // Phase 3: sweep files a crash may have stranded — WALs of other epochs
   // (left when a crash hit between a checkpoint's rename and its delete) and
   // an unpublished snapshot tmp.
   recovery_.orphans_removed = RemoveOrphans(epoch_);
-  recovery_trace_->EndSpan(recovery_trace_->root_span(), 2.0);
 
   metrics_.recoveries->Add(1);
   if (recovery_.torn_tail || recovery_.snapshot_corrupt) {

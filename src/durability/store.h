@@ -12,7 +12,6 @@
 #include "durability/durable.h"
 #include "durability/wal.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace llmdm::durability {
 
@@ -79,8 +78,6 @@ class DurableStore {
   common::Status Checkpoint();
 
   const RecoveryInfo& recovery_info() const { return recovery_; }
-  /// Deterministic span tree of the recovery that Open() performed.
-  const obs::TraceContext& recovery_trace() const { return *recovery_trace_; }
   uint64_t epoch() const;
   uint64_t wal_size_bytes() const;
 
@@ -109,7 +106,6 @@ class DurableStore {
   uint64_t epoch_ = 0;
 
   RecoveryInfo recovery_;
-  std::unique_ptr<obs::TraceContext> recovery_trace_;
 
   std::unique_ptr<obs::Registry> owned_registry_;
   struct Metrics {

@@ -9,7 +9,6 @@
 
 #include "common/hash.h"
 #include "durability/format.h"
-#include "durability/mmap_file.h"
 
 namespace llmdm::durability {
 
@@ -179,11 +178,9 @@ bool PeekWalHeader(std::string_view bytes, uint64_t* epoch) {
   return true;
 }
 
-common::Result<WalReplayResult> ReplayWalFile(
-    const std::string& path,
+common::Result<WalReplayResult> ReplayWal(
+    std::string_view bytes,
     const std::function<common::Status(std::string_view)>& fn) {
-  LLMDM_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-  std::string_view bytes = file.data();
   WalReplayResult out;
 
   // Header: anything short of a full, matching header means "no committed

@@ -84,7 +84,7 @@ class WalWriter {
   int64_t crash_after_bytes_ = -1;
 };
 
-/// Outcome of scanning one WAL file.
+/// Outcome of scanning one WAL.
 struct WalReplayResult {
   /// Header parsed and magic/version matched. False for empty, partially
   /// written, or foreign files — which replay as zero records, not errors
@@ -107,13 +107,13 @@ struct WalReplayResult {
 /// disagrees with its filename *before* replaying any of its records.
 bool PeekWalHeader(std::string_view bytes, uint64_t* epoch);
 
-/// Replays a WAL file via the mmap read path, invoking `fn` once per valid
-/// record in order. Stops cleanly at the first record that fails its length
-/// or checksum; a torn tail is reported, never an error. Errors are: the
-/// file cannot be opened/mapped, or `fn` itself fails (a component replay
-/// failure is real and aborts recovery).
-common::Result<WalReplayResult> ReplayWalFile(
-    const std::string& path,
+/// Replays the WAL bytes `bytes` (a mapped file), invoking `fn` once per
+/// valid record in order. Stops cleanly at the first record that fails its
+/// length or checksum; a torn tail is reported, never an error. The one
+/// error is `fn` itself failing (a component replay failure is real and
+/// aborts recovery).
+common::Result<WalReplayResult> ReplayWal(
+    std::string_view bytes,
     const std::function<common::Status(std::string_view)>& fn);
 
 }  // namespace llmdm::durability

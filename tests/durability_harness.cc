@@ -105,7 +105,7 @@ bool EnsureEmptyDir(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Independent WAL scanner. Deliberately NOT ReplayWalFile: the harness
+// Independent WAL scanner. Deliberately NOT ReplayWal: the harness
 // re-derives the record framing from the documented format so a bug in the
 // production reader cannot hide behind itself.
 
