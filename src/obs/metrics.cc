@@ -287,9 +287,4 @@ std::string Registry::JsonSnapshot() const {
   return out;
 }
 
-Registry& Registry::Global() {
-  static Registry* global = new Registry();  // leaked: process lifetime
-  return *global;
-}
-
 }  // namespace llmdm::obs

@@ -111,10 +111,6 @@ class Registry {
 
   size_t instrument_count() const;
 
-  /// Process-wide registry for truly global series (e.g. the tokenizer's
-  /// count-cache memo, which is itself a process-wide singleton).
-  static Registry& Global();
-
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
   struct Instrument {

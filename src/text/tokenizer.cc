@@ -1,12 +1,12 @@
 #include "text/tokenizer.h"
 
 #include <array>
+#include <atomic>
 #include <cctype>
 #include <mutex>
 #include <shared_mutex>
 
 #include "common/string_util.h"
-#include "obs/metrics.h"
 
 namespace llmdm::text {
 namespace {
@@ -85,13 +85,9 @@ static_assert((kCountCacheSlots & (kCountCacheSlots - 1)) == 0);
 struct CountCache {
   std::shared_mutex mu;
   std::array<CountSlot, kCountCacheSlots> slots;
-  // The memo is process-wide, so its counters live in the global registry —
-  // the one subsystem that reports through obs::Registry::Global() rather
-  // than an injectable per-instance registry.
-  obs::Counter* hits =
-      obs::Registry::Global().GetCounter("llmdm_text_token_cache_hits_total");
-  obs::Counter* misses =
-      obs::Registry::Global().GetCounter("llmdm_text_token_cache_misses_total");
+  // Read only by GetTokenCountCacheStats.
+  std::atomic<size_t> hits{0};
+  std::atomic<size_t> misses{0};
 };
 
 CountCache& GlobalCountCache() {
@@ -107,11 +103,11 @@ std::optional<size_t> LookupTokenCount(uint64_t key) {
     std::shared_lock<std::shared_mutex> lock(cache.mu);
     const CountSlot& slot = cache.slots[key & (kCountCacheSlots - 1)];
     if (slot.valid && slot.key == key) {
-      cache.hits->Add(1);
+      cache.hits.fetch_add(1, std::memory_order_relaxed);
       return slot.count;
     }
   }
-  cache.misses->Add(1);
+  cache.misses.fetch_add(1, std::memory_order_relaxed);
   return std::nullopt;
 }
 
@@ -123,8 +119,8 @@ void StoreTokenCount(uint64_t key, size_t count) {
 
 TokenCountCacheStats GetTokenCountCacheStats() {
   CountCache& cache = GlobalCountCache();
-  return TokenCountCacheStats{static_cast<size_t>(cache.hits->value()),
-                              static_cast<size_t>(cache.misses->value())};
+  return TokenCountCacheStats{cache.hits.load(std::memory_order_relaxed),
+                              cache.misses.load(std::memory_order_relaxed)};
 }
 
 std::vector<std::string> CharNgrams(std::string_view input, size_t n) {

@@ -383,24 +383,20 @@ TEST(ObsIntegration, CascadeRungCountersAndSpans) {
   EXPECT_NE(json.find("\"result\":\"accepted\""), std::string::npos);
 }
 
-TEST(ObsIntegration, TokenCountCacheReportsThroughGlobalRegistry) {
-  // The tokenizer memo is process-wide, so its series live in the global
-  // registry; the legacy struct is a view over those counters.
-  auto before = text::GetTokenCountCacheStats();
+TEST(ObsIntegration, TokenCountCacheStatsCountEveryLookup) {
+  // The tokenizer memo is process-wide and reports through
+  // GetTokenCountCacheStats: each count looks its prompt prefix up once,
+  // and a prefix just counted is a hit.
   llm::Prompt prompt = llm::MakePrompt("freeform", "count cache probe");
   prompt.system = "a shared system prefix that recurs across calls";
+  auto before = text::GetTokenCountCacheStats();
   prompt.CountInputTokens();
+  auto middle = text::GetTokenCountCacheStats();
+  EXPECT_EQ(middle.hits + middle.misses, before.hits + before.misses + 1);
   prompt.CountInputTokens();
   auto after = text::GetTokenCountCacheStats();
-  EXPECT_GT(after.hits + after.misses, before.hits + before.misses);
-  EXPECT_EQ(after.hits,
-            obs::Registry::Global()
-                .GetCounter("llmdm_text_token_cache_hits_total")
-                ->value());
-  EXPECT_EQ(after.misses,
-            obs::Registry::Global()
-                .GetCounter("llmdm_text_token_cache_misses_total")
-                ->value());
+  EXPECT_EQ(after.hits, middle.hits + 1);
+  EXPECT_EQ(after.misses, middle.misses);
 }
 
 }  // namespace
