@@ -336,21 +336,6 @@ DotBatchFn ResolveDotBatch(DispatchLevel level) {
   }
 }
 
-DotI8Fn ResolveDotI8(DispatchLevel level) {
-  switch (level) {
-#if LLMDM_KERNELS_X86
-    case DispatchLevel::kAvx2:
-      return DotI8Avx2;
-#endif
-#if LLMDM_KERNELS_NEON
-    case DispatchLevel::kNeon:
-      return DotI8Neon;
-#endif
-    default:
-      return DotI8Scalar;
-  }
-}
-
 /// The per-row loop: the scalar reference for DotBatchI8, and NEON's batch
 /// path.
 template <DotI8Fn kDotI8>
@@ -477,10 +462,6 @@ void QuantizeSymmetric(const float* v, size_t n, int8_t* codes, float* scale) {
     const float rounded = (v[i] * inv + kRound) - kRound;
     codes[i] = static_cast<int8_t>(static_cast<int32_t>(rounded));
   }
-}
-
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
-  return ResolveDotI8(ActiveDispatch())(a, b, n);
 }
 
 void DotBatchI8(const int8_t* query, const int8_t* base, size_t count,

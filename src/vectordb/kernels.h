@@ -82,25 +82,21 @@ void DotBatch(const float* query, const float* base, size_t count, size_t dim,
 // one so small that 127 / max_abs overflows) gets all-zero codes and scale
 // 0. Integer dot accumulation is exact, so int8 dots are bit-identical
 // across every dispatch level by construction (integer addition is
-// associative). approx_dot(a, b) = DotI8(codes_a, codes_b, n) * scale_a *
-// scale_b.
+// associative). approx_dot(a, b) = (codes_a · codes_b) * scale_a * scale_b.
 // ---------------------------------------------------------------------------
 
 /// Quantizes the finite values v[0..n) into codes[0..n) and writes the
 /// per-vector scale.
 void QuantizeSymmetric(const float* v, size_t n, int8_t* codes, float* scale);
 
-/// Exact int32 dot of two int8 code vectors with codes in [-127, 127]. Exact
-/// while n * 127^2 < 2^31.
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
-
-/// out[r] = DotI8(query, base + r*dim, dim) for r in [0, count), with the
-/// dispatch branch resolved once for the whole batch — the scan of every
-/// FlatIndex search. Raw integer accumulators; the caller applies the
-/// scales. On AVX2 rows run four per pass, 32 codes per step
-/// (_mm256_maddubs_epi16 on |query| and sign(row, query)); scalar and NEON
-/// run one row at a time. Codes must lie in [-127, 127], as
-/// QuantizeSymmetric writes them: -128 would overflow the sign flip.
+/// out[r] = the exact int32 dot of query[0..dim) and base[r*dim..(r+1)*dim)
+/// for r in [0, count), exact while dim * 127^2 < 2^31, with the dispatch
+/// branch resolved once for the whole batch — the scan of every FlatIndex
+/// search. Raw integer accumulators; the caller applies the scales. On AVX2
+/// rows run four per pass, 32 codes per step (_mm256_maddubs_epi16 on
+/// |query| and sign(row, query)); scalar and NEON run one row at a time.
+/// Codes must lie in [-127, 127], as QuantizeSymmetric writes them: -128
+/// would overflow the sign flip.
 void DotBatchI8(const int8_t* query, const int8_t* base, size_t count,
                 size_t dim, int32_t* out);
 

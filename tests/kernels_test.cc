@@ -131,33 +131,14 @@ TEST(Kernels, DotBatchMatchesPerRowCalls) {
   }
 }
 
-TEST(Kernels, Int8DotIsExactAcrossDispatch) {
-  common::Rng rng(9);
-  for (size_t len : {0, 1, 15, 16, 17, 48, 100, 256, 301}) {
-    std::vector<int8_t> a(len), b(len);
-    for (size_t i = 0; i < len; ++i) {
-      a[i] = int8_t(int64_t(rng.NextBelow(255)) - 127);
-      b[i] = int8_t(int64_t(rng.NextBelow(255)) - 127);
-    }
-    // Integer ground truth: the kernel must be exact, not approximately
-    // equal — quantized scores are then identical on every ISA.
-    int32_t want = 0;
-    for (size_t i = 0; i < len; ++i) {
-      want += int32_t(a[i]) * int32_t(b[i]);
-    }
-    auto [s, act] =
-        ScalarVsActive([&] { return DotI8(a.data(), b.data(), len); });
-    EXPECT_EQ(s, want) << "len=" << len;
-    EXPECT_EQ(act, want) << "len=" << len;
-  }
-}
-
 TEST(Kernels, DotBatchI8MatchesPerRowCalls) {
-  // Dims around the 32-code AVX2 step (empty step loop, pure tail, ragged
-  // tail), row counts around the four-row pass, unaligned bases, and two
-  // pools: random codes, and codes at ±127 only, where every pair sum is
-  // ±2·127² and a saturating or int16-accumulating kernel would show.
-  const size_t kMaxDim = 257, kMaxRows = 33, kMaxOffset = 3;
+  // Each row at each dispatch level must equal a wide in-test dot exactly.
+  // Dims around the 32-code AVX2 step (empty rows, empty step loop, pure
+  // tail, ragged tail), row counts around the four-row pass, unaligned
+  // bases, and two pools: random codes, and codes at ±127 only, where every
+  // pair sum is ±2·127² and a saturating or int16-accumulating kernel would
+  // show.
+  const size_t kMaxDim = 301, kMaxRows = 33, kMaxOffset = 3;
   const int32_t kSentinel = -12345;
   common::Rng rng(78);
   std::vector<int8_t> random_pool(kMaxOffset + kMaxRows * kMaxDim);
@@ -174,8 +155,8 @@ TEST(Kernels, DotBatchI8MatchesPerRowCalls) {
   for (const auto* pools : {&random_pool, &extreme_pool}) {
     const std::vector<int8_t>& query =
         pools == &random_pool ? random_query : extreme_query;
-    for (size_t dim : {1, 7, 15, 16, 17, 31, 32, 33, 63, 64, 65, 96, 100,
-                       255, 256, 257}) {
+    for (size_t dim : {0, 1, 7, 15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 96,
+                       100, 255, 256, 257, 301}) {
       for (size_t rows : {0, 1, 2, 3, 4, 5, 7, 8, 9, 33}) {
         for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
           const int8_t* base = pools->data() + offset;
@@ -196,7 +177,6 @@ TEST(Kernels, DotBatchI8MatchesPerRowCalls) {
             EXPECT_EQ(active[r], want)
                 << "active dim=" << dim << " rows=" << rows
                 << " offset=" << offset << " row=" << r;
-            EXPECT_EQ(active[r], DotI8(query.data(), base + r * dim, dim));
           }
           EXPECT_EQ(scalar[rows], kSentinel);
           EXPECT_EQ(active[rows], kSentinel)
