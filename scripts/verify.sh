@@ -7,15 +7,16 @@
 # Usage: scripts/verify.sh [extra cmake args...]
 #   LLMDM_VERIFY_BUILD_DIR  override the build dir (still wiped first)
 #   LLMDM_VERIFY_KEEP=1     keep the build dir afterwards (default: keep)
-set -euo pipefail
+set -Eeuo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${LLMDM_VERIFY_BUILD_DIR:-${repo_root}/build-verify}"
 
 # Every phase runs through stage(): a failure anywhere (including inside a
-# pipeline, via pipefail) lands in the ERR trap below, which names the stage
-# that died and the exit code it died with — instead of the bare `set -e`
-# exit that leaves the reader scrolling for the first red line.
+# pipeline, via pipefail, or a function, via errtrace) lands in the ERR trap
+# below, which names the stage that died and the exit code it died with —
+# instead of the bare `set -e` exit that leaves the reader scrolling for the
+# first red line.
 current_stage="startup"
 stage() {
   current_stage="$1"
@@ -62,41 +63,61 @@ stage "bench smoke (continuous batching)"
   --metrics-out="${build_dir}/BENCH_batch_smoke.prom" >/dev/null
 echo "ok: batching saves spend without changing answers, byte-stable across workers"
 
+# The determinism set: every seeded output the repo prints. That is every
+# bench under bench/ of the main tree, so a new bench joins by default, but
+# for three that time wall clock by design and bench_serve_overload, whose
+# default run follows real completion order in its faults=30% row; of that
+# bench only the three smoke cells run (stdout and .prom). The four
+# in-process examples run too.
+det_benches=()
+for bin in "${build_dir}"/bench/*; do
+  name="$(basename "${bin}")"
+  case "${name}" in
+    bench_ablation_vectordb | bench_perf_hotpath | bench_net_loadgen) ;;
+    bench_serve_overload) ;;
+    *) det_benches+=("${name}") ;;
+  esac
+done
+det_cells=(benchmark-smoke qos-smoke batch-smoke)
+det_examples=(quickstart datalake_explorer healthcare_etl nl2sql_assistant)
+
+# Runs the determinism set of the build tree $1 inside the new directory $2.
+# The metrics paths are relative, so the "wrote <path>" line each smoke cell
+# prints is the same for every tree and directory.
+run_determinism_set() {
+  local tree
+  tree="$(cd "$1" && pwd)"
+  mkdir "$2"
+  pushd "$2" >/dev/null
+  for name in "${det_benches[@]}"; do
+    "${tree}/bench/${name}" >"${name}.txt"
+  done
+  for cell in "${det_cells[@]}"; do
+    "${tree}/bench/bench_serve_overload" "--${cell}" \
+      --metrics-out="${cell}.prom" >"${cell}.txt"
+  done
+  for example in "${det_examples[@]}"; do
+    "${tree}/examples/example_${example}" >"example_${example}.txt"
+  done
+  popd >/dev/null
+}
+
+# cmp's every output in directory $1 with its namesake in $2 and sets
+# `compared` to their number.
+compare_outputs() {
+  compared=0
+  for file in "$1"/*; do
+    cmp "${file}" "$2/$(basename "${file}")"
+    compared=$((compared + 1))
+  done
+}
+
 stage "determinism (every bench, smoke cell and example, run twice)"
 # Everything is seeded, so a run printed twice must match byte for byte.
-# Every bench under bench/ runs twice in a fresh directory, so a new bench
-# joins this gate by default. The exclusions: three benches time wall clock
-# by design, and bench_serve_overload's default run follows real completion
-# order in its faults=30% row, so only its three smoke cells run (stdout
-# and .prom). The four in-process examples run too.
 det_dir="$(mktemp -d "${build_dir}/determinism.XXXXXX")"
-for pass in first second; do
-  mkdir "${det_dir}/${pass}"
-  (
-    cd "${det_dir}/${pass}"
-    for bin in "${build_dir}"/bench/*; do
-      name="$(basename "${bin}")"
-      case "${name}" in
-        bench_ablation_vectordb | bench_perf_hotpath | bench_net_loadgen) continue ;;
-        bench_serve_overload) continue ;;  # its smoke cells run below
-      esac
-      "${bin}" >"${name}.txt"
-    done
-    for cell in benchmark-smoke qos-smoke batch-smoke; do
-      "${build_dir}/bench/bench_serve_overload" "--${cell}" \
-        --metrics-out="${cell}.prom" >"${cell}.txt"
-    done
-    for example in quickstart datalake_explorer healthcare_etl \
-        nl2sql_assistant; do
-      "${build_dir}/examples/example_${example}" >"example_${example}.txt"
-    done
-  )
-done
-compared=0
-for file in "${det_dir}/first"/*; do
-  cmp "${file}" "${det_dir}/second/$(basename "${file}")"
-  compared=$((compared + 1))
-done
+run_determinism_set "${build_dir}" "${det_dir}/first"
+run_determinism_set "${build_dir}" "${det_dir}/second"
+compare_outputs "${det_dir}/first" "${det_dir}/second"
 rm -rf "${det_dir}"
 echo "ok: all ${compared} outputs byte-identical across two runs"
 
@@ -133,45 +154,22 @@ sweep_dir="$(mktemp -d "${build_dir}/crash-sweep.XXXXXX")"
 rm -rf "${sweep_dir}"
 echo "ok: recovery is a clean prefix at every truncation offset"
 
-stage "scalar dispatch (Tables I-III + smoke cells vs. the SIMD tree)"
-# A second fresh tree with -DLLMDM_FORCE_SCALAR=ON, building only the table
-# benches and the serve bench. Every dispatch level is bit-identical by the
-# kernel contract (vectordb/kernels.h), so Tables I-III and the three smoke
-# cells' stdout and registry exports must match the main tree's byte for
-# byte. The extra cmake args are not forwarded.
+stage "scalar dispatch (the determinism set vs. the SIMD tree)"
+# A second fresh tree with -DLLMDM_FORCE_SCALAR=ON, building only the
+# benches and examples of the determinism set. Every dispatch level is
+# bit-identical by the kernel contract (vectordb/kernels.h), so every output
+# of the set must match the main tree's byte for byte, including those that
+# score vectors through the kernels (Table III, A2, A3, A5, Fig. 5, the
+# data-lake example). The extra cmake args are not forwarded.
 scalar_dir="${build_dir}-scalar"
 rm -rf "${scalar_dir}"
 cmake -B "${scalar_dir}" -S "${repo_root}" "${generator[@]}" \
   -DLLMDM_FORCE_SCALAR=ON -DLLMDM_WERROR=ON >/dev/null
-cmake --build "${scalar_dir}" -j "$(nproc)" --target bench_table1_cascade \
-  bench_table2_decomposition bench_table3_cache bench_serve_overload
-tables=(bench_table1_cascade bench_table2_decomposition bench_table3_cache)
-cells=(benchmark-smoke qos-smoke batch-smoke)
-# Runs every table and smoke cell of the tree $1 inside the directory $2.
-# The metrics path is relative, so the "wrote <path>" line each smoke cell
-# prints is the same for both trees.
-run_outputs() {
-  local bench_dir
-  bench_dir="$(cd "$1/bench" && pwd)"
-  mkdir -p "$2"
-  (
-    cd "$2"
-    for table in "${tables[@]}"; do
-      "${bench_dir}/${table}" >"${table}.txt"
-    done
-    for cell in "${cells[@]}"; do
-      "${bench_dir}/bench_serve_overload" "--${cell}" \
-        --metrics-out="${cell}.prom" >"${cell}.txt"
-    done
-  )
-}
-run_outputs "${build_dir}" "${scalar_dir}/out-simd"
-run_outputs "${scalar_dir}" "${scalar_dir}/out-scalar"
-compared=0
-for file in "${tables[@]/%/.txt}" "${cells[@]/%/.txt}" "${cells[@]/%/.prom}"; do
-  cmp "${scalar_dir}/out-simd/${file}" "${scalar_dir}/out-scalar/${file}"
-  compared=$((compared + 1))
-done
+cmake --build "${scalar_dir}" -j "$(nproc)" --target "${det_benches[@]}" \
+  bench_serve_overload "${det_examples[@]/#/example_}"
+run_determinism_set "${build_dir}" "${scalar_dir}/out-simd"
+run_determinism_set "${scalar_dir}" "${scalar_dir}/out-scalar"
+compare_outputs "${scalar_dir}/out-simd" "${scalar_dir}/out-scalar"
 echo "ok: scalar dispatch reproduces all ${compared} outputs byte for byte"
 
 stage "thread sanitizer (concurrency + net suites)"
