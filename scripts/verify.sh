@@ -194,6 +194,12 @@ TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_concurrency_tests" \
   --gtest_filter='Serve.SingleFlight*:ServeQos.CoalescedFollower*:ServeBatching.*'
 TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_net_tests" \
   --gtest_brief=1
+# Serve workers write responses to sockets the loop thread also flushes,
+# pauses and closes; repeat the loopback and concurrency tests to run that
+# shared connection state under many interleavings.
+TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_net_tests" \
+  --gtest_brief=1 --gtest_repeat=20 \
+  --gtest_filter='NetLoopback.*:NetConcurrency.*'
 echo "ok: concurrency and net suites race-free under ThreadSanitizer"
 
 stage "address + undefined-behaviour sanitizers (all suites)"

@@ -137,26 +137,20 @@ common::Result<DataCleaner::RepairReport> DataCleaner::Repair(
     // other mismatches stay flagged for a human.
     common::Result<transform::DateStyle> target_style =
         common::Status::NotFound("no dominant date style");
-    std::map<std::string, size_t> style_votes;
+    std::map<transform::DateStyle, size_t> style_votes;
     for (size_t r = 0; r < table->NumRows(); ++r) {
       const Value& v = table->at(r, col);
       if (v.is_null() || !v.is_text()) continue;
       auto style = transform::DetectDateStyle(v.AsText());
-      if (style.ok()) {
-        target_style = *style;  // refined by majority below
-        ++style_votes[std::to_string(static_cast<int>(*style))];
-      }
+      if (style.ok()) ++style_votes[*style];
     }
-    if (target_style.ok() && !style_votes.empty()) {
-      int best_style = 0;
-      size_t best = 0;
-      for (const auto& [key, n] : style_votes) {
-        if (n > best) {
-          best = n;
-          best_style = std::stoi(key);
-        }
+    // The majority style wins; a tie goes to the style declared first.
+    size_t best = 0;
+    for (const auto& [style, n] : style_votes) {
+      if (n > best) {
+        best = n;
+        target_style = style;
       }
-      target_style = static_cast<transform::DateStyle>(best_style);
     }
     for (const QualityIssue& issue : column_issues) {
       if (!target_style.ok()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <map>
 
 #include "common/string_util.h"
@@ -24,12 +25,16 @@ int MonthFromName(std::string_view name) {
   return 0;
 }
 
-bool AllDigits(std::string_view s) {
+/// Reads a run of ASCII digits as an int. A run that is empty, holds
+/// anything but digits, or does not fit an int fails the style match; it
+/// never throws, as std::stoi would on overflow.
+bool ParseDigitRun(std::string_view s, int* out) {
   if (s.empty()) return false;
   for (char c : s) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   }
-  return true;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && end == s.data() + s.size();
 }
 
 common::Result<CivilDate> ParseDateAs(std::string_view value,
@@ -41,42 +46,36 @@ common::Result<CivilDate> ParseDateAs(std::string_view value,
   switch (style) {
     case DateStyle::kIso: {
       auto parts = common::Split(std::string(value), '-');
-      if (parts.size() != 3 || !AllDigits(parts[0]) || !AllDigits(parts[1]) ||
-          !AllDigits(parts[2]))
+      if (parts.size() != 3 || !ParseDigitRun(parts[0], &d.year) ||
+          !ParseDigitRun(parts[1], &d.month) ||
+          !ParseDigitRun(parts[2], &d.day))
         return fail();
-      d.year = std::stoi(parts[0]);
-      d.month = std::stoi(parts[1]);
-      d.day = std::stoi(parts[2]);
       break;
     }
     case DateStyle::kSlashMDY: {
       auto parts = common::Split(std::string(value), '/');
-      if (parts.size() != 3 || !AllDigits(parts[0]) || !AllDigits(parts[1]) ||
-          !AllDigits(parts[2]))
+      if (parts.size() != 3 || !ParseDigitRun(parts[0], &d.month) ||
+          !ParseDigitRun(parts[1], &d.day) ||
+          !ParseDigitRun(parts[2], &d.year))
         return fail();
-      d.month = std::stoi(parts[0]);
-      d.day = std::stoi(parts[1]);
-      d.year = std::stoi(parts[2]);
       break;
     }
     case DateStyle::kMonthDY: {
       auto parts = common::SplitWhitespace(value);
-      if (parts.size() != 3 || !AllDigits(parts[1]) || !AllDigits(parts[2]))
+      if (parts.size() != 3 || !ParseDigitRun(parts[1], &d.day) ||
+          !ParseDigitRun(parts[2], &d.year))
         return fail();
       d.month = MonthFromName(parts[0]);
       if (d.month == 0) return fail();
-      d.day = std::stoi(parts[1]);
-      d.year = std::stoi(parts[2]);
       break;
     }
     case DateStyle::kDMonthY: {
       auto parts = common::SplitWhitespace(value);
-      if (parts.size() != 3 || !AllDigits(parts[0]) || !AllDigits(parts[2]))
+      if (parts.size() != 3 || !ParseDigitRun(parts[0], &d.day) ||
+          !ParseDigitRun(parts[2], &d.year))
         return fail();
-      d.day = std::stoi(parts[0]);
       d.month = MonthFromName(parts[1]);
       if (d.month == 0) return fail();
-      d.year = std::stoi(parts[2]);
       break;
     }
   }

@@ -45,12 +45,11 @@ EventLoop::EventLoop() {
     return;
   }
   // The wakeup channel is just another readable fd: drain the counter so
-  // level-triggered epoll does not spin, then run the owner's handler.
+  // level-triggered epoll does not spin.
   init_status_ = Add(wake_fd_, EPOLLIN, [this](uint32_t) {
     uint64_t n = 0;
     while (read(wake_fd_, &n, sizeof(n)) > 0) {
     }
-    if (wakeup_handler_) wakeup_handler_();
   });
 }
 

@@ -12,12 +12,12 @@
 
 namespace llmdm::net {
 
-/// A minimal epoll reactor. Single-threaded by contract: every handler runs
-/// on the thread inside Poll()/Run(), which therefore owns all connection
-/// state without locks. The only cross-thread entry point is Wakeup(),
-/// backed by an eventfd, which other threads (serve::Server workers
-/// publishing completions, a Shutdown() caller) use to kick the loop out of
-/// epoll_wait; the loop then runs the wakeup handler on its own thread.
+/// A minimal epoll reactor. Every handler runs on the thread inside Poll(),
+/// the loop thread; Add(), Remove() and Poll() are called only there, since
+/// they touch the handler table. Two entry points are safe from any thread:
+/// Modify(), which only calls epoll_ctl (net::NetServer's serve workers use
+/// it to ask for EPOLLOUT when a write leaves bytes behind), and Wakeup(),
+/// backed by an eventfd, which makes a blocked Poll() return.
 class EventLoop {
  public:
   /// `events` is the epoll event bitset (EPOLLIN/EPOLLOUT/...) active when
@@ -34,17 +34,15 @@ class EventLoop {
 
   /// Registers `fd` for `events`; the handler fires on every readiness.
   common::Status Add(int fd, uint32_t events, IoHandler handler);
-  /// Changes the interest set of a registered fd.
+  /// Changes the interest set of a registered fd. Callable from any thread:
+  /// it only calls epoll_ctl. The caller keeps `fd` open for the call.
   common::Status Modify(int fd, uint32_t events);
   /// Unregisters; the fd itself is not closed (the owner closes it).
   void Remove(int fd);
 
-  /// Thread-safe: makes the current (or next) Poll() return promptly and
-  /// run the wakeup handler. Coalesces: N wakeups may produce one callback.
+  /// Thread-safe: makes the current (or next) Poll() return promptly.
+  /// Coalesces: N wakeups may end one Poll().
   void Wakeup();
-  void set_wakeup_handler(std::function<void()> handler) {
-    wakeup_handler_ = std::move(handler);
-  }
 
   /// One epoll_wait + dispatch pass. `timeout_ms` < 0 blocks until an event
   /// or Wakeup(). Returns the number of fds dispatched (0 on timeout).
@@ -56,7 +54,6 @@ class EventLoop {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd, registered with epoll like any other fd
   common::Status init_status_;
-  std::function<void()> wakeup_handler_;
   /// shared_ptr so a handler that Remove()s its own fd (or another fd whose
   /// event is pending in the same batch) never frees a callback mid-call.
   std::unordered_map<int, std::shared_ptr<IoHandler>> handlers_;

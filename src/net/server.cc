@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <vector>
 
 namespace llmdm::net {
 
@@ -78,16 +79,11 @@ common::Status NetServer::Start() {
   LLMDM_RETURN_IF_ERROR(loop_.Add(listener_.fd(), EPOLLIN, [this](uint32_t) {
     listener_.AcceptAll([this](int fd) { OnAccept(fd); });
   }));
-  loop_.set_wakeup_handler([this] { DrainCompletions(); });
-  // The sink runs on serve worker threads (or the loop thread itself for
-  // synchronous sheds): copy into the queue, kick the loop, nothing else.
-  backend_->set_response_sink([this](const serve::Response& response) {
-    {
-      std::lock_guard<std::mutex> l(completions_mu_);
-      completions_.push_back(response);
-    }
-    loop_.Wakeup();
-  });
+  // The sink runs, under the serve results lock, on the thread that
+  // produced the response: a serve worker, or the loop itself for the sheds
+  // that Submit() answers. It writes the frame there.
+  backend_->set_response_sink(
+      [this](const serve::Response& response) { DeliverResponse(response); });
   started_ = true;
   thread_ = std::thread([this] { LoopThread(); });
   return common::Status::Ok();
@@ -100,7 +96,8 @@ void NetServer::Shutdown() {
   loop_.Wakeup();
   if (thread_.joinable()) thread_.join();
   // Detach the sink so late completions (only possible after a forced
-  // drain) stop referencing this object.
+  // drain) stop referencing this object. It takes the results lock that
+  // every sink call runs under, so it also waits out a call in progress.
   backend_->set_response_sink(nullptr);
   stopped_ = true;
 }
@@ -114,15 +111,19 @@ void NetServer::LoopThread() {
       loop_.Remove(listener_.fd());
       listener_.Close();
     }
-    DrainCompletions();
     if (draining_) {
       if (DrainComplete()) break;
       int64_t remain_us = drain_deadline_us_ - NowUs();
       if (remain_us <= 0) {
         // Deadline: give up on wedged peers. Every connection still holding
         // unflushed bytes (or awaiting a response) is force-closed.
-        uint64_t forced = routes_.empty() ? 0 : 1;
+        uint64_t forced = 0;
+        {
+          std::lock_guard<std::mutex> lock(routes_mu_);
+          if (!routes_.empty()) forced = 1;
+        }
         for (const auto& [fd, conn] : conns_) {
+          std::lock_guard<std::mutex> lock(conn->mu);
           if (conn->pending() > 0) ++forced;
         }
         if (forced > 0) metrics_.drain_forced_closes->Add(forced);
@@ -131,7 +132,7 @@ void NetServer::LoopThread() {
       loop_.Poll(static_cast<int>(
           std::min<int64_t>(remain_us / 1000 + 1, 100)));
     } else {
-      // 200ms heartbeat: Wakeup() covers the common paths; the timeout is a
+      // 200ms heartbeat: Shutdown() calls Wakeup(); the timeout is a
       // belt-and-braces bound on noticing a shutdown request.
       loop_.Poll(200);
     }
@@ -148,21 +149,18 @@ void NetServer::OnAccept(int fd) {
     setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf_bytes,
                sizeof(options_.sndbuf_bytes));
   }
-  auto conn = std::make_unique<Conn>();
+  auto conn = std::make_shared<Conn>();
   conn->fd = fd;
-  conn->conn_id = next_conn_id_++;
   conn->interest = EPOLLIN;
   FrameDecoder::Options dec;
   dec.max_frame_bytes = kMaxFrameBytes;
   conn->decoder = FrameDecoder(dec);
-  Conn* raw = conn.get();
   common::Status added =
       loop_.Add(fd, EPOLLIN, [this, fd](uint32_t ev) { OnConnEvent(fd, ev); });
   if (!added.ok()) {
     close(fd);
     return;
   }
-  conn_by_id_[raw->conn_id] = raw;
   conns_[fd] = std::move(conn);
   metrics_.connections_accepted->Add(1);
   metrics_.open_connections->Set(static_cast<int64_t>(conns_.size()));
@@ -171,17 +169,16 @@ void NetServer::OnAccept(int fd) {
 void NetServer::OnConnEvent(int fd, uint32_t events) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  Conn* conn = it->second.get();
+  std::shared_ptr<Conn> conn = it->second;
 
   if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
     CloseConn(fd);
     return;
   }
   if ((events & EPOLLOUT) != 0) {
-    FlushConn(conn);
-    it = conns_.find(fd);
-    if (it == conns_.end()) return;  // flush hit a dead peer
-    UpdateInterest(conn);
+    std::lock_guard<std::mutex> lock(conn->mu);
+    FlushConn(conn.get());
+    UpdateInterest(conn.get());
   }
   if ((events & EPOLLIN) == 0) return;
 
@@ -199,7 +196,7 @@ void NetServer::OnConnEvent(int fd, uint32_t events) {
         WireError err;
         err.status_code = static_cast<uint8_t>(fed.code());
         err.message = fed.message();
-        SendError(conn, err);
+        SendError(conn.get(), err);
         CloseConn(fd);
         return;
       }
@@ -216,14 +213,14 @@ void NetServer::OnConnEvent(int fd, uint32_t events) {
       return;
     }
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
     CloseConn(fd);
     return;
   }
-  UpdateInterest(conn);
 }
 
-void NetServer::HandleFrame(Conn* conn, const Frame& frame) {
+void NetServer::HandleFrame(const std::shared_ptr<Conn>& conn,
+                            const Frame& frame) {
   if (frame.type != FrameType::kRequest) {
     // Clients only send requests; anything else is a protocol violation.
     metrics_.protocol_errors->Add(1);
@@ -231,7 +228,7 @@ void NetServer::HandleFrame(Conn* conn, const Frame& frame) {
     err.status_code =
         static_cast<uint8_t>(common::StatusCode::kInvalidArgument);
     err.message = "unexpected frame type from client";
-    SendError(conn, err);
+    SendError(conn.get(), err);
     CloseConn(conn->fd);
     return;
   }
@@ -241,38 +238,39 @@ void NetServer::HandleFrame(Conn* conn, const Frame& frame) {
     WireError err;
     err.status_code = static_cast<uint8_t>(request.status().code());
     err.message = request.status().message();
-    SendError(conn, err);
+    SendError(conn.get(), err);
     CloseConn(conn->fd);
     return;
   }
   HandleRequest(conn, *request);
 }
 
-void NetServer::HandleRequest(Conn* conn, const WireRequest& request) {
+void NetServer::HandleRequest(const std::shared_ptr<Conn>& conn,
+                              const WireRequest& request) {
   if (draining_) {
     WireError err;
     err.id = request.id;
     err.status_code = static_cast<uint8_t>(common::StatusCode::kUnavailable);
     err.message = "server draining";
-    SendError(conn, err);
+    SendError(conn.get(), err);
     return;
   }
-  if (routes_.count(request.id) != 0) {
+  bool duplicate = false;
+  {
+    std::lock_guard<std::mutex> lock(routes_mu_);
+    duplicate = !routes_.emplace(request.id, Route{conn, NowUs()}).second;
+    metrics_.inflight_requests->Set(static_cast<int64_t>(routes_.size()));
+  }
+  if (duplicate) {
     WireError err;
     err.id = request.id;
     err.status_code =
         static_cast<uint8_t>(common::StatusCode::kInvalidArgument);
     err.message = "request id already in flight";
-    SendError(conn, err);
+    SendError(conn.get(), err);
     return;
   }
-
   metrics_.requests_rx->Add(1);
-  Route route;
-  route.conn_id = conn->conn_id;
-  route.accepted_us = NowUs();
-  routes_.emplace(request.id, route);
-  metrics_.inflight_requests->Set(static_cast<int64_t>(routes_.size()));
 
   serve::Request req;
   req.id = request.id;
@@ -285,28 +283,15 @@ void NetServer::HandleRequest(Conn* conn, const WireRequest& request) {
   // clamped forward rather than rejected.
   last_arrival_vms_ = std::max(last_arrival_vms_, request.arrival_vms);
   req.arrival_vms = last_arrival_vms_;
+  // The loop holds no lock of this server here: Submit() delivers a shed
+  // through the sink before it returns, and the sink takes routes_mu_ and
+  // the connection's lock.
   backend_->Submit(req);
 }
 
 void NetServer::DeliverResponse(const serve::Response& response) {
-  auto rit = routes_.find(response.id);
-  if (rit == routes_.end()) {
-    metrics_.responses_dropped->Add(1);
-    return;
-  }
-  Route route = rit->second;
-  routes_.erase(rit);
-  metrics_.inflight_requests->Set(static_cast<int64_t>(routes_.size()));
-  metrics_.request_wall_us->Observe(
-      static_cast<double>(NowUs() - route.accepted_us));
-
-  auto cit = conn_by_id_.find(route.conn_id);
-  if (cit == conn_by_id_.end()) {
-    metrics_.responses_dropped->Add(1);
-    return;
-  }
-  Conn* conn = cit->second;
-
+  int64_t done_us = NowUs();
+  std::string frame;
   if (response.shed) {
     // The QoS hint survives the wire: cause + cause-specific retry-after
     // ride the error frame so a remote client can back off exactly as an
@@ -317,47 +302,81 @@ void NetServer::DeliverResponse(const serve::Response& response) {
     err.shed_cause = static_cast<uint8_t>(response.shed_cause);
     err.retry_after_vms = response.retry_after_vms;
     err.message = response.status.message();
-    metrics_.shed_tx->Add(1);
-    SendError(conn, err);
-    return;
+    frame = EncodeErrorFrame(err);
+  } else {
+    WireResponse wire;
+    wire.id = response.id;
+    wire.status_code = static_cast<uint8_t>(response.status.code());
+    wire.status_message = response.status.message();
+    wire.model = response.model;
+    wire.cost_micros = response.cost.micros();
+    wire.queue_wait_vms = response.queue_wait_vms;
+    wire.service_vms = response.service_vms;
+    wire.latency_vms = response.latency_vms;
+    wire.deadline_missed = response.deadline_missed;
+    wire.hedged = response.hedged;
+    wire.hedge_won = response.hedge_won;
+    wire.coalesced = response.coalesced;
+    wire.text = response.text;
+    frame = EncodeResponseFrame(wire);
   }
 
-  WireResponse wire;
-  wire.id = response.id;
-  wire.status_code = static_cast<uint8_t>(response.status.code());
-  wire.status_message = response.status.message();
-  wire.model = response.model;
-  wire.cost_micros = response.cost.micros();
-  wire.queue_wait_vms = response.queue_wait_vms;
-  wire.service_vms = response.service_vms;
-  wire.latency_vms = response.latency_vms;
-  wire.deadline_missed = response.deadline_missed;
-  wire.hedged = response.hedged;
-  wire.hedge_won = response.hedge_won;
-  wire.coalesced = response.coalesced;
-  wire.text = response.text;
-  metrics_.responses_tx->Add(1);
-  AppendFrame(conn, EncodeResponseFrame(wire));
+  std::unique_lock<std::mutex> routes_lock(routes_mu_);
+  auto it = routes_.find(response.id);
+  if (it == routes_.end()) {
+    metrics_.responses_dropped->Add(1);
+    return;
+  }
+  Route route = std::move(it->second);
+  routes_.erase(it);
+  metrics_.inflight_requests->Set(static_cast<int64_t>(routes_.size()));
+  // While the server drains, the delivery that empties the route map wakes
+  // the loop, so Shutdown() does not wait out the poll timeout.
+  bool wake = routes_.empty() && draining_;
+  {
+    // The connection's lock is taken before the route lock goes, so a drain
+    // check that finds no route also finds this frame in its buffer.
+    Conn* conn = route.conn.get();
+    std::lock_guard<std::mutex> lock(conn->mu);
+    routes_lock.unlock();
+    // `closed` is read under the lock the loop holds when it closes the fd
+    // (CloseConn), so this never writes to a recycled fd number.
+    if (conn->closed) {
+      metrics_.responses_dropped->Add(1);
+    } else {
+      // Counted before the first byte can reach the peer.
+      if (response.shed) {
+        metrics_.shed_tx->Add(1);
+        metrics_.errors_tx->Add(1);
+      } else {
+        metrics_.responses_tx->Add(1);
+      }
+      AppendFrame(conn, frame);
+    }
+  }
+  metrics_.request_wall_us->Observe(
+      static_cast<double>(done_us - route.accepted_us));
+  if (wake) loop_.Wakeup();
 }
 
 void NetServer::SendError(Conn* conn, const WireError& error) {
+  std::lock_guard<std::mutex> lock(conn->mu);
   metrics_.errors_tx->Add(1);
   AppendFrame(conn, EncodeErrorFrame(error));
 }
 
-void NetServer::AppendFrame(Conn* conn, std::string frame) {
+void NetServer::AppendFrame(Conn* conn, const std::string& frame) {
   metrics_.frames_tx->Add(1);
   conn->outbuf.append(frame);
-  int fd = conn->fd;
   FlushConn(conn);
-  if (conns_.find(fd) == conns_.end()) return;  // flush closed it
   UpdateInterest(conn);
 }
 
 void NetServer::FlushConn(Conn* conn) {
   while (conn->pending() > 0) {
-    ssize_t n = write(conn->fd, conn->outbuf.data() + conn->out_off,
-                      conn->pending());
+    // MSG_NOSIGNAL: a peer that is gone yields EPIPE, not a SIGPIPE.
+    ssize_t n = send(conn->fd, conn->outbuf.data() + conn->out_off,
+                     conn->pending(), MSG_NOSIGNAL);
     if (n > 0) {
       conn->out_off += static_cast<size_t>(n);
       metrics_.bytes_tx->Add(static_cast<uint64_t>(n));
@@ -365,7 +384,12 @@ void NetServer::FlushConn(Conn* conn) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    CloseConn(conn->fd);  // EPIPE/ECONNRESET: the peer is gone
+    // EPIPE/ECONNRESET: the peer is gone. Only the loop closes an fd, and
+    // this may be a serve worker, so hang the socket up instead: the loop
+    // sees the hang-up and closes the connection. The unsent bytes go.
+    shutdown(conn->fd, SHUT_RDWR);
+    conn->outbuf.clear();
+    conn->out_off = 0;
     return;
   }
   if (conn->out_off == conn->outbuf.size()) {
@@ -398,30 +422,28 @@ void NetServer::UpdateInterest(Conn* conn) {
 void NetServer::CloseConn(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  conn_by_id_.erase(it->second->conn_id);
-  loop_.Remove(fd);
-  close(fd);
+  std::shared_ptr<Conn> conn = std::move(it->second);
   conns_.erase(it);
+  {
+    // The fd is closed only under the connection's lock and only after
+    // `closed` is set, and every writer checks `closed` under that lock, so
+    // no thread ever writes to a recycled fd number.
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->closed = true;
+    loop_.Remove(fd);
+    close(fd);
+  }
   metrics_.connections_closed->Add(1);
   metrics_.open_connections->Set(static_cast<int64_t>(conns_.size()));
 }
 
-void NetServer::DrainCompletions() {
-  std::vector<serve::Response> batch;
+bool NetServer::DrainComplete() {
   {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    batch.swap(completions_);
+    std::lock_guard<std::mutex> lock(routes_mu_);
+    if (!routes_.empty()) return false;
   }
-  for (const serve::Response& response : batch) DeliverResponse(response);
-}
-
-bool NetServer::DrainComplete() const {
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    if (!completions_.empty()) return false;
-  }
-  if (!routes_.empty()) return false;
   for (const auto& [fd, conn] : conns_) {
+    std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->pending() > 0) return false;
   }
   return true;

@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
 #include "net/event_loop.h"
@@ -40,14 +39,20 @@ struct NetStats {
 /// The network front door: an epoll event loop accepting llmdm wire-protocol
 /// connections and feeding decoded request frames into a serve::Server.
 ///
-/// Threading: one loop thread owns every connection, buffer, and route;
-/// serve workers publish completions through the server's response_sink,
-/// which only appends to a mutex-guarded completion queue and kicks the
-/// loop's eventfd — the loop then encodes and writes the frames on its own
-/// thread. Submit() is therefore always called from the loop thread, in
-/// frame-arrival order, satisfying the serve layer's single-submitter
-/// ordering contract (arrival_vms from the wire is clamped monotonic
-/// non-decreasing across connections).
+/// Threading: the loop thread accepts, reads, decodes and admits, flushes
+/// on EPOLLOUT whatever a write left behind, and closes. Submit() is
+/// therefore always called from the loop thread, in frame-arrival order,
+/// satisfying the serve layer's single-submitter ordering contract
+/// (arrival_vms from the wire is clamped monotonic non-decreasing across
+/// connections). A response is encoded and written by the thread that
+/// produced it, through the backend's response_sink: the serve worker, or
+/// the loop itself for the sheds Submit() answers. That sink runs under the
+/// serve results lock and takes a connection's Conn::mu before it lets go of
+/// routes_mu_, so the lock order is results -> routes_mu_ -> Conn::mu. The
+/// loop never holds a Conn::mu while it takes routes_mu_, and holds neither
+/// when it calls Submit(). Each connection's outbound state lives under its
+/// Conn::mu, and every frame, from any thread, goes through AppendFrame()
+/// and FlushConn().
 ///
 /// Correlation: the wire `id` is used as the serve request id directly, so a
 /// network workload is byte-identical to the same requests Submit()ted
@@ -110,19 +115,27 @@ class NetServer {
  private:
   struct Conn {
     int fd = -1;
-    uint64_t conn_id = 0;
-    FrameDecoder decoder;
+    FrameDecoder decoder;  // loop thread only
+
+    // Outbound state, guarded by mu: appended and written by whichever
+    // thread delivers a frame, flushed by the loop on EPOLLOUT.
+    std::mutex mu;
     std::string outbuf;
     size_t out_off = 0;
     uint32_t interest = 0;  // current epoll interest set
     bool read_paused = false;
+    /// Set by the loop just before it closes fd; a writer that finds it set
+    /// drops its frame.
+    bool closed = false;
 
     size_t pending() const { return outbuf.size() - out_off; }
   };
 
-  /// Where a completed request's frame goes.
+  /// Where a completed request's frame goes. The route holds its
+  /// connection, so a response whose connection has closed finds `closed`
+  /// set and is dropped, even if a new connection reuses the fd number.
   struct Route {
-    uint64_t conn_id = 0;
+    std::shared_ptr<Conn> conn;
     int64_t accepted_us = 0;  // wall clock, for the service histogram
   };
 
@@ -149,18 +162,21 @@ class NetServer {
   void LoopThread();
   void OnAccept(int fd);
   void OnConnEvent(int fd, uint32_t events);
-  void HandleFrame(Conn* conn, const Frame& frame);
-  void HandleRequest(Conn* conn, const WireRequest& request);
-  /// Encodes one serve outcome as a response or error frame on its
-  /// connection's outbound buffer (dropping it if the connection is gone).
+  void HandleFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);
+  void HandleRequest(const std::shared_ptr<Conn>& conn,
+                     const WireRequest& request);
+  /// The response sink: encodes one serve outcome as a response or error
+  /// frame and writes it to its connection on the calling thread (dropping
+  /// it if the connection is gone).
   void DeliverResponse(const serve::Response& response);
+  /// Loop thread only: the connection is open.
   void SendError(Conn* conn, const WireError& error);
-  void AppendFrame(Conn* conn, std::string frame);
+  /// The next three need conn->mu held and conn->closed false.
+  void AppendFrame(Conn* conn, const std::string& frame);
   void FlushConn(Conn* conn);
   void UpdateInterest(Conn* conn);
   void CloseConn(int fd);
-  void DrainCompletions();
-  bool DrainComplete() const;
+  bool DrainComplete();
 
   serve::Server* backend_;
   Options options_;
@@ -178,18 +194,15 @@ class NetServer {
   std::mutex lifecycle_mu_;
 
   // Loop-thread-owned state (no locks).
-  uint64_t next_conn_id_ = 1;
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;        // by fd
-  std::unordered_map<uint64_t, Conn*> conn_by_id_;
-  std::unordered_map<uint64_t, Route> routes_;                  // by request id
+  std::unordered_map<int, std::shared_ptr<Conn>> conns_;  // by fd
   double last_arrival_vms_ = 0.0;
-  bool draining_ = false;
   int64_t drain_deadline_us_ = 0;
+  /// Written by the loop only; the sink reads it too.
+  std::atomic<bool> draining_{false};
 
-  // Completion queue: serve workers (and the submitting thread, for sheds)
-  // push; the loop thread drains after a Wakeup().
-  mutable std::mutex completions_mu_;
-  std::vector<serve::Response> completions_;
+  // Shared with the delivering threads, guarded by routes_mu_.
+  std::mutex routes_mu_;
+  std::unordered_map<uint64_t, Route> routes_;  // by request id
 };
 
 }  // namespace llmdm::net

@@ -310,10 +310,13 @@ class Server {
     /// Sheds, cache-probe hits and followers of an already-finished flight
     /// invoke it on the submitting thread under the admission lock;
     /// completions, and the followers attached to them, on the leader's
-    /// worker thread. So the sink must be thread-safe, bounded, and must
-    /// never call back into Submit()/Drain(). Also settable after
-    /// construction via set_response_sink() (e.g. by net::NetServer, which
-    /// outlives neither).
+    /// worker thread. Every call runs under the results lock, so calls never
+    /// overlap, and set_response_sink() waits out a call in progress. The
+    /// sink must be thread-safe, bounded, and must never call back into
+    /// Submit()/Drain(). Also settable after construction via
+    /// set_response_sink(): net::NetServer's sink encodes the response and
+    /// writes it to a non-blocking socket right there, leaving whatever the
+    /// socket does not take to its event loop.
     std::function<void(const Response&)> response_sink;
     /// Retain every response for Drain(). A long-running server draining
     /// responses through response_sink instead sets this false so memory

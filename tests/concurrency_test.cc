@@ -31,9 +31,12 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/server.h"
+#include "gated_llm.h"
 
 namespace llmdm {
 namespace {
+
+using test::GatedLlm;
 
 std::shared_ptr<llm::SimulatedLlm> MakeModel(const std::string& name,
                                              double latency_ms_per_1k,
@@ -588,46 +591,6 @@ TEST(Serve, SingleFlightDeterministicAcrossRunsAndThreadCounts) {
   EXPECT_EQ(two, RunSingleFlightWorkload(1));
   EXPECT_EQ(two, RunSingleFlightWorkload(8));
 }
-
-// Holds every call for one input until Release(), so a test can keep a
-// worker busy for as long as it needs; other inputs pass straight through.
-class GatedLlm : public llm::LlmModel {
- public:
-  GatedLlm(std::shared_ptr<llm::LlmModel> inner, std::string held_input)
-      : inner_(std::move(inner)), held_input_(std::move(held_input)) {}
-
-  const llm::ModelSpec& spec() const override { return inner_->spec(); }
-
-  common::Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
-    if (prompt.input == held_input_) {
-      std::unique_lock<std::mutex> lock(mu_);
-      holding_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return released_; });
-    }
-    return inner_->Complete(prompt);
-  }
-
-  /// Returns once a call for the held input has entered the model.
-  void AwaitHeld() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return holding_; });
-  }
-
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::shared_ptr<llm::LlmModel> inner_;
-  std::string held_input_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool holding_ = false;
-  bool released_ = false;
-};
 
 TEST(Serve, SingleFlightFollowerNeverWaitsForAWorker) {
   // The only worker is held inside a model call. A follower of a flight

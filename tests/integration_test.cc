@@ -176,6 +176,25 @@ TEST_F(IntegrationTest, CleanerRepairsDateFormats) {
   EXPECT_EQ(t.at(8, 0).AsText(), "8/14/2023");
 }
 
+// A date-shaped cell whose digit run overflows an int is not a date: the
+// repair skips it instead of throwing, and still fixes the real outlier.
+TEST_F(IntegrationTest, CleanerSkipsADigitRunPastAnInt) {
+  data::Table t("visits",
+                data::Schema({{"visit", data::ColumnType::kText, true}}));
+  for (int i = 1; i <= 8; ++i) {
+    t.AppendRowUnchecked(
+        {data::Value::Text(common::StrFormat("%d/%d/2023", i, i + 2))});
+  }
+  t.AppendRowUnchecked({data::Value::Text("Aug 14 2023")});
+  t.AppendRowUnchecked({data::Value::Text("1/2/99999999999")});
+  DataCleaner cleaner(models_[2]);
+  auto report = cleaner.Repair(&t);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->values_reformatted, 1u);
+  EXPECT_EQ(t.at(8, 0).AsText(), "8/14/2023");
+  EXPECT_EQ(t.at(9, 0).AsText(), "1/2/99999999999");
+}
+
 // ---- table understanding ---------------------------------------------------------
 
 class TableUnderstandingTest : public ::testing::Test {

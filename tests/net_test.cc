@@ -2,18 +2,21 @@
 // torn-frame / corruption guarantees, the epoll server end to end over
 // loopback (byte-identity with a direct Submit() of the same workload,
 // shed metadata on error frames, graceful drain, pipelining, duplicate-id
-// refusal, watermark backpressure), and concurrent connections (the case
-// the TSan build exists for).
+// refusal, watermark backpressure, responses written by serve workers),
+// and concurrent connections (the case the TSan build exists for).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,9 +26,12 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "serve/server.h"
+#include "gated_llm.h"
 
 namespace llmdm {
 namespace {
+
+using test::GatedLlm;
 
 // ---- Wire codec round trips ------------------------------------------------
 
@@ -604,6 +610,40 @@ TEST(NetLoopback, QuotaShedThenRetryAfterHintSucceeds) {
   EXPECT_GT(result->cost, common::Money::Zero());
 }
 
+// Polls every millisecond until `done()` holds or ten seconds pass;
+// returns `done()`.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+// A NetServer whose backend's model holds every call for `held_input`.
+// The destructor releases the gate first, so a failed test cannot hang in
+// Drain().
+struct GatedHarness {
+  explicit GatedHarness(const std::string& held_input)
+      : gated(std::make_shared<GatedLlm>(
+            llm::CreatePaperModelLadder(nullptr, 2024)[2], held_input)),
+        backend(gated, MakeServeOptions(TestBackendOptions{}, false)),
+        server(&backend, net::NetServer::Options{}) {
+    common::Status s = server.Start();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  ~GatedHarness() {
+    gated->Release();
+    server.Shutdown();
+    (void)backend.Drain();
+  }
+
+  std::shared_ptr<GatedLlm> gated;
+  serve::Server backend;
+  net::NetServer server;
+};
+
 // ---- Raw-socket helpers (protocol-level tests that need exact framing) ----
 
 int ConnectRaw(uint16_t port, int rcvbuf_bytes = 0) {
@@ -657,10 +697,13 @@ std::vector<net::Frame> ReadFrames(int fd, size_t count) {
 }
 
 // Two requests with the same id in one write(2): the second must be refused
-// with kInvalidArgument while the first still completes normally.
+// with kInvalidArgument while the first still completes normally. The model
+// holds the first until the refusal has arrived, so it is in flight when
+// the loop reads the second: a serve worker writes a response as soon as it
+// has one, and an answered id is free again.
 TEST(NetLoopback, DuplicateInFlightIdRefused) {
-  LoopbackHarness harness;
-  int fd = ConnectRaw(harness.server().port());
+  GatedHarness harness("original");
+  int fd = ConnectRaw(harness.server.port());
 
   net::WireRequest req;
   req.id = 55;
@@ -672,8 +715,12 @@ TEST(NetLoopback, DuplicateInFlightIdRefused) {
   wire += net::EncodeRequestFrame(dup);
   WriteAll(fd, wire);
 
-  std::vector<net::Frame> frames = ReadFrames(fd, 2);
+  std::vector<net::Frame> frames = ReadFrames(fd, 1);
+  harness.gated->Release();
+  std::vector<net::Frame> rest = ReadFrames(fd, 1);
+  frames.insert(frames.end(), rest.begin(), rest.end());
   ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].type, net::FrameType::kError);
   size_t errors = 0;
   size_t responses = 0;
   for (const net::Frame& f : frames) {
@@ -829,6 +876,136 @@ TEST(NetLoopback, BackpressurePausesReadsAndRecovers) {
   close(fd);
 }
 
+// Serve workers write their own responses. One connection, four workers, a
+// 4 KiB send buffer and small watermarks make the workers' partial writes,
+// the loop's EPOLLOUT flush and the read pause all run. Every response must
+// still arrive exactly once and whole (the decoder refuses interleaved
+// frames by checksum), equal to its direct-Submit twin.
+TEST(NetLoopback, WorkerWritesArriveOnceWholeAndEqualTheTwin) {
+  TestBackendOptions opts;
+  ASSERT_EQ(opts.worker_threads, 4u);
+  opts.shed_policy = serve::ShedPolicy::kNone;
+  net::NetServer::Options net_options;
+  net_options.sndbuf_bytes = 4096;
+  net_options.high_watermark = 16 << 10;
+  net_options.low_watermark = 4 << 10;
+  LoopbackHarness harness(opts, net_options);
+
+  constexpr size_t kRequests = 300;
+  std::vector<net::WireRequest> workload;
+  std::string wire;
+  for (size_t i = 0; i < kRequests; ++i) {
+    net::WireRequest r;
+    r.id = 7000 + i;
+    r.input = "worker write probe #" + std::to_string(i) + " " +
+              std::string(200, static_cast<char>('a' + i % 26));
+    r.arrival_vms = static_cast<double>(i);
+    wire += net::EncodeRequestFrame(r);
+    workload.push_back(r);
+  }
+  int fd = ConnectRaw(harness.server().port(), /*rcvbuf_bytes=*/4096);
+  // The sender may block once the server pauses reading; it resumes when
+  // this thread drains the responses.
+  std::thread sender([fd, &wire] { WriteAll(fd, wire); });
+  WaitFor([&harness] {
+    net::NetStats stats = harness.server().stats();
+    return stats.backpressure_pauses > 0 || stats.responses_tx == kRequests;
+  });
+  std::vector<net::Frame> frames = ReadFrames(fd, kRequests);
+  sender.join();
+  close(fd);
+
+  for (const net::WireRequest& r : workload) {
+    harness.twin().Submit(ToServeRequest(r));
+  }
+  std::map<uint64_t, serve::Response> direct;
+  for (serve::Response& r : harness.twin().Drain()) direct[r.id] = r;
+
+  ASSERT_EQ(frames.size(), kRequests);
+  std::map<uint64_t, size_t> seen;
+  for (const net::Frame& f : frames) {
+    ASSERT_EQ(f.type, net::FrameType::kResponse);
+    auto over_wire = net::DecodeResponse(f.payload);
+    ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
+    ++seen[over_wire->id];
+    auto twin = direct.find(over_wire->id);
+    ASSERT_NE(twin, direct.end()) << over_wire->id;
+    const serve::Response& in_process = twin->second;
+    EXPECT_EQ(over_wire->status_code,
+              static_cast<uint8_t>(in_process.status.code()));
+    EXPECT_EQ(over_wire->text, in_process.text);
+    EXPECT_EQ(over_wire->model, in_process.model);
+    EXPECT_EQ(over_wire->cost_micros, in_process.cost.micros());
+    EXPECT_EQ(over_wire->queue_wait_vms, in_process.queue_wait_vms);
+    EXPECT_EQ(over_wire->service_vms, in_process.service_vms);
+    EXPECT_EQ(over_wire->latency_vms, in_process.latency_vms);
+  }
+  EXPECT_EQ(seen.size(), kRequests);
+  for (const auto& [id, count] : seen) EXPECT_EQ(count, 1u) << id;
+  EXPECT_GE(harness.server().stats().backpressure_pauses, 1u);
+}
+
+// A client hangs up while workers hold its requests. When the workers
+// finish, the server drops those responses (counted) and stays up, and a
+// connection accepted afterwards, which likely reuses the freed fd number,
+// receives only its own frames.
+TEST(NetLoopback, HungUpClientsResponsesAreDroppedNotMisdelivered) {
+  GatedHarness harness("held");
+  net::NetServer& server = harness.server;
+
+  constexpr size_t kHeld = 3;
+  int gone = ConnectRaw(server.port());
+  std::string wire;
+  for (size_t i = 0; i < kHeld; ++i) {
+    net::WireRequest r;
+    r.id = 1 + i;
+    r.input = "held";
+    r.arrival_vms = static_cast<double>(i);
+    wire += net::EncodeRequestFrame(r);
+  }
+  WriteAll(gone, wire);
+  harness.gated->AwaitHeld(kHeld);
+  close(gone);
+  ASSERT_TRUE(WaitFor([&server] {
+    return server.stats().connections_closed == 1;
+  }));
+  harness.gated->Release();
+  ASSERT_TRUE(WaitFor([&server] {
+    return server.stats().responses_dropped == kHeld;
+  }));
+  EXPECT_EQ(server.stats().responses_tx, 0u);
+
+  int fresh = ConnectRaw(server.port());
+  wire.clear();
+  for (size_t i = 0; i < kHeld; ++i) {
+    net::WireRequest r;
+    r.id = 10 + i;
+    r.input = "fresh #" + std::to_string(i);
+    r.arrival_vms = static_cast<double>(kHeld + i);
+    wire += net::EncodeRequestFrame(r);
+  }
+  WriteAll(fresh, wire);
+  std::vector<net::Frame> frames = ReadFrames(fresh, kHeld);
+  ASSERT_EQ(frames.size(), kHeld);
+  std::map<uint64_t, size_t> seen;
+  for (const net::Frame& f : frames) {
+    ASSERT_EQ(f.type, net::FrameType::kResponse);
+    auto resp = net::DecodeResponse(f.payload);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->status_code, 0);
+    ++seen[resp->id];
+  }
+  EXPECT_EQ(seen, (std::map<uint64_t, size_t>{{10, 1}, {11, 1}, {12, 1}}));
+  // Nothing else is on its way: the held responses were dropped above.
+  struct pollfd pfd = {fresh, POLLIN, 0};
+  EXPECT_EQ(poll(&pfd, 1, 50), 0);
+  close(fresh);
+
+  server.Shutdown();
+  EXPECT_EQ(server.stats().responses_dropped, kHeld);
+  EXPECT_EQ(server.stats().responses_tx, kHeld);
+}
+
 // ---- Concurrency (run this binary under -DLLMDM_TSAN=ON) -------------------
 
 // Several connections submitting in parallel: every request answered, no
@@ -912,9 +1089,12 @@ TEST(NetLoopback, MetricsCountTheConversation) {
   auto result = client.Call(r);
   ASSERT_TRUE(result.ok());
 
-  // NetServer counts bytes_tx after write() returns, so the client can hold
-  // its response before the count lands. Shutdown joins the loop thread,
-  // which orders the read below after every count the loop made.
+  // The serve worker that writes the response counts bytes_tx after send()
+  // returns, so the client can hold its response before the count lands.
+  // Every sink call runs under the serve results lock, and Shutdown()
+  // detaches the sink with set_response_sink(nullptr), which takes that
+  // lock, so the read below comes after every count a sink call made.
+  // (Shutdown also joins the loop thread, which orders the loop's counts.)
   harness.server().Shutdown();
   net::NetStats stats = harness.server().stats();
   EXPECT_EQ(stats.connections_accepted, 1u);

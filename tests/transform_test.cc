@@ -369,6 +369,23 @@ TEST(ReformatDateHelper, BothDateParsersRejectDaysTheMonthLacks) {
   }
 }
 
+// A digit run too long for an int fails the style match. std::stoi used to
+// throw out of the library on it, through DetectDateStyle, ReformatDate
+// and Synthesize. The largest int still parses.
+TEST(ReformatDateHelper, DigitRunsPastAnIntFailTheMatch) {
+  EXPECT_FALSE(ReformatDate("1/2/99999999999", DateStyle::kIso).ok());
+  EXPECT_FALSE(DetectDateStyle("99999999999-01-02").ok());
+  EXPECT_FALSE(DetectDateStyle("Aug 99999999999 2023").ok());
+  EXPECT_FALSE(DetectDateStyle("99999999999 Aug 2023").ok());
+  EXPECT_FALSE(ReformatDate("1/2/2147483648", DateStyle::kIso).ok());
+  auto widest = ReformatDate("1/2/2147483647", DateStyle::kIso);
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(*widest, "2147483647-01-02");
+  EXPECT_FALSE(DetectDateStyle("1/2/").ok());
+  EXPECT_FALSE(
+      ColumnTransform::Synthesize({{"1/2/99999999999", "2023-01-02"}}).ok());
+}
+
 TEST(PatternValidator, DetectsDrift) {
   auto validator =
       PatternValidator::FromReference({"8/14/2023", "1/2/2024", "12/31/2023"});
