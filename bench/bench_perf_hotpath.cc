@@ -57,6 +57,22 @@ double Percentile(std::vector<double>& sorted_us, double p) {
   return sorted_us[lo] + (sorted_us[hi] - sorted_us[lo]) * frac;
 }
 
+/// Summarizes the per-op durations of a scenario whose ops took `seconds`
+/// in all.
+BenchResult Summarize(const std::string& name, size_t threads, size_t shards,
+                      std::vector<double> all_us, double seconds) {
+  std::sort(all_us.begin(), all_us.end());
+  BenchResult r;
+  r.name = name;
+  r.threads = threads;
+  r.shards = shards;
+  r.ops = all_us.size();
+  r.ops_per_sec = seconds > 0.0 ? static_cast<double>(r.ops) / seconds : 0.0;
+  r.p50_us = Percentile(all_us, 0.50);
+  r.p99_us = Percentile(all_us, 0.99);
+  return r;
+}
+
 /// Runs `op(thread_id, i)` ops_per_thread times on each of `threads`
 /// threads (all released together), timing every call.
 template <typename Op>
@@ -89,16 +105,7 @@ BenchResult RunThreaded(const std::string& name, size_t threads,
   for (auto& v : durations_us) {
     all_us.insert(all_us.end(), v.begin(), v.end());
   }
-  std::sort(all_us.begin(), all_us.end());
-  BenchResult r;
-  r.name = name;
-  r.threads = threads;
-  r.shards = shards;
-  r.ops = all_us.size();
-  r.ops_per_sec = wall_sec > 0.0 ? static_cast<double>(r.ops) / wall_sec : 0.0;
-  r.p50_us = Percentile(all_us, 0.50);
-  r.p99_us = Percentile(all_us, 0.99);
-  return r;
+  return Summarize(name, threads, shards, std::move(all_us), wall_sec);
 }
 
 std::string Query(size_t i) {
@@ -176,19 +183,46 @@ BenchResult KernelDot(const std::string& variant, size_t rows, size_t dim,
   return r;
 }
 
+/// Hit lookups that each embed and scan: every query is cached, and every
+/// lookup of the row has a text of its own, so none repeats a text on the
+/// unchanged cache (the probe memo's case, timed by CacheLookupRepeat).
+/// The row makes at most `entries` lookups.
 BenchResult CacheLookup(size_t threads, size_t shards, size_t entries,
                         size_t ops_per_thread) {
   optimize::SemanticCache cache(CacheOptions(shards, entries));
   for (size_t i = 0; i < entries; ++i) {
     cache.Insert(Query(i), "answer", common::Money::FromDollars(0.001));
   }
+  ops_per_thread = std::min(ops_per_thread, entries / threads);
   return RunThreaded("cache_lookup", threads, shards, ops_per_thread,
                      [&](size_t t, size_t i) {
-                       // Hit path: every query is cached; each thread walks
-                       // its own stride so the shards all stay busy.
-                       cache.Lookup(Query((t * ops_per_thread + i * 7) %
-                                          entries));
+                       cache.Lookup(Query(t * ops_per_thread + i));
                      });
+}
+
+/// One thread looks up the cache's own texts a second time on the
+/// unchanged cache: each timed lookup repeats the untimed one just before
+/// it, so the shard's probe memo answers it, with no embedding and no
+/// scan. ops_per_sec counts the timed lookups' time only.
+BenchResult CacheLookupRepeat(size_t entries, size_t ops) {
+  optimize::SemanticCache cache(CacheOptions(1, entries));
+  for (size_t i = 0; i < entries; ++i) {
+    cache.Insert(Query(i), "answer", common::Money::FromDollars(0.001));
+  }
+  std::vector<double> durations_us;
+  durations_us.reserve(ops);
+  double timed_us = 0.0;
+  for (size_t i = 0; i < ops; ++i) {
+    cache.Lookup(Query(i % entries));
+    auto start = Clock::now();
+    cache.Lookup(Query(i % entries));
+    durations_us.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - start)
+            .count());
+    timed_us += durations_us.back();
+  }
+  return Summarize("cache_lookup_repeat", 1, 1, std::move(durations_us),
+                   timed_us / 1e6);
 }
 
 BenchResult CacheInsert(size_t threads, size_t shards, size_t capacity,
@@ -294,6 +328,7 @@ int main(int argc, char** argv) {
     results.push_back(
         CacheLookup(cfg.threads, cfg.shards, kEntries, kLookupOps));
   }
+  results.push_back(CacheLookupRepeat(kEntries, kLookupOps));
   for (const auto& cfg : sweep) {
     results.push_back(
         CacheInsert(cfg.threads, cfg.shards, kInsertCap, kInsertOps));

@@ -45,8 +45,8 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 
 stage "kernel parity + exact int8 search"
 "${build_dir}/tests/llmdm_tests" \
-  --gtest_filter='Kernels*:ExactInt8Search*' >/dev/null
-echo "ok: scalar/SIMD kernels bit-identical; int8 search equals the float32 sweep (ids, order, score bits)"
+  --gtest_filter='Kernels*:ExactInt8Search*:ProbeMemo*' >/dev/null
+echo "ok: scalar/SIMD kernels bit-identical; int8 search equals the float32 sweep (ids, order, score bits); a probe-memo answer equals the search it replays"
 
 stage "bench smoke (registry reconciliation)"
 "${build_dir}/bench/bench_serve_overload" --benchmark-smoke \
@@ -187,11 +187,12 @@ TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_concurrency_tests" \
   --gtest_brief=1
 # A coalesced follower attaches to its flight on the submitting thread
 # while the leader's worker may be publishing; which side answers it is
-# real thread timing. Repeat the tests that coalesce to run that handoff
-# under many interleavings.
+# real thread timing. Whether a cache lookup finds its shard free, and so
+# asks the shard's probe memo, is thread timing too. Repeat the tests that
+# coalesce, and the cache soaks, to run both under many interleavings.
 TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_concurrency_tests" \
   --gtest_brief=1 --gtest_repeat=20 \
-  --gtest_filter='Serve.SingleFlight*:ServeQos.CoalescedFollower*:ServeBatching.*'
+  --gtest_filter='Serve.SingleFlight*:ServeQos.CoalescedFollower*:ServeBatching.*:ConcurrentSoak.*'
 TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/llmdm_net_tests" \
   --gtest_brief=1
 # Serve workers write responses to sockets the loop thread also flushes,

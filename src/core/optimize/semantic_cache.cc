@@ -80,9 +80,8 @@ void SemanticCache::BumpIndexVersion(Shard& shard) {
       index_versions_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-size_t SemanticCache::ShardIndexFor(std::string_view query) const {
-  if (shards_.size() == 1) return 0;
-  return common::Fnv1a(query) % shards_.size();
+size_t SemanticCache::ShardIndexFor(uint64_t query_hash) const {
+  return query_hash % shards_.size();
 }
 
 double SemanticCache::EvictionScore(const Entry& entry) const {
@@ -145,44 +144,95 @@ void SemanticCache::EvictIfNeeded(Shard& shard,
   }
 }
 
+bool SemanticCache::IsReuseHit(
+    const std::optional<vectordb::SearchResult>& top) const {
+  return top.has_value() && top->score >= options_.similarity_threshold;
+}
+
+std::optional<SemanticCache::Hit> SemanticCache::AnswerProbe(
+    Shard& shard, const std::optional<vectordb::SearchResult>& top,
+    common::Money avoided_cost, common::Money output_price_per_1k) {
+  // A memo answer and a search move the same counters, ticks, reuse counts
+  // and savings, so heat, eviction and the ledger cannot tell them apart.
+  shard.metrics.lookups->Add(1);
+  ++shard.tick;
+  if (!IsReuseHit(top)) return std::nullopt;
+  Entry& entry = *FindEntry(shard.entries, top->id);
+  entry.last_used_tick = shard.tick;
+  ++entry.reuse_hits;
+  // Credit both halves of the avoided bill: the caller's input-side
+  // estimate, plus the output tokens the cached response replaces.
+  common::Money saved =
+      avoided_cost +
+      llm::PriceTokens(output_price_per_1k, entry.response_tokens);
+  shard.metrics.hits->Add(1);
+  shard.metrics.saved_micros->Add(static_cast<uint64_t>(saved.micros()));
+  // The response is read now, not remembered: a refresh rewrites it without
+  // moving the index version.
+  return Hit{entry.query, entry.response, top->score, saved};
+}
+
 std::optional<SemanticCache::Hit> SemanticCache::Lookup(
     const std::string& query, common::Money avoided_cost,
     common::Money output_price_per_1k, Miss* miss) {
+  const uint64_t hash = common::Fnv1a(query);
+  Shard& shard = *shards_[ShardIndexFor(hash)];
+  // The shard choice reads the hash modulo the shard count, so the slot
+  // reads the quotient: with a power-of-two count, the remainder's bits are
+  // alike for every text of a shard and would leave most slots unused. Not
+  // the high half: FNV-1a's high bits barely depend on a text's last bytes,
+  // so texts that differ only there would often share a slot.
+  ProbeMemoSlot& slot = shard.memo[hash / shards_.size() % kProbeMemoSlots];
+  {
+    // Only a free shard is asked: a busy one sends the lookup straight to
+    // embedding, as if it had no memo, rather than waiting for a slot.
+    std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
+    // Exact: every index mutation and every shard (re)creation draws a
+    // fresh version from the cache-wide counter, so an equal version means
+    // an unchanged index, on which the entry the slot names still lives;
+    // the embedder and the search are deterministic, so a search of the
+    // same text would find the same top-1, score bits included. A lookup
+    // that asked for a miss handle takes only a remembered hit: a miss
+    // must hand over its embedding, which only the search path has.
+    if (lock.owns_lock() && slot.version == shard.index_version &&
+        slot.query == query && (miss == nullptr || IsReuseHit(slot.top))) {
+      return AnswerProbe(shard, slot.top, avoided_cost, output_price_per_1k);
+    }
+  }
   // Embedding is the expensive half of a lookup; do it before taking any
   // lock so concurrent lookups only serialize on the (cheap) shard scan.
   embed::Vector q;
   embedder_.EmbedInto(query, &q);
-  Shard& shard = *shards_[ShardIndexFor(query)];
-  float top_score = -std::numeric_limits<float>::infinity();
+  std::optional<vectordb::SearchResult> top;
   uint64_t version = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.metrics.lookups->Add(1);
-    ++shard.tick;
     version = shard.index_version;
     const std::vector<vectordb::SearchResult> results =
         shard.index.Search(q, kLookupProbeWidth);
-    if (!results.empty()) top_score = results.front().score;
-    if (!results.empty() && top_score >= options_.similarity_threshold) {
-      Entry& entry = *FindEntry(shard.entries, results.front().id);
-      entry.last_used_tick = shard.tick;
-      ++entry.reuse_hits;
-      // Credit both halves of the avoided bill: the caller's input-side
-      // estimate, plus the output tokens the cached response replaces.
-      common::Money saved =
-          avoided_cost +
-          llm::PriceTokens(output_price_per_1k, entry.response_tokens);
-      shard.metrics.hits->Add(1);
-      shard.metrics.saved_micros->Add(static_cast<uint64_t>(saved.micros()));
-      return Hit{entry.query, entry.response, top_score, saved};
+    if (!results.empty()) top = results.front();
+    std::optional<Hit> hit =
+        AnswerProbe(shard, top, avoided_cost, output_price_per_1k);
+    // Not remembered: the miss of a lookup that hands its embedding to an
+    // Insert (which usually moves the version at once), and a text over
+    // kProbeMemoMaxText, so a shard's memo holds at most 256 KiB of text
+    // however large a request is.
+    if ((hit.has_value() || miss == nullptr) &&
+        query.size() <= kProbeMemoMaxText) {
+      slot.query = query;
+      slot.version = version;
+      slot.top = top;
     }
+    if (hit.has_value()) return hit;
   }
   if (miss != nullptr) {
     miss->cache = this;
     miss->query = query;
     miss->embedding = std::move(q);
     miss->version = version;
-    miss->best_score = top_score;
+    miss->best_score = top.has_value()
+                           ? top->score
+                           : -std::numeric_limits<float>::infinity();
   }
   return std::nullopt;
 }
@@ -279,11 +329,12 @@ void SemanticCache::Insert(const std::string& query,
   durability::MutationGuard guard = durable_ != nullptr
                                         ? durable_->BeginMutation()
                                         : durability::MutationGuard();
-  Shard& shard = *shards_[ShardIndexFor(query)];
+  const uint64_t hash = common::Fnv1a(query);
+  Shard& shard = *shards_[ShardIndexFor(hash)];
   std::lock_guard<std::mutex> lock(shard.mu);
   ++shard.tick;
   if (options_.predictive_admission) {
-    if (!shard.doorkeeper.SeenAndNote(common::Fnv1a(query))) {
+    if (!shard.doorkeeper.SeenAndNote(hash)) {
       // First sighting: predicted unlikely to recur; do not admit. Nothing
       // durable changed, so nothing is logged.
       shard.metrics.admission_rejections->Add(1);

@@ -1,6 +1,7 @@
 #ifndef LLMDM_CORE_OPTIMIZE_SEMANTIC_CACHE_H_
 #define LLMDM_CORE_OPTIMIZE_SEMANTIC_CACHE_H_
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <limits>
@@ -76,8 +77,20 @@ class Doorkeeper {
 /// Reuse lookups consult only the query's shard (the hot path touches one
 /// lock); augmentation and stale lookups search every shard, since their
 /// candidates may hash anywhere.
+///
+/// Each shard also remembers its recent reuse probes in a direct-mapped
+/// memo of kProbeMemoSlots slots: a query text, the index version it was
+/// searched at and the top-1 result. A Lookup that repeats a remembered
+/// text on an unchanged index is answered from its slot, without embedding
+/// or searching, and with every counter, tick and credit a search would
+/// have moved (see Lookup).
 class SemanticCache : public durability::DurableState {
  public:
+  /// Probe memo slots per shard, and the longest query text a slot keeps:
+  /// a shard's memo holds at most 256 KiB of text, whatever a query's size.
+  static constexpr size_t kProbeMemoSlots = 256;
+  static constexpr size_t kProbeMemoMaxText = 1024;
+
   struct Options {
     double similarity_threshold = 0.9;
     size_t capacity = 256;
@@ -144,6 +157,12 @@ class SemanticCache : public durability::DurableState {
   /// of the bill land in Hit::saved and the stats ledger. On a miss, a
   /// non-null `miss` receives the probe's embedding, shard index version
   /// and best score for Insert (see Miss).
+  ///
+  /// A repeat of a query text the shard's probe memo holds, at the index
+  /// version the memo saw, is answered from the memo when the shard's lock
+  /// is free: no embedding and no search, and the same result, counters
+  /// and savings a search would give. With a `miss` handle the memo answers
+  /// only a remembered hit, since a miss must hand over an embedding.
   std::optional<Hit> Lookup(
       const std::string& query,
       common::Money avoided_cost = common::Money::Zero(),
@@ -254,6 +273,16 @@ class SemanticCache : public durability::DurableState {
     obs::Gauge* live_entries = nullptr;
   };
 
+  /// One remembered reuse probe: the top-1 search of `query` on its shard's
+  /// index at `version` found `top` (nothing when the index was empty).
+  /// Version 0 is never handed out, so a slot that was never filled
+  /// matches nothing.
+  struct ProbeMemoSlot {
+    std::string query;
+    uint64_t version = 0;
+    std::optional<vectordb::SearchResult> top;
+  };
+
   struct Shard {
     explicit Shard(size_t cap)
         : capacity(cap), doorkeeper(kDoorkeeperCapacity) {}
@@ -270,16 +299,29 @@ class SemanticCache : public durability::DurableState {
     uint64_t tick = 0;
     /// Replaced from the cache-wide index_versions_ counter on every index
     /// mutation (add, remove) and at shard creation, so equal versions mean
-    /// an unchanged index — even across ResetToEmpty. Miss handles record
-    /// it.
+    /// an unchanged index — even across ResetToEmpty. Miss handles and the
+    /// probe memo record it.
     uint64_t index_version = 0;
     size_t capacity = 0;  // this shard's share of Options::capacity
     size_t shard_id = 0;  // position in shards_, for WAL record encoding
     Doorkeeper doorkeeper;
     ShardMetrics metrics;
+    /// Direct-mapped by the query hash divided by the shard count; read and
+    /// written only under mu. It has no option, Stats field or metric
+    /// series: whether a lookup finds the lock free depends on thread
+    /// timing, and the registry's exports are byte-stable.
+    std::array<ProbeMemoSlot, kProbeMemoSlots> memo;
   };
 
-  size_t ShardIndexFor(std::string_view query) const;
+  size_t ShardIndexFor(uint64_t query_hash) const;
+  /// Whether a reuse probe whose top-1 search found `top` hits.
+  bool IsReuseHit(const std::optional<vectordb::SearchResult>& top) const;
+  /// The bookkeeping of one reuse lookup whose top-1 search on `shard`
+  /// found `top`: both a search and a memo answer end here. Requires
+  /// shard.mu.
+  std::optional<Hit> AnswerProbe(
+      Shard& shard, const std::optional<vectordb::SearchResult>& top,
+      common::Money avoided_cost, common::Money output_price_per_1k);
   double EvictionScore(const Entry& entry) const;
   /// (Re)creates the shard array empty; shared by the constructor and
   /// ResetToEmpty. Instruments are re-fetched from the registry, so counters

@@ -71,13 +71,17 @@ common::Status Client::Send(const WireRequest& request) {
   std::string frame = EncodeRequestFrame(request);
   size_t off = 0;
   while (off < frame.size()) {
-    ssize_t n = write(fd_, frame.data() + off, frame.size() - off);
+    // MSG_NOSIGNAL: a write to a peer that has reset the connection raises
+    // SIGPIPE, whose default action ends the process; this way the caller
+    // gets EPIPE as a Status instead.
+    ssize_t n =
+        send(fd_, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    return Errno("write");
+    return Errno("send");
   }
   return common::Status::Ok();
 }

@@ -13,6 +13,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -247,6 +248,66 @@ TEST(ConcurrentSoak, ShardedCacheTotalsAreExactUnderThreads) {
   EXPECT_EQ(b.hits, a.hits);
   EXPECT_EQ(b.insertions, a.insertions);
   EXPECT_EQ(b.saved, a.saved);
+}
+
+TEST(ConcurrentSoak, ProbeMemoAnswersRaceRefreshesAndEvictions) {
+  // Eight threads loop over a hot set larger than a small two-shard cache,
+  // so each shard's probe memo answers repeats while other threads insert,
+  // refresh and evict. Every response names the query it was inserted
+  // under; the topics are far apart, so a refresh only ever rewrites its
+  // own query's entry. A memo answer that read a stale slot would return
+  // another entry's response or a lookup the counters missed.
+  const std::vector<std::string> topics = {
+      "stadiums that hosted concerts in 2014",
+      "patients with a diabetes diagnosis",
+      "average salary by department",
+      "flights delayed out of boston",
+      "novels written by tolstoy",
+      "students enrolled in calculus",
+      "orders shipped to canada last week",
+      "movies released before 1990"};
+  constexpr size_t kThreads = 8, kPerThread = 1000;
+  optimize::SemanticCache::Options options;
+  options.capacity = 6;
+  options.num_shards = 2;
+  options.policy = optimize::EvictionPolicy::kLru;
+  optimize::SemanticCache cache(options);
+  std::atomic<size_t> hits{0};
+  std::atomic<size_t> foreign{0};
+  std::latch start(kThreads);  // all threads enter the loop together
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (size_t i = 0; i < kPerThread; ++i) {
+        const std::string& query = topics[(t + i * 3) % topics.size()];
+        const std::string response =
+            common::StrFormat("%s #%zu.%zu", query.c_str(), t, i);
+        // Half the threads hand each miss to its Insert, as CachedLlm does.
+        optimize::SemanticCache::Miss miss;
+        optimize::SemanticCache::Miss* handle = t % 2 == 0 ? &miss : nullptr;
+        auto hit = cache.Lookup(query, common::Money::FromMicros(10),
+                                common::Money::Zero(), handle);
+        if (!hit.has_value()) {
+          cache.Insert(query, response, common::Money::Zero(), handle);
+          continue;
+        }
+        hits.fetch_add(1, std::memory_order_relaxed);
+        if (hit->response.rfind(hit->query + " #", 0) != 0) {
+          foreign.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (i % 4 == 0) cache.Insert(query, response);  // a refresh
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const optimize::SemanticCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.lookups, kThreads * kPerThread);
+  EXPECT_EQ(stats.hits, hits.load());
+  EXPECT_EQ(foreign.load(), 0u);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(cache.Size(), options.capacity);
 }
 
 // ---- The metrics registry ---------------------------------------------------

@@ -701,7 +701,10 @@ TEST(DurableComponents, SemanticCacheMissHandoffWritesTheSameBytes) {
   // the same snapshot, WAL and stats as one fed the same stream through
   // Lookup plus a handle-less Insert. Repeats and paraphrases over a small
   // two-shard cache make inserts and evictions happen; a threshold no score
-  // reaches also sends every repeat down the refresh path.
+  // reaches also sends every repeat down the refresh path. A third path
+  // probes each query without a handle first: that miss is remembered by
+  // the shard's probe memo, and the handled lookup after it must still
+  // search and fill the handle, so its Insert writes the same bytes.
   const std::vector<std::string> topics = {
       "stadiums that hosted concerts in 2014",
       "patients with a diabetes diagnosis",
@@ -738,8 +741,8 @@ TEST(DurableComponents, SemanticCacheMissHandoffWritesTheSameBytes) {
     optimize::SemanticCache::Stats stats;
     size_t live = 0;
   };
-  auto run = [&](const optimize::SemanticCache::Options& options,
-                 bool through_cached_llm) {
+  enum class Path { kPlain, kCachedLlm, kProbedFirst };
+  auto run = [&](const optimize::SemanticCache::Options& options, Path path) {
     TempDir dir;
     dir.Track("cache.snap");
     dir.Track("cache.wal.0");
@@ -753,19 +756,26 @@ TEST(DurableComponents, SemanticCacheMissHandoffWritesTheSameBytes) {
     optimize::CachedLlm cached(model, &cache);
     for (const std::string& query : stream) {
       const llm::Prompt prompt = llm::MakePrompt("freeform", query);
-      if (through_cached_llm) {
+      if (path == Path::kCachedLlm) {
         EXPECT_TRUE(cached.Complete(prompt).ok());
         continue;
       }
       const common::Money avoided = llm::PriceTokens(
           model->spec().input_price_per_1k, prompt.CountInputTokens());
-      if (cache.Lookup(query, avoided, model->spec().output_price_per_1k)
-              .has_value()) {
-        continue;
+      const common::Money output_price = model->spec().output_price_per_1k;
+      if (cache.Lookup(query, avoided, output_price).has_value()) continue;
+      optimize::SemanticCache::Miss miss;
+      if (path == Path::kProbedFirst) {
+        EXPECT_FALSE(
+            cache.Lookup(query, avoided, output_price, &miss).has_value());
+        EXPECT_EQ(miss.cache, &cache);
+        EXPECT_EQ(miss.query, query);
+        EXPECT_FALSE(miss.embedding.empty());
       }
       auto answer = model->Complete(prompt);
       EXPECT_TRUE(answer.ok());
-      cache.Insert(query, answer->text, answer->cost);
+      cache.Insert(query, answer->text, answer->cost,
+                   path == Path::kProbedFirst ? &miss : nullptr);
     }
     Outcome out;
     out.snapshot = Image(cache);
@@ -780,18 +790,24 @@ TEST(DurableComponents, SemanticCacheMissHandoffWritesTheSameBytes) {
     options.capacity = 6;
     options.num_shards = 2;
     options.similarity_threshold = threshold;
-    const Outcome plain = run(options, false);
-    const Outcome handed = run(options, true);
-    EXPECT_EQ(handed.snapshot, plain.snapshot);
-    EXPECT_EQ(handed.wal, plain.wal);
+    const Outcome plain = run(options, Path::kPlain);
+    const Outcome handed = run(options, Path::kCachedLlm);
+    const Outcome probed = run(options, Path::kProbedFirst);
+    for (const Outcome* other : {&handed, &probed}) {
+      EXPECT_EQ(other->snapshot, plain.snapshot);
+      EXPECT_EQ(other->wal, plain.wal);
+      EXPECT_EQ(other->stats.hits, plain.stats.hits);
+      EXPECT_EQ(other->stats.insertions, plain.stats.insertions);
+      EXPECT_EQ(other->stats.evictions, plain.stats.evictions);
+      EXPECT_EQ(other->stats.admission_rejections,
+                plain.stats.admission_rejections);
+      EXPECT_EQ(other->stats.saved, plain.stats.saved);
+      EXPECT_EQ(other->live, plain.live);
+    }
     EXPECT_EQ(handed.stats.lookups, plain.stats.lookups);
-    EXPECT_EQ(handed.stats.hits, plain.stats.hits);
-    EXPECT_EQ(handed.stats.insertions, plain.stats.insertions);
-    EXPECT_EQ(handed.stats.evictions, plain.stats.evictions);
-    EXPECT_EQ(handed.stats.admission_rejections,
-              plain.stats.admission_rejections);
-    EXPECT_EQ(handed.stats.saved, plain.stats.saved);
-    EXPECT_EQ(handed.live, plain.live);
+    // One more lookup per miss: the handled one after the first probe.
+    EXPECT_EQ(probed.stats.lookups,
+              2 * plain.stats.lookups - plain.stats.hits);
     // The stream really does exercise every mutation kind.
     EXPECT_GT(plain.stats.evictions, 0u);
     if (threshold > 1.0) {

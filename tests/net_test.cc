@@ -801,6 +801,56 @@ TEST(NetLoopback, CallBatchReportsWhyTheServerHungUp) {
             "request virtual time -1 is not a finite non-negative value");
 }
 
+// A peer that resets the connection makes the next write raise SIGPIPE,
+// whose default action ends the process. Send must return an error
+// instead, and the process must keep running.
+TEST(NetClient, SendToAResetPeerFailsWithoutSigpipe) {
+  int listener = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0) << strerror(errno);
+  struct sockaddr_in addr;
+  memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(bind(listener, reinterpret_cast<struct sockaddr*>(&addr),
+                 sizeof(addr)),
+            0)
+      << strerror(errno);
+  ASSERT_EQ(listen(listener, 1), 0) << strerror(errno);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(getsockname(listener, reinterpret_cast<struct sockaddr*>(&addr),
+                        &len),
+            0);
+  net::Client client;
+  net::Client::Options options;
+  options.port = ntohs(addr.sin_port);
+  ASSERT_TRUE(client.Connect(options).ok());
+  // Accept, then close with a zero linger: the kernel sends a reset.
+  int accepted = accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0) << strerror(errno);
+  struct linger reset = {1, 0};
+  ASSERT_EQ(setsockopt(accepted, SOL_SOCKET, SO_LINGER, &reset,
+                       sizeof(reset)),
+            0);
+  close(accepted);
+  close(listener);
+  // Sends go out until the reset has arrived; the first send after it
+  // reports the reset (ECONNRESET), and every later one writes to a shut
+  // connection (EPIPE), the write that raises SIGPIPE.
+  common::Status status = common::Status::Ok();
+  for (int i = 0; i < 100 && status.ok(); ++i) {
+    status = client.Send(SampleRequest());
+    if (status.ok()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_FALSE(status.ok());
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(status.code(), common::StatusCode::kUnavailable);
+    EXPECT_EQ(status.message().rfind("send: ", 0), 0u) << status.message();
+    status = client.Send(SampleRequest());
+  }
+  EXPECT_FALSE(status.ok());
+}
+
 // Satellite: graceful drain. Every request the server accepted before
 // Shutdown() still gets its response flushed, with no forced closes.
 TEST(NetLoopback, DrainCompletesEveryAcceptedRequest) {

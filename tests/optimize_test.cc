@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cctype>
 #include <optional>
 #include <set>
 
+#include "common/string_util.h"
 #include "core/optimize/cascade.h"
 #include "core/optimize/decomposition.h"
 #include "core/optimize/prompt_store.h"
@@ -701,6 +704,281 @@ TEST(SemanticCache, MissHandleServesOnlyItsQueryOnce) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->response, "b");
   EXPECT_GT(hit->similarity, 0.999);
+}
+
+// ---- probe memo -------------------------------------------------------------------
+
+// A Lookup and the search it stands for agree in presence, cached query,
+// response and similarity bits. With one shard, LookupStale at the reuse
+// threshold runs that search: it reads no memo and moves no state.
+void ExpectSameAnswer(const std::optional<SemanticCache::Hit>& got,
+                      const std::optional<SemanticCache::Hit>& searched) {
+  ASSERT_EQ(got.has_value(), searched.has_value());
+  if (!got.has_value()) return;
+  EXPECT_EQ(got->query, searched->query);
+  EXPECT_EQ(got->response, searched->response);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->similarity),
+            std::bit_cast<uint64_t>(searched->similarity));
+}
+
+std::optional<SemanticCache::Hit> LookupAsSearched(SemanticCache& cache,
+                                                   const std::string& query) {
+  auto searched =
+      cache.LookupStale(query, cache.options().similarity_threshold);
+  auto got = cache.Lookup(query);
+  ExpectSameAnswer(got, searched);
+  return got;
+}
+
+TEST(ProbeMemo, EveryLookupEqualsTheSearchItReplays) {
+  // A one-shard cache at capacity: most lookups repeat a recent text
+  // verbatim (the memo's case), while inserts of paraphrases, refreshes of
+  // exact texts and unrelated fillers add, rewrite and evict entries
+  // between the repeats.
+  SemanticCache::Options options;
+  options.capacity = 24;
+  options.similarity_threshold = 0.85;
+  SemanticCache cache(options);
+  const std::vector<std::string> subjects = {
+      "stadiums that hosted concerts",   "patients with a diabetes diagnosis",
+      "average salary by department",    "flights delayed out of boston",
+      "novels written by tolstoy",       "students enrolled in calculus",
+      "orders shipped to canada",        "movies released before 1990",
+      "employees hired after march",     "rivers longer than a thousand km",
+      "songs recorded by the beatles",   "museums open on sundays"};
+  auto base = [&](size_t i) {
+    return subjects[i % subjects.size()] + " in region " +
+           std::to_string(i / subjects.size());
+  };
+  common::Rng rng(2026);
+  // A text, an adjacent-word swap of it (a near duplicate) or a copy with
+  // one word upper-cased (a distinct text with the same embedding).
+  auto variant = [&](size_t i) {
+    std::string text = base(i);
+    std::vector<std::string> words = common::SplitWhitespace(text);
+    const size_t w = rng.NextBelow(words.size() - 1);
+    switch (rng.NextBelow(3)) {
+      case 0:
+        return text;
+      case 1:
+        std::swap(words[w], words[w + 1]);
+        break;
+      default:
+        for (char& c : words[w]) c = static_cast<char>(std::toupper(c));
+        break;
+    }
+    return common::Join(words, " ");
+  };
+  constexpr size_t kTexts = 60;
+  std::vector<std::string> looked_up;
+  size_t lookups = 0;
+  size_t hits = 0;
+  size_t repeats = 0;
+  for (size_t step = 0; step < 4000; ++step) {
+    const uint64_t roll = rng.NextBelow(100);
+    std::string query;
+    if (roll < 55 && !looked_up.empty()) {
+      const size_t back =
+          rng.NextBelow(std::min<size_t>(looked_up.size(), 12));
+      query = looked_up[looked_up.size() - 1 - back];
+      ++repeats;
+    } else if (roll < 70) {
+      query = variant(rng.NextBelow(kTexts));
+    } else if (roll < 95) {
+      cache.Insert(variant(rng.NextBelow(kTexts)),
+                   "response " + std::to_string(step));
+      continue;
+    } else {
+      cache.Insert("unrelated filler number " + std::to_string(step),
+                   "filler " + std::to_string(step));
+      continue;
+    }
+    SCOPED_TRACE("step " + std::to_string(step) + ": " + query);
+    looked_up.push_back(query);
+    ++lookups;
+    if (LookupAsSearched(cache, query).has_value()) ++hits;
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  const SemanticCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.lookups, lookups);
+  EXPECT_EQ(stats.hits, hits);
+  // The stream really mixes repeats, hits, misses and evictions.
+  EXPECT_GT(repeats, 1500u);
+  EXPECT_GT(hits, lookups / 4);
+  EXPECT_LT(hits, lookups);
+  EXPECT_GT(stats.evictions, 100u);
+}
+
+TEST(ProbeMemo, RepeatAfterTheHitIsEvictedMisses) {
+  SemanticCache::Options options;
+  options.capacity = 2;
+  options.policy = EvictionPolicy::kLru;
+  SemanticCache cache(options);
+  cache.Insert(kHandoffQuery, "a");
+  cache.Insert(kUnrelated[0], "b");
+  ASSERT_TRUE(LookupAsSearched(cache, kHandoffQuery).has_value());
+  ASSERT_TRUE(LookupAsSearched(cache, kUnrelated[0]).has_value());
+  cache.Insert(kUnrelated[1], "c");  // evicts the least recent: the first
+  ASSERT_EQ(cache.stats().evictions, 1u);
+  EXPECT_FALSE(LookupAsSearched(cache, kHandoffQuery).has_value());
+}
+
+TEST(ProbeMemo, RepeatAfterANearDuplicateInsertHits) {
+  // The repeat's text misses; a near duplicate of it (scoring at or above
+  // the threshold, below the refresh bar) then adds an entry.
+  SemanticCache::Options options;
+  options.similarity_threshold = 0.8;
+  SemanticCache cache(options);
+  const std::string near = "which stadiums hosted concerts 2014 in";
+  const float similarity =
+      embed::HashingEmbedder().Similarity(kHandoffQuery, near);
+  ASSERT_GE(similarity, options.similarity_threshold);
+  ASSERT_LE(similarity, 0.999f);
+  cache.Insert(kUnrelated[0], "other");
+  EXPECT_FALSE(LookupAsSearched(cache, kHandoffQuery).has_value());
+  cache.Insert(near, "near");
+  ASSERT_EQ(cache.Size(), 2u);
+  auto hit = LookupAsSearched(cache, kHandoffQuery);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->response, "near");
+}
+
+TEST(ProbeMemo, RepeatAfterARefreshReturnsTheNewResponse) {
+  // A refresh rewrites the entry's response in place and leaves the index,
+  // and so its version, as it was: the repeat must read the entry again.
+  SemanticCache cache(SemanticCache::Options{});
+  cache.Insert(kHandoffQuery, "old", common::Money::FromMicros(5));
+  auto first = LookupAsSearched(cache, kHandoffQuery);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->response, "old");
+  cache.Insert(kHandoffQuery, "new response", common::Money::FromMicros(7));
+  ASSERT_EQ(cache.stats().insertions, 2u);
+  ASSERT_EQ(cache.Size(), 1u);
+  const common::Money output_price = common::Money::FromDollars(0.002);
+  auto again = cache.Lookup(kHandoffQuery, common::Money::Zero(), output_price);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->response, "new response");
+  EXPECT_EQ(again->saved,
+            llm::PriceTokens(output_price, text::CountTokens("new response")));
+}
+
+TEST(ProbeMemo, RepeatAfterResetLoadOrReplayFollowsTheIndex) {
+  auto insert_record = [](const std::string& query,
+                          const std::string& response) {
+    std::string rec;
+    durability::AppendU8(&rec, 1);   // kInsert
+    durability::AppendU32(&rec, 0);  // shard
+    durability::AppendString(&rec, query);
+    durability::AppendString(&rec, response);
+    durability::AppendI64(&rec, 0);
+    return rec;
+  };
+  {
+    SCOPED_TRACE("ResetToEmpty drops a remembered hit");
+    SemanticCache cache(SemanticCache::Options{});
+    cache.Insert(kHandoffQuery, "a");
+    ASSERT_TRUE(LookupAsSearched(cache, kHandoffQuery).has_value());
+    cache.ResetToEmpty();
+    EXPECT_FALSE(LookupAsSearched(cache, kHandoffQuery).has_value());
+  }
+  {
+    SCOPED_TRACE("LoadSnapshot adds the entry a remembered miss lacked");
+    SemanticCache source(SemanticCache::Options{});
+    source.Insert(kHandoffQuery, "loaded");
+    std::string image;
+    ASSERT_TRUE(source.SaveSnapshot(&image).ok());
+    SemanticCache cache(SemanticCache::Options{});
+    EXPECT_FALSE(LookupAsSearched(cache, kHandoffQuery).has_value());
+    durability::ByteReader in(image);
+    ASSERT_TRUE(cache.LoadSnapshot(in).ok());
+    auto hit = LookupAsSearched(cache, kHandoffQuery);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->response, "loaded");
+  }
+  {
+    SCOPED_TRACE("ApplyWalRecord inserts, then evicts, the entry");
+    SemanticCache cache(SemanticCache::Options{});
+    EXPECT_FALSE(LookupAsSearched(cache, kHandoffQuery).has_value());
+    ASSERT_TRUE(
+        cache.ApplyWalRecord(insert_record(kHandoffQuery, "replayed")).ok());
+    auto hit = LookupAsSearched(cache, kHandoffQuery);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->response, "replayed");
+    std::string evict;
+    durability::AppendU8(&evict, 3);   // kEvict
+    durability::AppendU32(&evict, 0);  // shard
+    durability::AppendU64(&evict, 0);  // the first id
+    ASSERT_TRUE(cache.ApplyWalRecord(evict).ok());
+    EXPECT_FALSE(LookupAsSearched(cache, kHandoffQuery).has_value());
+  }
+}
+
+TEST(ProbeMemo, RepeatedHitsCountEveryLookup) {
+  // N repeats of one text are N lookups, N hits, N savings credits and N
+  // reuse hits, whether the memo or a search answers them.
+  constexpr size_t kRepeats = 5;
+  const common::Money input_side = common::Money::FromMicros(300);
+  const common::Money output_price = common::Money::FromDollars(0.002);
+  SemanticCache cache(SemanticCache::Options{});
+  cache.Insert(kHandoffQuery, "hot answer");
+  const common::Money credit =
+      input_side +
+      llm::PriceTokens(output_price, text::CountTokens("hot answer"));
+  for (size_t i = 0; i < kRepeats; ++i) {
+    auto hit = cache.Lookup(kHandoffQuery, input_side, output_price);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->saved, credit);
+  }
+  const SemanticCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.lookups, kRepeats);
+  EXPECT_EQ(stats.hits, kRepeats);
+  EXPECT_EQ(stats.saved.micros(),
+            credit.micros() * static_cast<int64_t>(kRepeats));
+}
+
+TEST(ProbeMemo, RepeatedHitsWeighInCostAwareEviction) {
+  // kCostAware scores an entry 2 per reuse hit plus 1e-6 per tick of its
+  // last use, and a newcomer by its tick alone, so the reuse counts of two
+  // resident entries decide the victim only once the tick passes 2e6.
+  // The hot entry gets one searched hit and one memo hit, the other entry
+  // one searched hit, later; then memo answers to a missing text move the
+  // tick to 2.5e6. With the memo hit counted the hot entry scores 4 and
+  // the other entry (2.000005) leaves; uncounted, the hot one would.
+  SemanticCache::Options options;
+  options.capacity = 2;
+  options.policy = EvictionPolicy::kCostAware;
+  SemanticCache cache(options);
+  cache.Insert(kHandoffQuery, "hot");
+  cache.Insert(kUnrelated[0], "other");
+  ASSERT_TRUE(cache.Lookup(kHandoffQuery).has_value());
+  ASSERT_TRUE(cache.Lookup(kHandoffQuery).has_value());  // the memo's answer
+  ASSERT_TRUE(cache.Lookup(kUnrelated[0]).has_value());
+  const std::string missing = "an unrelated question about glaciers";
+  for (size_t tick = 5; tick < 2'500'000; ++tick) cache.Lookup(missing);
+  ASSERT_EQ(cache.stats().hits, 3u);
+  cache.Insert(kUnrelated[1], "newcomer");
+  ASSERT_EQ(cache.stats().evictions, 1u);
+  EXPECT_TRUE(cache.LookupStale(kHandoffQuery, 0.9).has_value());
+  EXPECT_FALSE(cache.LookupStale(kUnrelated[0], 0.9).has_value());
+  EXPECT_TRUE(cache.LookupStale(kUnrelated[1], 0.9).has_value());
+}
+
+TEST(ProbeMemo, RepeatedHitMovesLastUsedForLru) {
+  // A memo answer stamps the entry's last use as a search would, so under
+  // kLru the other entry is the older one.
+  SemanticCache::Options options;
+  options.capacity = 2;
+  options.policy = EvictionPolicy::kLru;
+  SemanticCache cache(options);
+  cache.Insert(kHandoffQuery, "a");
+  cache.Insert(kUnrelated[0], "b");
+  ASSERT_TRUE(cache.Lookup(kHandoffQuery).has_value());
+  ASSERT_TRUE(cache.Lookup(kUnrelated[0]).has_value());
+  ASSERT_TRUE(cache.Lookup(kHandoffQuery).has_value());  // the memo's answer
+  cache.Insert(kUnrelated[1], "c");
+  ASSERT_EQ(cache.stats().evictions, 1u);
+  EXPECT_TRUE(cache.LookupStale(kHandoffQuery, 0.9).has_value());
+  EXPECT_FALSE(cache.LookupStale(kUnrelated[0], 0.9).has_value());
 }
 
 // ---- prompt store -----------------------------------------------------------------
